@@ -12,6 +12,7 @@ swapping the two gradings, and a declared dimension ``n`` confining the
 support to the square grid [0, n] x [0, n].
 """
 
+import json
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -61,6 +62,12 @@ class ProductStructure:
     fundamental_class_functional: Callable
 
 
+def _is_count(value):
+    """True for a non-negative ``int``; ``bool`` is an ``int`` but no count."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= 0)
+
+
 class BicomplexFormatError(ValueError):
     """Raised for malformed serialized complexes."""
 
@@ -92,8 +99,8 @@ class Bicomplex:
         self._spaces = clean
         self._del = _clean_blocks(del_maps)
         self._delbar = _clean_blocks(delbar_maps)
-        if n is not None and (not isinstance(n, int) or n < 0):
-            raise ValueError("n must be a non-negative integer")
+        if n is not None and not _is_count(n):
+            raise ValueError(f"n must be a non-negative integer, got {n!r}")
         self.n = n
         self.label = label
         self.product = product
@@ -385,17 +392,19 @@ def from_json_dict(obj, *, default_label=""):
     if not isinstance(label, str):
         raise BicomplexFormatError("label must be a string")
     n = obj.get("n")
-    if n is not None and (not isinstance(n, int) or n < 0):
-        raise BicomplexFormatError("n must be a non-negative integer")
+    if n is not None and not _is_count(n):
+        raise BicomplexFormatError(
+            f"n must be a non-negative integer, got {json.dumps(n)}")
     spaces_raw = obj.get("spaces", {})
     if not isinstance(spaces_raw, dict):
         raise BicomplexFormatError("spaces must be an object")
     spaces = {}
     for key, dim in spaces_raw.items():
         bid = _parse_bidegree_key(key, "spaces")
-        if not isinstance(dim, int) or dim < 0:
+        if not _is_count(dim):
             raise BicomplexFormatError(
-                f"spaces[{key!r}]: dimension must be a non-negative integer")
+                f"spaces[{key!r}]: dimension must be a non-negative integer, "
+                f"got {json.dumps(dim)}")
         spaces[bid] = dim
     sections = {}
     for name in ("del", "delbar"):

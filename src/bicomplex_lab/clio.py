@@ -10,7 +10,9 @@ Input formats (detected by extension):
 
 Commands: ``validate``, ``cohomology``, ``decompose``, ``check``,
 ``render``, ``corpus``, ``convert``.  Exit codes: 0 success, 1 usage
-error, 2 parse/validation error, 3 a theorem-as-test check failed.
+error, 2 parse/validation error, 3 a theorem-as-test check failed, 4 an
+internal engine error (a ``DecompositionError`` or ``LinAlgError`` that a
+valid input should never raise; the message goes to stderr).
 
 All emissions are deterministic byte-for-byte for identical inputs and
 flags; corpus workers (capped by ``BICOMPLEX_LAB_THREADS``) never affect
@@ -34,15 +36,18 @@ from .bicomplex import (BicomplexFormatError, from_json_dict, to_json_dict,
                         validate)
 from .checkers import ALL_CHECK_NAMES, THEOREM_CHECK_NAMES, run_all_checks
 from .cohomology import all_tables
+from .exactla import LinAlgError
 from .models import (StructureEquationError, from_structure_equations,
                      iwasawa, kodaira_surface, parse_structure_text,
                      random_bicomplex, torus)
-from .zigzag import decompose, decomposition_to_json_dict
+from .zigzag import (DecompositionError, decompose,
+                     decomposition_to_json_dict)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_THEOREM = 3
+EXIT_INTERNAL = 4
 
 PRESETS = {
     "torus1": lambda: torus(1),
@@ -647,6 +652,9 @@ def main(argv=None):
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (DecompositionError, LinAlgError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -215,14 +215,17 @@ def frolicher_pages(k, r_max=None):
     # boundaries.  Level 1 extendable = everything; level 0 absorbable = 0.
     extendable = {bid: Subspace.full(k.dimension(*bid)) for bid in support}
     absorbable = {bid: Subspace.zero(k.dimension(*bid)) for bid in support}
+    delbar_cycles = {(p, q): kernel_basis(k.delbar_map(p, q))
+                     for (p, q) in support}
+    delbar_boundaries = {(p, q): image_basis(k.delbar_map(p, q - 1))
+                         for (p, q) in support}
     dims_per_page = []
     for r in range(1, hard_stop + 1):
         dims = {}
         for (p, q) in support:
-            z = subspace_intersect(kernel_basis(k.delbar_map(p, q)),
-                                   extendable[(p, q)])
+            z = subspace_intersect(delbar_cycles[(p, q)], extendable[(p, q)])
             boundary_src = absorbable.get((p - 1, q))
-            b = image_basis(k.delbar_map(p, q - 1))
+            b = delbar_boundaries[(p, q)]
             if boundary_src is not None and boundary_src.dim:
                 b = subspace_sum(
                     b, _map_image(k.del_map(p - 1, q), boundary_src))

@@ -2,9 +2,13 @@
 
 Scalars are numbers ``a + b*i`` with arbitrary-precision rational parts, so
 every rank, kernel and intersection below is exact; no floating point is
-involved anywhere.  Matrices are dense and stored column-major because all
-the canonical forms here are column based: a subspace is represented by its
-reduced column echelon basis (leading entry of each column is 1, pivot rows
+involved anywhere.  Matrices are stored column-major as sparse columns,
+each a dict ``{row: scalar}`` that holds only the nonzero entries, because
+the differentials are sparse blocks of +-1 and +-i and all the canonical
+forms here are column based.  Elimination, products and reductions visit
+only stored entries, while the public constructor and accessors keep
+speaking dense lists of scalars.  A subspace is represented by its reduced
+column echelon basis (leading entry of each column is 1, pivot rows
 strictly increasing, pivot rows cleared in all other columns), which is
 unique per subspace and therefore usable for equality tests.
 """
@@ -93,7 +97,8 @@ class ExactScalar:
         return ExactScalar._raw(self.re - other.re, self.im - other.im)
 
     def __neg__(self):
-        return ExactScalar._raw(-self.re, -self.im)
+        re, im = self.re, self.im
+        return ExactScalar._raw(-re if re else re, -im if im else im)
 
     def __mul__(self, other):
         a, b, c, d = self.re, self.im, other.re, other.im
@@ -147,48 +152,94 @@ def scalar(re=0, im=0):
     return ExactScalar(re, im)
 
 
-def _sub_scaled(a, f, b):
-    """Elementwise ``a - f*b`` for columns, skipping zero entries of b."""
-    fre, fim = f.re, f.im
-    out = []
+def _add_scaled(acc, g, col):
+    """In place ``acc += g*col`` on sparse columns; ``g`` is nonzero.
+
+    Only the stored entries of ``col`` are visited.  Zero real or imaginary
+    parts are skipped, so a purely real or purely imaginary factor costs two
+    rational multiplies per entry instead of four.  Entries of ``acc`` that
+    cancel are removed, so no zero is ever stored.
+    """
+    gre, gim = g.re, g.im
+    real, imag = not gim, not gre
+    ngim = None if real else -gim
     raw = ExactScalar._raw
-    for x, y in zip(a, b):
+    get = acc.get
+    for i, y in col.items():
         yre, yim = y.re, y.im
-        if yre or yim:
-            out.append(raw(x.re - (fre * yre - fim * yim),
-                           x.im - (fre * yim + fim * yre)))
+        if real:
+            pre = gre * yre if yre else None
+            pim = gre * yim if yim else None
+        elif imag:
+            pre = ngim * yim if yim else None
+            pim = gim * yre if yre else None
+        elif not yim:
+            pre, pim = gre * yre, gim * yre
+        elif not yre:
+            pre, pim = ngim * yim, gre * yim
         else:
-            out.append(x)
-    return out
+            pre, pim = gre * yre - gim * yim, gre * yim + gim * yre
+        x = get(i)
+        if x is None:
+            acc[i] = raw(_R0 if pre is None else pre,
+                         _R0 if pim is None else pim)
+            continue
+        re = x.re if pre is None else x.re + pre
+        im = x.im if pim is None else x.im + pim
+        if re or im:
+            acc[i] = raw(re, im)
+        else:
+            del acc[i]
 
 
 def _scale(col, f):
-    fre, fim = f.re, f.im
-    raw = ExactScalar._raw
-    out = []
-    for y in col:
-        yre, yim = y.re, y.im
-        if yre or yim:
-            out.append(raw(fre * yre - fim * yim, fre * yim + fim * yre))
-        else:
-            out.append(y)
+    out = {}
+    _add_scaled(out, f, col)
+    return out
+
+
+def _sparse(vec):
+    """The nonzero entries of a dense vector, keyed by index."""
+    return {i: x for i, x in enumerate(vec)
+            if x is not SC_ZERO and (x.re or x.im)}
+
+
+def _dense(col, n):
+    out = [SC_ZERO] * n
+    for i, x in col.items():
+        out[i] = x
     return out
 
 
 class Matrix:
-    """Dense exact matrix, stored as a list of columns."""
+    """Exact matrix stored as a list of sparse columns.
+
+    Column ``j`` is a dict ``{row: scalar}`` holding only the nonzero
+    entries.  The constructor takes dense columns (lists of scalars) and
+    every public accessor returns dense lists filled with ``SC_ZERO``.
+    Column dicts are never modified once they belong to a matrix, so
+    matrices may share them.
+    """
 
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows, cols, columns):
-        self.rows = rows
-        self.cols = cols
-        self._data = columns
         if len(columns) != cols:
             raise LinAlgError("column count mismatch")
         for c in columns:
             if len(c) != rows:
                 raise LinAlgError("column length mismatch")
+        self.rows = rows
+        self.cols = cols
+        self._data = [_sparse(c) for c in columns]
+
+    @classmethod
+    def _from_sparse(cls, rows, cols, data):
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._data = data
+        return m
 
     @classmethod
     def from_rows(cls, rowdata, rows=None, cols=None):
@@ -201,80 +252,87 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, rows, coldata):
-        return cls(rows, len(coldata), [list(c) for c in coldata])
+        return cls(rows, len(coldata), coldata)
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, [[SC_ZERO] * rows for _ in range(cols)])
+        return cls._from_sparse(rows, cols, [{} for _ in range(cols)])
 
     @classmethod
     def identity(cls, n):
-        cols = []
-        for j in range(n):
-            c = [SC_ZERO] * n
-            c[j] = SC_ONE
-            cols.append(c)
-        return cls(n, n, cols)
+        return cls._from_sparse(n, n, [{j: SC_ONE} for j in range(n)])
 
     def entry(self, i, j):
-        return self._data[j][i]
+        return self._data[j].get(i, SC_ZERO)
 
     def column(self, j):
-        return list(self._data[j])
+        return _dense(self._data[j], self.rows)
 
     def columns(self):
-        return [list(c) for c in self._data]
+        return [_dense(c, self.rows) for c in self._data]
 
     def to_rows(self):
-        return [[self._data[j][i] for j in range(self.cols)]
-                for i in range(self.rows)]
+        out = [[SC_ZERO] * self.cols for _ in range(self.rows)]
+        for j, c in enumerate(self._data):
+            for i, x in c.items():
+                out[i][j] = x
+        return out
 
     def column_slice(self, indices):
-        return Matrix(self.rows, len(indices),
-                      [list(self._data[j]) for j in indices])
+        return Matrix._from_sparse(self.rows, len(indices),
+                                   [self._data[j] for j in indices])
 
     def hstack(self, other):
         if other.rows != self.rows:
             raise LinAlgError("hstack row mismatch")
-        return Matrix(self.rows, self.cols + other.cols,
-                      [list(c) for c in self._data] +
-                      [list(c) for c in other._data])
+        return Matrix._from_sparse(self.rows, self.cols + other.cols,
+                                   self._data + other._data)
 
     def transpose(self):
-        return Matrix(self.cols, self.rows,
-                      [[self._data[j][i] for j in range(self.cols)]
-                       for i in range(self.rows)])
+        out = [{} for _ in range(self.rows)]
+        for j, c in enumerate(self._data):
+            for i, x in c.items():
+                out[i][j] = x
+        return Matrix._from_sparse(self.cols, self.rows, out)
 
     def conjugate_entries(self):
-        return Matrix(self.rows, self.cols,
-                      [[x.conjugate() for x in c] for c in self._data])
+        return Matrix._from_sparse(
+            self.rows, self.cols,
+            [{i: x.conjugate() for i, x in c.items()} for c in self._data])
 
     def negate(self):
-        return Matrix(self.rows, self.cols,
-                      [[-x for x in c] for c in self._data])
+        return Matrix._from_sparse(
+            self.rows, self.cols,
+            [{i: -x for i, x in c.items()} for c in self._data])
+
+    def _apply(self, vec):
+        """Matrix times a sparse column vector, as a sparse column."""
+        out = {}
+        for j, f in vec.items():
+            _add_scaled(out, f, self._data[j])
+        return out
 
     def apply(self, vec):
         """Matrix times a column vector given as a list of scalars."""
         if len(vec) != self.cols:
             raise LinAlgError("vector length mismatch")
-        out = [SC_ZERO] * self.rows
-        for j, f in enumerate(vec):
-            if f.re or f.im:
-                out = _sub_scaled(out, -f, self._data[j])
-        return out
+        return _dense(self._apply(_sparse(vec)), self.rows)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise LinAlgError("matmul dimension mismatch")
-        return Matrix(self.rows, other.cols,
-                      [self.apply(c) for c in other._data])
+        return Matrix._from_sparse(self.rows, other.cols,
+                                   [self._apply(c) for c in other._data])
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise LinAlgError("matrix addition shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      [[x + y for x, y in zip(a, b)]
-                       for a, b in zip(self._data, other._data)])
+        data = []
+        for a, b in zip(self._data, other._data):
+            c = dict(a)
+            _add_scaled(c, SC_ONE, b)
+            data.append(c)
+        return Matrix._from_sparse(self.rows, self.cols, data)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -283,7 +341,7 @@ class Matrix:
                 and self._data == other._data)
 
     def is_zero(self):
-        return all(x.is_zero() for c in self._data for x in c)
+        return not any(self._data)
 
     def __repr__(self):
         body = "; ".join(
@@ -292,49 +350,67 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def _echelon(columns, top_rows):
-    """Reduced column echelon on stacked columns.
+def _echelon(work, top_rows):
+    """Reduced column echelon on stacked sparse columns.
 
-    Only the first ``top_rows`` entries take part in pivoting; trailing
-    entries just come along for the ride (used for kernel and solve
-    bookkeeping).  Returns ``(pivots, leftover)`` where ``pivots`` is a list
-    of ``(pivot_row, column)`` sorted by pivot row and ``leftover`` contains
-    the columns whose leading block was eliminated to zero.
+    Only the first ``top_rows`` rows take part in pivoting; rows further
+    down just come along for the ride (used for kernel and solve
+    bookkeeping).
+    ``work`` is a list of column dicts owned by this call, which reduces
+    them in place.  Returns ``(pivots, leftover)`` where ``pivots`` is a
+    list of ``(pivot_row, column)`` sorted by pivot row and ``leftover``
+    contains the columns whose leading block was eliminated to zero.
+
+    Every remaining column is zero in all rows above ``r`` when row ``r`` is
+    reached, so a column's lead (its least stored row) tells at once whether
+    it is nonzero in row ``r``: the pivot for row ``r`` is the first column
+    whose lead is ``r``, and rows that no lead reaches have no pivot.
     """
-    work = [list(c) for c in columns]
+    leads = [min(c, default=top_rows) for c in work]
     out = []
-    for r in range(top_rows):
-        pivot_idx = None
-        for j, c in enumerate(work):
-            if c[r].re or c[r].im:
-                pivot_idx = j
-                break
-        if pivot_idx is None:
-            continue
-        col = work.pop(pivot_idx)
+    while work:
+        r = min(leads)
+        if r >= top_rows:
+            break
+        j = leads.index(r)
+        col = work.pop(j)
+        del leads[j]
         piv = col[r]
         if not (piv.re == _R1 and not piv.im):
             col = _scale(col, piv.inverse())
-        for k in range(len(work)):
-            f = work[k][r]
-            if f.re or f.im:
-                work[k] = _sub_scaled(work[k], f, col)
-        for k in range(len(out)):
-            f = out[k][1][r]
-            if f.re or f.im:
-                out[k] = (out[k][0], _sub_scaled(out[k][1], f, col))
+        for k in [k for k, lead in enumerate(leads) if lead == r]:
+            c = work[k]
+            _add_scaled(c, -c[r], col)
+            leads[k] = min(c, default=top_rows)
+        for _, c in out:
+            f = c.get(r)
+            if f is not None:
+                _add_scaled(c, -f, col)
         out.append((r, col))
     return out, work
 
 
+def _reduce(v, pivots):
+    """Reduce the sparse column ``v`` in place by reduced echelon columns.
+
+    ``pivots`` holds ``(pivot_row, column)`` pairs as :func:`_echelon`
+    returns them; the result, also returned, is zero in every pivot row.
+    """
+    for prow, col in pivots:
+        f = v.get(prow)
+        if f is not None:
+            _add_scaled(v, -f, col)
+    return v
+
+
 def rce(m):
     """Canonical reduced column echelon form (zero columns dropped)."""
-    pivots, _ = _echelon(m._data, m.rows)
-    return Matrix(m.rows, len(pivots), [c for _, c in pivots])
+    pivots, _ = _echelon([dict(c) for c in m._data], m.rows)
+    return Matrix._from_sparse(m.rows, len(pivots), [c for _, c in pivots])
 
 
 def rank(m):
-    pivots, _ = _echelon(m._data, m.rows)
+    pivots, _ = _echelon([dict(c) for c in m._data], m.rows)
     return len(pivots)
 
 
@@ -361,7 +437,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim):
-        return cls(ambient_dim, Matrix(ambient_dim, 0, []))
+        return cls(ambient_dim, Matrix.zero(ambient_dim, 0))
 
     @classmethod
     def full(cls, ambient_dim):
@@ -372,35 +448,23 @@ class Subspace:
         return self.basis.cols
 
     def pivot_rows(self):
-        rows = []
-        for j in range(self.basis.cols):
-            col = self.basis._data[j]
-            for i in range(self.basis.rows):
-                if col[i].re or col[i].im:
-                    rows.append(i)
-                    break
-        return rows
+        return [min(c) for c in self.basis._data]
 
-    def reduce_vector(self, vec, _pivots=None):
+    def _pivots(self):
+        return list(zip(self.pivot_rows(), self.basis._data))
+
+    def reduce_vector(self, vec):
         """Residual of ``vec`` after subtracting its component in this space."""
-        v = list(vec)
-        pivots = self.pivot_rows() if _pivots is None else _pivots
-        for prow, col in zip(pivots, self.basis._data):
-            f = v[prow]
-            if f.re or f.im:
-                v = _sub_scaled(v, f, col)
-        return v
+        return _dense(_reduce(_sparse(vec), self._pivots()), len(vec))
 
     def contains_vector(self, vec):
-        return all(x.is_zero() for x in self.reduce_vector(vec))
+        return not _reduce(_sparse(vec), self._pivots())
 
     def contains(self, other):
         if other.ambient_dim != self.ambient_dim:
             raise LinAlgError("ambient dimension mismatch")
-        pivots = self.pivot_rows()
-        return all(
-            all(x.is_zero() for x in self.reduce_vector(col, pivots))
-            for col in other.basis._data)
+        pivots = self._pivots()
+        return not any(_reduce(dict(c), pivots) for c in other.basis._data)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -412,16 +476,27 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
+def _with_identity_below(m):
+    """Fresh copies of the columns of ``m`` with the identity stacked below."""
+    out = []
+    for j, c in enumerate(m._data):
+        col = dict(c)
+        col[m.rows + j] = SC_ONE
+        out.append(col)
+    return out
+
+
+def _leading(cols, n):
+    """The entries of each sparse column in its first ``n`` rows."""
+    return [{i: x for i, x in c.items() if i < n} for c in cols]
+
+
 def kernel_basis(m):
     """Kernel of a matrix, as a canonical subspace of the source."""
-    stacked = []
-    for j in range(m.cols):
-        unit = [SC_ZERO] * m.cols
-        unit[j] = SC_ONE
-        stacked.append(list(m._data[j]) + unit)
-    _, leftover = _echelon(stacked, m.rows)
-    cols = [c[m.rows:] for c in leftover]
-    return Subspace.from_columns(m.cols, Matrix.from_columns(m.cols, cols))
+    _, leftover = _echelon(_with_identity_below(m), m.rows)
+    cols = [{i - m.rows: x for i, x in c.items()} for c in leftover]
+    return Subspace.from_columns(
+        m.cols, Matrix._from_sparse(m.cols, len(cols), cols))
 
 
 def image_basis(m):
@@ -433,23 +508,14 @@ def solve(a, b):
     """Any exact solution ``X`` of ``A @ X = B``; raises if none exists."""
     if a.rows != b.rows:
         raise LinAlgError("solve: row mismatch")
-    stacked = []
-    for j in range(a.cols):
-        unit = [SC_ZERO] * a.cols
-        unit[j] = SC_ONE
-        stacked.append(list(a._data[j]) + unit)
-    pivots, _ = _echelon(stacked, a.rows)
+    pivots, _ = _echelon(_with_identity_below(a), a.rows)
     xcols = []
-    for j in range(b.cols):
-        v = list(b._data[j]) + [SC_ZERO] * a.cols
-        for prow, col in pivots:
-            f = v[prow]
-            if f.re or f.im:
-                v = _sub_scaled(v, f, col)
-        if any(x.re or x.im for x in v[:a.rows]):
+    for c in b._data:
+        v = _reduce(dict(c), pivots)
+        if any(i < a.rows for i in v):
             raise LinAlgError("solve: inconsistent system")
-        xcols.append([-x for x in v[a.rows:]])
-    return Matrix(a.cols, b.cols, xcols)
+        xcols.append({i - a.rows: -x for i, x in v.items()})
+    return Matrix._from_sparse(a.cols, b.cols, xcols)
 
 
 def inverse(a):
@@ -470,12 +536,10 @@ def subspace_intersect(u, v):
         raise LinAlgError("subspace_intersect: ambient dimension mismatch")
     joint = u.basis.hstack(v.basis.negate())
     ker = kernel_basis(joint)
-    cols = []
-    for j in range(ker.basis.cols):
-        coeffs = ker.basis._data[j][:u.basis.cols]
-        cols.append(u.basis.apply(coeffs))
-    return Subspace.from_columns(u.ambient_dim,
-                                 Matrix.from_columns(u.ambient_dim, cols))
+    cols = [u.basis._apply(coeffs)
+            for coeffs in _leading(ker.basis._data, u.basis.cols)]
+    return Subspace.from_columns(
+        u.ambient_dim, Matrix._from_sparse(u.ambient_dim, len(cols), cols))
 
 
 def quotient_dim(u, w):
@@ -508,5 +572,6 @@ def preimage(m, w):
         raise LinAlgError("preimage: ambient dimension mismatch")
     joint = m.hstack(w.basis.negate())
     ker = kernel_basis(joint)
-    cols = [ker.basis._data[j][:m.cols] for j in range(ker.basis.cols)]
-    return Subspace.from_columns(m.cols, Matrix.from_columns(m.cols, cols))
+    cols = _leading(ker.basis._data, m.cols)
+    return Subspace.from_columns(
+        m.cols, Matrix._from_sparse(m.cols, len(cols), cols))

@@ -75,6 +75,10 @@ class TestValidate:
         assert [v.kind for v in bad] == ["support"]
         assert validate(Bicomplex({(1, 1): 1}, {}, {}, n=1)) == []
 
+    def test_boolean_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be a non-negative"):
+            Bicomplex({(0, 0): 1}, {}, {}, n=True)
+
     def test_negative_bidegrees_allowed_without_n(self):
         k = Bicomplex({(-1, 2): 3}, {}, {})
         assert validate(k) == []
@@ -211,6 +215,15 @@ class TestJson:
         with pytest.raises(BicomplexFormatError, match="row 0, column 1"):
             from_json_dict({"spaces": {"0,0": 2, "1,0": 1},
                             "del": {"0,0": [["1", "oops"]]}})
+
+    @pytest.mark.parametrize("obj, key", [
+        ({"n": True, "spaces": {}}, "n must be"),
+        ({"spaces": {"0,0": True}}, "spaces['0,0']"),
+    ])
+    def test_rejects_json_booleans_as_integers(self, obj, key):
+        with pytest.raises(BicomplexFormatError, match=r"got true") as info:
+            from_json_dict(obj)
+        assert key in str(info.value)
 
     def test_shape_problems_surface_via_validate(self):
         k = from_json_dict({"spaces": {"0,0": 2, "1,0": 3},

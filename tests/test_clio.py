@@ -23,14 +23,15 @@ import pytest
 from bicomplex_lab import clio, models
 from bicomplex_lab.bicomplex import to_json_dict
 from bicomplex_lab.checkers import CheckReport
-from bicomplex_lab.clio import (EXIT_INPUT, EXIT_OK, EXIT_THEOREM,
-                                EXIT_USAGE, InputError, RunConfig,
-                                UsageError, emit_tables,
+from bicomplex_lab.clio import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK,
+                                EXIT_THEOREM, EXIT_USAGE, InputError,
+                                RunConfig, UsageError, emit_tables,
                                 parse_bicomplex_file, render_diagram,
                                 run_corpus)
 from bicomplex_lab.cohomology import all_tables
-from bicomplex_lab.zigzag import (Square, Zigzag, decompose,
-                                  part_from_json_dict, synthesize)
+from bicomplex_lab.exactla import LinAlgError
+from bicomplex_lab.zigzag import (DecompositionError, Square, Zigzag,
+                                  decompose, part_from_json_dict, synthesize)
 
 DATA_BBA = Path(__file__).resolve().parents[1] \
     / "src" / "bicomplex_lab" / "data" / "iwasawa.bba"
@@ -95,6 +96,13 @@ class TestParseBicomplexFile:
         rc = clio.main(["check", "--in", str(path)])
         assert rc == EXIT_INPUT
         assert "(0,0) is 2x3" in capsys.readouterr().err
+
+
+    def test_json_boolean_dimension_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"n": 1, "spaces": {"0,0": True}}))
+        assert clio.main(["cohomology", "--in", str(path)]) == EXIT_INPUT
+        assert "spaces['0,0']" in capsys.readouterr().err
 
 
 class TestEmitTables:
@@ -257,6 +265,16 @@ class TestCheckCommand:
                               witnesses={"Mismatches": ["x"]})
         monkeypatch.setattr(clio, "run_all_checks", lambda k: (failing,))
         assert clio.main(["check", "--preset", "torus1"]) == EXIT_OK
+
+
+    @pytest.mark.parametrize("error", [DecompositionError, LinAlgError])
+    def test_engine_error_maps_to_exit_4(self, monkeypatch, capsys, error):
+        def broken(k):
+            raise error("engine gave up")
+        monkeypatch.setattr(clio, "decompose", broken)
+        assert clio.main(["decompose", "--preset", "torus1"]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert f"internal error: {error.__name__}: engine gave up" in err
 
 
 class TestCorpusCommand:

@@ -273,3 +273,89 @@ class TestProperties:
                 cols[k] = [x + f * y for x, y in zip(cols[k], cols[j])]
         shuffled = Matrix.from_columns(m.rows, cols)
         assert rce(shuffled) == rce(m)
+
+
+def stored_entries(m):
+    return [x for col in m._data for x in col.values()]
+
+
+class TestSparseColumns:
+    def test_cancellation_stores_no_zeros(self):
+        a = mat([[1, SC_I, 0], [scalar("1/2", "-1/3"), 0, SC_MINUS_ONE]])
+        total = a + a.negate()
+        assert total == Matrix.zero(2, 3)
+        assert total.is_zero()
+        assert stored_entries(total) == []
+
+    def test_explicit_zeros_are_not_stored(self):
+        m = Matrix(3, 2, [[SC_ZERO] * 3, [SC_ZERO, scalar(0, 0), SC_ZERO]])
+        assert m == Matrix.zero(3, 2)
+        assert m.is_zero()
+        assert Matrix.from_rows([[SC_ZERO, SC_ZERO]]) == Matrix.zero(1, 2)
+
+    def test_elimination_stores_no_zeros(self):
+        m = mat([[1, 1, 2], [SC_I, SC_I, 0], [0, 1, 1]])
+        for result in (rce(m), kernel_basis(m).basis, m @ m,
+                       solve(m, m @ m), m.transpose()):
+            assert all(not x.is_zero() for x in stored_entries(result))
+
+    def test_public_accessors_are_dense(self):
+        m = Matrix.from_rows([[SC_ZERO, SC_I, SC_ZERO],
+                              [SC_ZERO, SC_ZERO, SC_MINUS_ONE]])
+        assert m.column(0) == [SC_ZERO, SC_ZERO]
+        assert m.columns() == [[SC_ZERO, SC_ZERO], [SC_I, SC_ZERO],
+                               [SC_ZERO, SC_MINUS_ONE]]
+        assert m.to_rows() == [[SC_ZERO, SC_I, SC_ZERO],
+                               [SC_ZERO, SC_ZERO, SC_MINUS_ONE]]
+        assert m.entry(0, 0) is SC_ZERO
+        assert m.entry(1, 2) == SC_MINUS_ONE
+        assert Matrix.zero(2, 1).columns() == [[SC_ZERO, SC_ZERO]]
+        assert m.apply([SC_ONE, SC_ONE, SC_ONE]) == [SC_I, SC_MINUS_ONE]
+
+    def test_constructor_still_validates_dense_columns(self):
+        with pytest.raises(LinAlgError):
+            Matrix(2, 1, [[SC_ONE]])
+        with pytest.raises(LinAlgError):
+            Matrix(1, 2, [[SC_ONE]])
+
+
+# Zero, units, a general scalar and a purely imaginary non-unit: every
+# zero-part branch of the sparse product is reached.
+sparse_scalars = st.sampled_from([
+    SC_ZERO, SC_ONE, SC_MINUS_ONE, SC_I, SC_MINUS_I,
+    scalar("1/2", "1/3"), scalar(0, "-2/5")])
+
+
+@st.composite
+def sparse_products(draw, max_dim=4):
+    n, k, m = (draw(st.integers(min_value=1, max_value=max_dim))
+               for _ in range(3))
+
+    def block(rows, cols):
+        return Matrix.from_rows(draw(st.lists(
+            st.lists(sparse_scalars, min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)))
+
+    return block(n, k), block(k, m)
+
+
+class TestSparseProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_products())
+    def test_product_matches_textbook_sum(self, ab):
+        a, b = ab
+        prod = a @ b
+        for i in range(a.rows):
+            for j in range(b.cols):
+                want = SC_ZERO
+                for t in range(a.cols):
+                    want = want + a.entry(i, t) * b.entry(t, j)
+                assert prod.entry(i, j) == want
+        assert all(not x.is_zero() for x in stored_entries(prod))
+
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_products())
+    def test_solve_reproduces_consistent_right_hand_side(self, ax):
+        a, x = ax
+        rhs = a @ x
+        assert a @ solve(a, rhs) == rhs
