@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .exactla import ExactScalar, Matrix, SC_ZERO
+from .exactla import ExactScalar, Matrix, place_blocks
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,12 @@ class Bicomplex:
     horizontal differential out of (p, q) (target (p+1, q));
     ``delbar_maps[(p, q)]`` the vertical one (target (p, q+1)).  Matrices
     act on column vectors; omitted or all-zero blocks are normalized away.
+    The private ``_violations`` and ``_store`` slots cache what
+    :func:`validate` and the cohomology module derive from the complex.
     """
 
     __slots__ = ("label", "n", "product", "conj",
-                 "_spaces", "_del", "_delbar", "_violations",
+                 "_spaces", "_del", "_delbar", "_violations", "_store",
                  "_dense_del", "_dense_delbar")
 
     def __init__(self, spaces, del_maps=None, delbar_maps=None, *,
@@ -106,6 +108,7 @@ class Bicomplex:
         self.product = product
         self.conj = conj
         self._violations = None
+        self._store = None
         self._dense_del = {}
         self._dense_delbar = {}
 
@@ -288,23 +291,13 @@ def totalize(k):
         cols = dims[deg]
         if rows == 0 or cols == 0:
             continue
-        columns = [[SC_ZERO] * rows for _ in range(cols)]
-        for (p, q), off in offsets[deg].items():
-            src_dim = k.dimension(p, q)
-            for tgt, block in (((p + 1, q), k.del_map(p, q)),
-                               ((p, q + 1), k.delbar_map(p, q))):
-                if block.rows == 0:
-                    continue
-                toff = offsets[deg + 1].get(tgt)
-                if toff is None:
-                    continue
-                for j in range(src_dim):
-                    col = block.column(j)
-                    out = columns[off + j]
-                    for i, x in enumerate(col):
-                        if x.re or x.im:
-                            out[toff + i] = out[toff + i] + x
-        differentials[deg] = Matrix(rows, cols, columns)
+        targets = offsets[deg + 1]
+        blocks = [(targets[tgt], off, block)
+                  for (p, q), off in offsets[deg].items()
+                  for tgt, block in (((p + 1, q), k.del_map(p, q)),
+                                     ((p, q + 1), k.delbar_map(p, q)))
+                  if tgt in targets]
+        differentials[deg] = place_blocks(rows, cols, blocks)
     return TotalComplex(dims, differentials, offsets)
 
 

@@ -33,8 +33,8 @@ The checks, roughly in logical order:
 from dataclasses import dataclass
 
 from .bicomplex import check_real_structure, ensure_valid
-from .cohomology import all_tables
-from .exactla import Matrix, SC_ZERO, image_basis, rank
+from .cohomology import _subspace, all_tables
+from .exactla import Matrix, SC_ZERO, rank
 from .zigzag import decompose
 
 THEOREM_CHECK_NAMES = ("frolicher_inequality", "non_ddbar_degrees",
@@ -225,11 +225,6 @@ def schweitzer_pairing_check(k, *, tables=None):
     reps = tables.bott_chern.representatives
     dims = tables.bott_chern.dims
 
-    def boundary_columns(bid):
-        p, q = bid
-        composed = k.del_map(p - 1, q) @ k.delbar_map(p - 1, q - 1)
-        return image_basis(composed).basis
-
     gram_rank = {}
     degenerate = []
     ill_defined = []
@@ -241,7 +236,7 @@ def schweitzer_pairing_check(k, *, tables=None):
             h_there = dims.get(comp, 0)
             left = reps[bid].basis if bid in reps else Matrix.zero(0, 0)
             right = reps[comp].basis if comp in reps else Matrix.zero(0, 0)
-            bounds = boundary_columns(comp)
+            bounds = _subspace(k, "im_ddbar", comp).basis
             for i in range(left.cols):
                 vec = left.column(i)
                 if any(functional(multiply(bid, vec, comp,

@@ -15,18 +15,23 @@ page = Dolbeault, converging to de Rham) and the ranks of the seven maps
 induced by the identity between these theories.  Every table stores, next
 to the dimensions, a canonical subspace of cocycle representatives that
 projects to a basis of the quotient.
+
+All of it is built from the kernels and images of del, delbar and
+del delbar per bidegree and of the total differential.  A private store
+in the complex's ``_store`` slot computes each of these, the totalization
+and every theory's (cocycles, coboundaries) pair at most once, on first
+use; this module and the Schweitzer pairing check read from it.
 """
 
 from dataclasses import dataclass
 
 from .bicomplex import ensure_valid, totalize
 from .exactla import (
-    Matrix,
-    SC_ZERO,
     Subspace,
     complete_basis,
     image_basis,
     kernel_basis,
+    place_blocks,
     preimage,
     quotient_dim,
     subspace_intersect,
@@ -105,81 +110,101 @@ class AllTables:
     natural_ranks: NaturalMapRanks
 
 
-def _cocycles_boundaries(k, theory):
-    """Per support bidegree, the (cocycle, coboundary) subspace pair."""
-    out = {}
-    for (p, q) in k.support():
-        if theory == "dolbeault":
-            z = kernel_basis(k.delbar_map(p, q))
-            b = image_basis(k.delbar_map(p, q - 1))
-        elif theory == "conj_dolbeault":
-            z = kernel_basis(k.del_map(p, q))
-            b = image_basis(k.del_map(p - 1, q))
-        elif theory == "bott_chern":
-            z = subspace_intersect(kernel_basis(k.del_map(p, q)),
-                                   kernel_basis(k.delbar_map(p, q)))
-            b = image_basis(k.del_map(p - 1, q) @ k.delbar_map(p - 1, q - 1))
-        elif theory == "aeppli":
-            z = kernel_basis(k.del_map(p, q + 1) @ k.delbar_map(p, q))
-            b = subspace_sum(image_basis(k.del_map(p - 1, q)),
-                             image_basis(k.delbar_map(p, q - 1)))
-        else:
-            raise ValueError(f"unknown theory {theory!r}")
-        out[(p, q)] = (z, b)
-    return out
+# The per-complex store.  Every theory is a quotient of these subspaces:
+# "ker_*" are kernels out of (p, q), "im_*" images landing in (p, q).
+_SUBSPACES = {
+    "ker_del": lambda k, p, q: kernel_basis(k.del_map(p, q)),
+    "ker_delbar": lambda k, p, q: kernel_basis(k.delbar_map(p, q)),
+    "ker_ddbar": lambda k, p, q: kernel_basis(
+        k.del_map(p, q + 1) @ k.delbar_map(p, q)),
+    "im_del": lambda k, p, q: image_basis(k.del_map(p - 1, q)),
+    "im_delbar": lambda k, p, q: image_basis(k.delbar_map(p, q - 1)),
+    "im_ddbar": lambda k, p, q: image_basis(
+        k.del_map(p - 1, q) @ k.delbar_map(p - 1, q - 1)),
+}
+
+# Each bigraded theory's (cocycles, coboundaries), given a lookup ``s`` of
+# the subspaces above at one bidegree.
+_PAIRS = {
+    "dolbeault": lambda s: (s("ker_delbar"), s("im_delbar")),
+    "conj_dolbeault": lambda s: (s("ker_del"), s("im_del")),
+    "bott_chern": lambda s: (subspace_intersect(s("ker_del"),
+                                                s("ker_delbar")),
+                             s("im_ddbar")),
+    "aeppli": lambda s: (s("ker_ddbar"),
+                         subspace_sum(s("im_del"), s("im_delbar"))),
+}
 
 
-def _de_rham_pairs(k):
-    t = totalize(k)
-    out = {}
-    for deg in t.degrees():
-        z = kernel_basis(t.differential(deg))
-        b = image_basis(t.differential(deg - 1))
-        out[deg] = (z, b)
-    return t, out
+def _once(k, key, make):
+    """``make()``, kept in ``k._store``; the store is created after one
+    validity check and holds no reference back to ``k``."""
+    store = k._store
+    if store is None:
+        ensure_valid(k)
+        store = k._store = {}
+    if key not in store:
+        store[key] = make()
+    return store[key]
 
 
-def _table_from_pairs(theory, pairs):
+def _subspace(k, name, bid):
+    """One of the ``_SUBSPACES`` of ``k`` at bidegree ``bid``."""
+    return _once(k, (name, bid), lambda: _SUBSPACES[name](k, *bid))
+
+
+def _total(k):
+    return _once(k, "total", lambda: totalize(k))
+
+
+def _pairs(k, theory):
+    """Per support bidegree (total degree for de Rham), the theory's
+    (cocycles, coboundaries) pair."""
+    def make():
+        if theory == "de_rham":
+            t = _total(k)
+            return {deg: (kernel_basis(t.differential(deg)),
+                          image_basis(t.differential(deg - 1)))
+                    for deg in t.degrees()}
+        rule = _PAIRS[theory]
+        return {bid: rule(lambda name: _subspace(k, name, bid))
+                for bid in k.support()}
+    return _once(k, theory, make)
+
+
+def _table(k, theory):
     dims = {}
     reps = {}
-    for key, (z, b) in pairs.items():
+    for key, (z, b) in _pairs(k, theory).items():
         dims[key] = quotient_dim(z, b)
-        reps[key] = Subspace.from_columns(z.ambient_dim,
-                                          complete_basis(b, z))
+        # Columns of z's reduced echelon basis: already canonical.
+        reps[key] = Subspace(z.ambient_dim, complete_basis(b, z))
     return CohomologyTable(theory=theory, dims=dims, representatives=reps)
 
 
 def dolbeault(k):
     """Vertical-differential cohomology, per bidegree."""
-    ensure_valid(k)
-    return _table_from_pairs("dolbeault", _cocycles_boundaries(k, "dolbeault"))
+    return _table(k, "dolbeault")
 
 
 def conj_dolbeault(k):
     """Horizontal-differential cohomology, per bidegree."""
-    ensure_valid(k)
-    return _table_from_pairs("conj_dolbeault",
-                             _cocycles_boundaries(k, "conj_dolbeault"))
+    return _table(k, "conj_dolbeault")
 
 
 def bott_chern(k):
     """(ker del ∩ ker delbar) / im (del delbar), per bidegree."""
-    ensure_valid(k)
-    return _table_from_pairs("bott_chern",
-                             _cocycles_boundaries(k, "bott_chern"))
+    return _table(k, "bott_chern")
 
 
 def aeppli(k):
     """ker (del delbar) / (im del + im delbar), per bidegree."""
-    ensure_valid(k)
-    return _table_from_pairs("aeppli", _cocycles_boundaries(k, "aeppli"))
+    return _table(k, "aeppli")
 
 
 def de_rham(k):
     """Total-complex cohomology, per total degree."""
-    ensure_valid(k)
-    _, pairs = _de_rham_pairs(k)
-    return _table_from_pairs("de_rham", pairs)
+    return _table(k, "de_rham")
 
 
 def _map_image(m, sub):
@@ -202,7 +227,7 @@ def frolicher_pages(k, r_max=None):
     ``r_stab`` or ``e_infinity``); pages past stabilization are omitted
     since they repeat the last one.  Raises ValueError for ``r_max`` < 1.
     """
-    ensure_valid(k)
+    dol = _pairs(k, "dolbeault")
     if r_max is not None and r_max < 1:
         raise ValueError("r_max must be at least 1")
     support = k.support()
@@ -215,17 +240,13 @@ def frolicher_pages(k, r_max=None):
     # boundaries.  Level 1 extendable = everything; level 0 absorbable = 0.
     extendable = {bid: Subspace.full(k.dimension(*bid)) for bid in support}
     absorbable = {bid: Subspace.zero(k.dimension(*bid)) for bid in support}
-    delbar_cycles = {(p, q): kernel_basis(k.delbar_map(p, q))
-                     for (p, q) in support}
-    delbar_boundaries = {(p, q): image_basis(k.delbar_map(p, q - 1))
-                         for (p, q) in support}
     dims_per_page = []
     for r in range(1, hard_stop + 1):
         dims = {}
         for (p, q) in support:
-            z = subspace_intersect(delbar_cycles[(p, q)], extendable[(p, q)])
+            z_dol, b = dol[(p, q)]
+            z = subspace_intersect(z_dol, extendable[(p, q)])
             boundary_src = absorbable.get((p - 1, q))
-            b = delbar_boundaries[(p, q)]
             if boundary_src is not None and boundary_src.dim:
                 b = subspace_sum(
                     b, _map_image(k.del_map(p - 1, q), boundary_src))
@@ -253,17 +274,6 @@ def frolicher_pages(k, r_max=None):
     return FrolicherPages(pages=pages, r_stab=r_stab, e_infinity=e_infinity)
 
 
-def _embed_columns(total_dim, offset, mat):
-    """Columns of a block matrix re-written in total-space coordinates."""
-    cols = []
-    for j in range(mat.cols):
-        col = [SC_ZERO] * total_dim
-        for i, v in enumerate(mat.column(j)):
-            col[offset + i] = v
-        cols.append(col)
-    return cols
-
-
 def _induced_rank(source_cocycles, target_boundaries):
     """Rank of the identity-induced map between two quotient theories."""
     return (subspace_sum(source_cocycles, target_boundaries).dim
@@ -280,55 +290,42 @@ def natural_maps(k):
     Maps through de Rham first re-express bigraded subspaces in total-space
     coordinates.
     """
-    ensure_valid(k)
-    bc = _cocycles_boundaries(k, "bott_chern")
-    dol = _cocycles_boundaries(k, "dolbeault")
-    conj = _cocycles_boundaries(k, "conj_dolbeault")
-    aep = _cocycles_boundaries(k, "aeppli")
-    bc_to_dol = {}
-    bc_to_conj = {}
-    bc_to_aep = {}
-    dol_to_aep = {}
-    conj_to_aep = {}
-    for bid in k.support():
-        bc_to_dol[bid] = _induced_rank(bc[bid][0], dol[bid][1])
-        bc_to_conj[bid] = _induced_rank(bc[bid][0], conj[bid][1])
-        bc_to_aep[bid] = _induced_rank(bc[bid][0], aep[bid][1])
-        dol_to_aep[bid] = _induced_rank(dol[bid][0], aep[bid][1])
-        conj_to_aep[bid] = _induced_rank(conj[bid][0], aep[bid][1])
-    t, dr = _de_rham_pairs(k)
-    bc_to_dr = {}
-    dr_to_aep = {}
-    for deg in t.degrees():
-        total_dim = t.dims[deg]
-        z_dr, b_dr = dr[deg]
-        bc_cols = []
-        aep_boundary_cols = []
-        for (p, q), offset in sorted(t.offsets[deg].items()):
-            bc_cols.extend(
-                _embed_columns(total_dim, offset, bc[(p, q)][0].basis))
-            aep_boundary_cols.extend(
-                _embed_columns(total_dim, offset, aep[(p, q)][1].basis))
-        bc_embedded = Subspace.from_columns(
-            total_dim, Matrix.from_columns(total_dim, bc_cols))
-        aep_embedded = Subspace.from_columns(
-            total_dim, Matrix.from_columns(total_dim, aep_boundary_cols))
-        bc_to_dr[deg] = _induced_rank(bc_embedded, b_dr)
-        dr_to_aep[deg] = _induced_rank(z_dr, aep_embedded)
+    bc, dol, conj, aep, dr = (_pairs(k, theory) for theory in (
+        "bott_chern", "dolbeault", "conj_dolbeault", "aeppli", "de_rham"))
+    t = _total(k)
+
+    def bigraded(source, target):
+        return {bid: _induced_rank(source[bid][0], target[bid][1])
+                for bid in k.support()}
+
+    def embedded(deg, pairs, side):
+        """One side of the pairs in degree ``deg``, in total coordinates."""
+        blocks = []
+        cols = 0
+        for bid, offset in sorted(t.offsets[deg].items()):
+            basis = pairs[bid][side].basis
+            blocks.append((offset, cols, basis))
+            cols += basis.cols
+        return Subspace.from_columns(
+            t.dims[deg], place_blocks(t.dims[deg], cols, blocks))
+
     return NaturalMapRanks(
-        bott_chern_to_dolbeault=bc_to_dol,
-        bott_chern_to_conj_dolbeault=bc_to_conj,
-        bott_chern_to_de_rham=bc_to_dr,
-        bott_chern_to_aeppli=bc_to_aep,
-        dolbeault_to_aeppli=dol_to_aep,
-        conj_dolbeault_to_aeppli=conj_to_aep,
-        de_rham_to_aeppli=dr_to_aep,
+        bott_chern_to_dolbeault=bigraded(bc, dol),
+        bott_chern_to_conj_dolbeault=bigraded(bc, conj),
+        bott_chern_to_de_rham={
+            deg: _induced_rank(embedded(deg, bc, 0), dr[deg][1])
+            for deg in t.degrees()},
+        bott_chern_to_aeppli=bigraded(bc, aep),
+        dolbeault_to_aeppli=bigraded(dol, aep),
+        conj_dolbeault_to_aeppli=bigraded(conj, aep),
+        de_rham_to_aeppli={
+            deg: _induced_rank(dr[deg][0], embedded(deg, aep, 1))
+            for deg in t.degrees()},
     )
 
 
 def all_tables(k):
     """Every table, page family, and natural-map rank in one bundle."""
-    ensure_valid(k)
     return AllTables(
         de_rham=de_rham(k),
         dolbeault=dolbeault(k),

@@ -350,6 +350,24 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
+def place_blocks(rows, cols, blocks):
+    """The ``rows x cols`` matrix holding each block at its offsets.
+
+    ``blocks`` yields ``(row_offset, col_offset, matrix)`` triples whose
+    footprints must not overlap; all other entries are zero.  Only the
+    stored entries of each block are copied.
+    """
+    data = [{} for _ in range(cols)]
+    for r0, c0, m in blocks:
+        if r0 + m.rows > rows or c0 + m.cols > cols:
+            raise LinAlgError("place_blocks: block outside the matrix")
+        for j, c in enumerate(m._data, start=c0):
+            col = data[j]
+            for i, x in c.items():
+                col[r0 + i] = x
+    return Matrix._from_sparse(rows, cols, data)
+
+
 def _echelon(work, top_rows):
     """Reduced column echelon on stacked sparse columns.
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from typing import ClassVar, NamedTuple
 
 from .bicomplex import Bicomplex, ensure_valid
-from .cohomology import CohomologyTable, de_rham as _de_rham_table
+from .cohomology import CohomologyTable
 from .exactla import (
     LinAlgError,
     Matrix,
@@ -45,6 +45,7 @@ from .exactla import (
     complete_basis,
     inverse,
     kernel_basis,
+    place_blocks,
     rank,
     scalar,
     solve,
@@ -429,11 +430,6 @@ def verify_decomposition(d, k):
         return False
 
 
-def _vstack(a, b):
-    return Matrix.from_rows(a.to_rows() + b.to_rows(),
-                            rows=a.rows + b.rows, cols=a.cols)
-
-
 def decompose(k, *, seed=0, max_attempts=24):
     """Split a valid bounded complex into squares and zigzags.
 
@@ -541,68 +537,66 @@ def decompose(k, *, seed=0, max_attempts=24):
         rank_cache[dots] = out
         return out
 
+    def sink_relations(dots, roles, kill_ends=False):
+        """Source-slot offsets and the maps from the model zigzag.
+
+        A map from the model zigzag on ``dots`` is fixed by one vector per
+        source dot, stacked at the returned offsets.  It respects both
+        differentials when, at every interior sink, del of the left source
+        equals delbar of the right one; with ``kill_ends`` the arrows that
+        leave the zigzag at a source end must vanish too.  Returns the
+        offsets and a kernel basis of these relations.
+        """
+        n = len(dots)
+        s_off = {}
+        total = 0
+        for i in range(n):
+            if roles[i] == "source":
+                s_off[i] = total
+                total += rd(dots[i])
+        blocks = []
+        at = 0
+        for i in range(1, n - 1):
+            if roles[i] == "sink":
+                blocks += [(at, s_off[i - 1], cdel(dots[i - 1])),
+                           (at, s_off[i + 1], cdelbar(dots[i + 1]).negate())]
+                at += rd(dots[i])
+        if kill_ends:
+            for i, kill in ((0, cdelbar(dots[0])), (n - 1, cdel(dots[-1]))):
+                if roles[i] == "source":
+                    blocks.append((at, s_off[i], kill))
+                    at += kill.rows
+        if not at:
+            return s_off, Matrix.identity(total)
+        return s_off, kernel_basis(place_blocks(at, total, blocks)).basis
+
     def _window_rank(dots):
         if any(rd(d) == 0 for d in dots):
             return 0
         n = len(dots)
         roles = Zigzag(dots).roles()
-        sources = [i for i in range(n) if roles[i] == "source"]
+        s_off, lim = sink_relations(dots, roles)
         sinks = [i for i in range(n) if roles[i] == "sink"]
-        s_off = {}
-        total = 0
-        for i in sources:
-            s_off[i] = total
-            total += rd(dots[i])
-        s_total = total
         t_off = {}
-        total = 0
+        t_total = 0
         for i in sinks:
-            t_off[i] = total
-            total += rd(dots[i])
-        t_total = total
-        rows = []
-        for i in sinks:
-            if 0 < i < n - 1:
-                left = cdel(dots[i - 1])
-                right = cdelbar(dots[i + 1])
-                for rix in range(rd(dots[i])):
-                    row = [SC_ZERO] * s_total
-                    for cix in range(left.cols):
-                        row[s_off[i - 1] + cix] = left.entry(rix, cix)
-                    for cix in range(right.cols):
-                        row[s_off[i + 1] + cix] = -right.entry(rix, cix)
-                    rows.append(row)
-        if rows:
-            lim = kernel_basis(Matrix.from_rows(
-                rows, rows=len(rows), cols=s_total)).basis
-        else:
-            lim = Matrix.identity(s_total)
+            t_off[i] = t_total
+            t_total += rd(dots[i])
         first_sink = sinks[0]
         if first_sink == 0:
             neighbor, arrow = 1, cdelbar(dots[1])
         else:
             neighbor, arrow = first_sink - 1, cdel(dots[first_sink - 1])
-        img_cols = []
-        for j in range(lim.cols):
-            x = lim.column(j)
-            piece = x[s_off[neighbor]: s_off[neighbor] + rd(dots[neighbor])]
-            col = [SC_ZERO] * t_total
-            col[t_off[first_sink]: t_off[first_sink] + rd(dots[first_sink])] \
-                = arrow.apply(piece)
-            img_cols.append(col)
-        img = Matrix(t_total, lim.cols, img_cols)
-        rel_cols = []
-        for i in sources:
-            if 0 < i < n - 1:
-                up = cdelbar(dots[i])
-                right = cdel(dots[i])
-                for j in range(rd(dots[i])):
-                    col = [SC_ZERO] * t_total
-                    col[t_off[i - 1]: t_off[i - 1] + up.rows] = up.column(j)
-                    for t, v in enumerate(right.column(j)):
-                        col[t_off[i + 1] + t] = -v
-                    rel_cols.append(col)
-        rel = Matrix(t_total, len(rel_cols), rel_cols)
+        img = place_blocks(t_total, lim.rows, [
+            (t_off[first_sink], s_off[neighbor], arrow)]) @ lim
+        rel_blocks = []
+        at = 0
+        for i in range(1, n - 1):
+            if roles[i] == "source":
+                rel_blocks += [(t_off[i - 1], at, cdelbar(dots[i])),
+                               (t_off[i + 1], at, cdel(dots[i]).negate())]
+                at += rd(dots[i])
+        rel = place_blocks(t_total, at, rel_blocks)
         return rank(img.hstack(rel)) - rank(rel)
 
     def extend_left(dots):
@@ -660,39 +654,10 @@ def decompose(k, *, seed=0, max_attempts=24):
         residual complex, as a kernel basis over the source-dot slots."""
         dots = z.dots
         if len(dots) == 1:
-            return kernel_basis(_vstack(cdel(dots[0]), cdelbar(dots[0]))).basis
-        n = len(dots)
-        roles = z.roles()
-        sources = [i for i in range(n) if roles[i] == "source"]
-        s_off = {}
-        total = 0
-        for i in sources:
-            s_off[i] = total
-            total += rd(dots[i])
-        rows = []
-        for i in range(n):
-            if roles[i] == "sink" and 0 < i < n - 1:
-                left = cdel(dots[i - 1])
-                right = cdelbar(dots[i + 1])
-                for rix in range(rd(dots[i])):
-                    row = [SC_ZERO] * total
-                    for cix in range(left.cols):
-                        row[s_off[i - 1] + cix] = left.entry(rix, cix)
-                    for cix in range(right.cols):
-                        row[s_off[i + 1] + cix] = -right.entry(rix, cix)
-                    rows.append(row)
-        for i, kill in ((0, cdelbar(dots[0])), (n - 1, cdel(dots[-1]))):
-            if roles[i] != "source":
-                continue
-            for rix in range(kill.rows):
-                row = [SC_ZERO] * total
-                for cix in range(kill.cols):
-                    row[s_off[i] + cix] = kill.entry(rix, cix)
-                rows.append(row)
-        if not rows:
-            return Matrix.identity(total)
-        return kernel_basis(Matrix.from_rows(
-            rows, rows=len(rows), cols=total)).basis
+            a, b = cdel(dots[0]), cdelbar(dots[0])
+            return kernel_basis(place_blocks(
+                a.rows + b.rows, a.cols, [(0, 0, a), (a.rows, 0, b)])).basis
+        return sink_relations(dots, z.roles(), kill_ends=True)[1]
 
     def instance_columns(z, vector):
         dots = z.dots
@@ -790,10 +755,12 @@ def count_cohomology_from_zigzags(d):
     Dolbeault at dots not touching any vertical arrow; to the conjugate
     theory at dots not touching any horizontal arrow; to Bott-Chern at
     dots with no outgoing arrow; to Aeppli at dots with no ingoing arrow
-    (a lone dot counts for every theory).  Its de Rham contribution is
-    computed from the totalization of that single summand (one class when
-    the arrow count is even, none when odd).  Representatives are not
-    carried over; the returned tables have empty representative maps.
+    (a lone dot counts for every theory).  Its dots alternate between two
+    adjacent total degrees, so a zigzag with an odd number of dots adds one
+    de Rham class, in the degree of its end dots (which hold the majority),
+    and one with an even number adds none; no elimination is involved.
+    Representatives are not carried over; the returned tables have empty
+    representative maps.
     """
     if not d.verified:
         raise ValueError("decomposition must be verified before counting")
@@ -807,7 +774,6 @@ def count_cohomology_from_zigzags(d):
     else:
         degrees = range(0)
     betti = {deg: 0 for deg in degrees}
-    de_rham_memo = {}
     for part in d.parts:
         if isinstance(part, Square):
             continue
@@ -831,13 +797,8 @@ def count_cohomology_from_zigzags(d):
                 bigraded["bott_chern"][dot] += 1
             if roles[i] in ("source", "lone"):
                 bigraded["aeppli"][dot] += 1
-        contribution = de_rham_memo.get(part)
-        if contribution is None:
-            contribution = _de_rham_table(synthesize([part])).dims
-            de_rham_memo[part] = contribution
-        for deg, value in contribution.items():
-            if value:
-                betti[deg] += value
+        if len(dots) % 2:
+            betti[sum(dots[0])] += 1
 
     def table(name, dims):
         return CohomologyTable(theory=name, dims=dims, representatives={})

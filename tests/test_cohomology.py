@@ -30,7 +30,9 @@ import math
 
 import pytest
 
+from bicomplex_lab import cohomology
 from bicomplex_lab.bicomplex import Bicomplex, totalize
+from bicomplex_lab.checkers import run_all_checks
 from bicomplex_lab.cohomology import (
     BIGRADED_THEORIES,
     aeppli,
@@ -44,12 +46,18 @@ from bicomplex_lab.cohomology import (
 )
 from bicomplex_lab.exactla import (
     Matrix,
+    Subspace,
     image_basis,
     rank,
     scalar,
     subspace_intersect,
 )
-from bicomplex_lab.models import iwasawa, kodaira_surface, torus
+from bicomplex_lab.models import (
+    iwasawa,
+    kodaira_surface,
+    random_bicomplex,
+    torus,
+)
 
 
 # --------------------------------------------------------------------------
@@ -214,6 +222,13 @@ class TestRepresentatives:
                 else:
                     composite = k.del_map(p, q + 1) @ k.delbar_map(p, q)
                     assert (composite @ mat).is_zero()
+
+    @pytest.mark.parametrize("theory", ("de_rham",) + BIGRADED_THEORIES)
+    def test_representatives_are_canonical(self, theory):
+        for k in EXAMPLES:
+            table = getattr(cohomology, theory)(k)
+            for rep in table.representatives.values():
+                assert rep == Subspace.from_columns(rep.ambient_dim, rep.basis)
 
     def test_de_rham_representatives_are_closed(self):
         for k in EXAMPLES:
@@ -461,3 +476,27 @@ class TestAllTables:
         totals = table.totals()
         assert totals[1] == table.dims[(1, 0)] + table.dims[(0, 1)]
         assert de_rham(k).totals() == de_rham(k).dims
+
+
+class TestStore:
+    @pytest.mark.parametrize("make", [iwasawa,
+                                      lambda: random_bicomplex(6)[0]],
+                             ids=["iwasawa", "random-seed-6"])
+    def test_each_block_is_reduced_once(self, monkeypatch, make):
+        """all_tables then run_all_checks pass no matrix to the kernel or
+        image routine twice, and take at most three kernels per bidegree
+        plus one per total degree."""
+        k = make()
+        calls = {"kernel_basis": [], "image_basis": []}
+        for name, seen in calls.items():
+            def counted(m, _original=getattr(cohomology, name), _seen=seen):
+                _seen.append(m)  # kept alive, so no id is reused
+                return _original(m)
+            monkeypatch.setattr(cohomology, name, counted)
+        all_tables(k)
+        run_all_checks(k)
+        for name, seen in calls.items():
+            assert seen, name
+            assert len({id(m) for m in seen}) == len(seen), name
+        assert len(calls["kernel_basis"]) \
+            <= 3 * len(k.support()) + len(totalize(k).degrees())

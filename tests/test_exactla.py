@@ -31,6 +31,7 @@ from bicomplex_lab.exactla import (
     image_basis,
     inverse,
     kernel_basis,
+    place_blocks,
     preimage,
     quotient_dim,
     rank,
@@ -298,6 +299,17 @@ class TestSparseColumns:
         for result in (rce(m), kernel_basis(m).basis, m @ m,
                        solve(m, m @ m), m.transpose()):
             assert all(not x.is_zero() for x in stored_entries(result))
+
+    def test_place_blocks_matches_dense_layout(self):
+        a = mat([[1, SC_I], [0, -1]])
+        b = mat([[scalar("1/2", "-1/3")]])
+        placed = place_blocks(4, 3, [(0, 0, a), (2, 1, b), (3, 2, b)])
+        assert placed == mat([[1, SC_I, 0], [0, -1, 0],
+                              [0, scalar("1/2", "-1/3"), 0],
+                              [0, 0, scalar("1/2", "-1/3")]])
+        assert place_blocks(2, 0, []) == Matrix.zero(2, 0)
+        with pytest.raises(LinAlgError):
+            place_blocks(2, 2, [(1, 0, a)])
 
     def test_public_accessors_are_dense(self):
         m = Matrix.from_rows([[SC_ZERO, SC_I, SC_ZERO],

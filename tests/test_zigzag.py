@@ -392,6 +392,26 @@ class TestCounting:
         for name in THEORIES:
             assert not tc.nonzero(getattr(counted, name).dims), name
 
+    @pytest.mark.parametrize("first_step", [(1, 0), (0, -1)])
+    def test_de_rham_closed_form_matches_elimination(self, first_step):
+        # Every zigzag of 1-9 dots: the closed-form count must agree with
+        # de Rham computed by elimination on the synthesized summand.
+        for length in range(1, 10):
+            dots = [(0, 0)]
+            step = first_step
+            while len(dots) < length:
+                dots.append((dots[-1][0] + step[0], dots[-1][1] + step[1]))
+                step = (0, -1) if step == (1, 0) else (1, 0)
+            z = zz.Zigzag(tuple(dots))
+            k = zz.synthesize([z])
+            d = zz.Decomposition(
+                parts=(z,), verified=False,
+                basis_change={dot: Matrix.identity(1) for dot in z.dots})
+            assert zz.verify_decomposition(d, k)
+            counted = zz.count_cohomology_from_zigzags(
+                replace(d, verified=True))
+            assert counted.de_rham.dims == cohomology.de_rham(k).dims, dots
+
     def test_oracle_equivalence_on_examples(self):
         for k in tc.EXAMPLES:
             assert_counts_match_tables(k)
