@@ -400,6 +400,7 @@ def from_json_dict(obj, *, default_label=""):
                 f"got {json.dumps(dim)}")
         spaces[bid] = dim
     sections = {}
+    parsed_cells = {}  # literal -> ExactScalar; most cells repeat "0"
     for name in ("del", "delbar"):
         raw = obj.get(name, {})
         if not isinstance(raw, dict):
@@ -426,11 +427,16 @@ def from_json_dict(obj, *, default_label=""):
                         raise BicomplexFormatError(
                             f"{where}, row {i}, column {j}: entries must be "
                             f"scalar strings")
-                    try:
-                        out.append(ExactScalar.parse(cell))
-                    except ValueError as exc:
-                        raise BicomplexFormatError(
-                            f"{where}, row {i}, column {j}: {exc}") from exc
+                    value = parsed_cells.get(cell)
+                    if value is None:
+                        try:
+                            value = ExactScalar.parse(cell)
+                        except ValueError as exc:
+                            raise BicomplexFormatError(
+                                f"{where}, row {i}, column {j}: {exc}"
+                            ) from exc
+                        parsed_cells[cell] = value
+                    out.append(value)
                 parsed.append(out)
             blocks[bid] = Matrix.from_rows(parsed)
         sections[name] = blocks

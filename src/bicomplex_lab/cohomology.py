@@ -176,9 +176,9 @@ def _table(k, theory):
     dims = {}
     reps = {}
     for key, (z, b) in _pairs(k, theory).items():
-        dims[key] = quotient_dim(z, b)
         # Columns of z's reduced echelon basis: already canonical.
         reps[key] = Subspace(z.ambient_dim, complete_basis(b, z))
+        dims[key] = reps[key].dim
     return CohomologyTable(theory=theory, dims=dims, representatives=reps)
 
 
@@ -254,6 +254,7 @@ def frolicher_pages(k, r_max=None):
         dims_per_page.append(dims)
         if r == hard_stop:
             break
+        chains = (extendable, absorbable)
         extendable = {
             (p, q): preimage(
                 k.del_map(p, q),
@@ -266,6 +267,10 @@ def frolicher_pages(k, r_max=None):
                 _map_image(k.del_map(p - 1, q + 1),
                            absorbable.get((p - 1, q + 1))))
             for (p, q) in support}
+        # Subspaces are canonical, so == is exact: once both chains stop
+        # moving, every later page repeats this one.
+        if (extendable, absorbable) == chains:
+            break
     e_infinity = dims_per_page[-1]
     r_stab = next(r for r, dims in enumerate(dims_per_page, start=1)
                   if dims == e_infinity)

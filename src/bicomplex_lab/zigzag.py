@@ -20,13 +20,14 @@ anchor is the rank of the composed differential; explicit complements are
 cut out by functionals), leaving a residual complex on which both
 two-step composites vanish.  On the residual, the multiplicity of every
 candidate staircase is an inclusion-exclusion of limit-to-colimit ranks
-over staircase windows, and an adapted basis realizing the multiset is
-drawn as a random element of the space of structure-compatible maps from
-the model complex (a generic element is an isomorphism; draws are
-retried with escalating coefficient ranges until the exact rank checks
-pass).
+over staircase windows.  The adapted basis realizing the multiset is
+canonical: for each zigzag type it is the echelon complement, inside
+the space of structure-compatible maps from the model zigzag, of the
+maps that do not split (those that vanish in the window colimit once
+the arrows entering its sink ends are killed).  No random draws are made.
 """
 
+import functools
 import random
 from dataclasses import dataclass, replace
 from typing import ClassVar, NamedTuple
@@ -43,11 +44,12 @@ from .exactla import (
     SC_ZERO,
     Subspace,
     complete_basis,
+    image_basis,
     inverse,
     kernel_basis,
     place_blocks,
+    preimage,
     rank,
-    scalar,
     solve,
 )
 
@@ -430,10 +432,11 @@ def verify_decomposition(d, k):
         return False
 
 
-def decompose(k, *, seed=0, max_attempts=24):
+def decompose(k):
     """Split a valid bounded complex into squares and zigzags.
 
-    Deterministic for fixed input and ``seed``.  The result is verified
+    Deterministic: the adapted basis is a function of the input alone, with
+    no random draws and no retries.  The result is verified
     exactly before being returned; a verification failure raises
     DecompositionError instead of returning silently wrong output.
     """
@@ -520,40 +523,28 @@ def decompose(k, *, seed=0, max_attempts=24):
                 "square peeling left a nonzero two-step composite")
 
     # ---- Phase two: zigzag multiplicities on the residual complex. ----
-    rank_cache = {}
-
-    def window_rank(dots):
-        """Number of residual zigzag summands containing this window.
-
-        Computed as the rank of the canonical map from the limit to the
-        colimit of the window diagram; both functors are additive, each
-        zigzag containing the whole window contributes exactly 1, and
-        every other summand contributes 0.
-        """
-        cached = rank_cache.get(dots)
-        if cached is not None:
-            return cached
-        out = _window_rank(dots)
-        rank_cache[dots] = out
-        return out
+    def offsets(dots, roles, skip):
+        """Stacked slot offsets of the dots whose role is not ``skip``."""
+        off = {}
+        total = 0
+        for i, d in enumerate(dots):
+            if roles[i] != skip:
+                off[i] = total
+                total += rd(d)
+        return off, total
 
     def sink_relations(dots, roles, kill_ends=False):
-        """Source-slot offsets and the maps from the model zigzag.
+        """Maps from the model zigzag on ``dots``, over its source slots.
 
-        A map from the model zigzag on ``dots`` is fixed by one vector per
-        source dot, stacked at the returned offsets.  It respects both
-        differentials when, at every interior sink, del of the left source
-        equals delbar of the right one; with ``kill_ends`` the arrows that
-        leave the zigzag at a source end must vanish too.  Returns the
-        offsets and a kernel basis of these relations.
+        Such a map is fixed by one vector per source dot (a lone dot is its
+        own source), stacked at ``offsets(dots, roles, "sink")``.  It
+        respects both differentials when, at every interior sink, del of
+        the left source equals delbar of the right one; with ``kill_ends``
+        the arrows that leave the zigzag at a source end must vanish too.
+        Returns a kernel basis of these relations.
         """
         n = len(dots)
-        s_off = {}
-        total = 0
-        for i in range(n):
-            if roles[i] == "source":
-                s_off[i] = total
-                total += rd(dots[i])
+        s_off, total = offsets(dots, roles, "sink")
         blocks = []
         at = 0
         for i in range(1, n - 1):
@@ -563,40 +554,67 @@ def decompose(k, *, seed=0, max_attempts=24):
                 at += rd(dots[i])
         if kill_ends:
             for i, kill in ((0, cdelbar(dots[0])), (n - 1, cdel(dots[-1]))):
-                if roles[i] == "source":
+                if roles[i] != "sink":
                     blocks.append((at, s_off[i], kill))
                     at += kill.rows
         if not at:
-            return s_off, Matrix.identity(total)
-        return s_off, kernel_basis(place_blocks(at, total, blocks)).basis
+            return Matrix.identity(total)
+        return kernel_basis(place_blocks(at, total, blocks)).basis
 
-    def _window_rank(dots):
-        if any(rd(d) == 0 for d in dots):
-            return 0
+    def colimit(dots, roles, sink_ends=False):
+        """The window colimit, stacked over the sink slots.
+
+        Returns the map from the source slots into the sink slots through
+        the arrow that enters the first sink (the identity for a lone dot),
+        and the relations the colimit takes modulo: at each interior source
+        the difference of its two arrows, and with ``sink_ends`` also the
+        arrows that enter a sink end from outside the window.
+        """
         n = len(dots)
-        roles = Zigzag(dots).roles()
-        s_off, lim = sink_relations(dots, roles)
-        sinks = [i for i in range(n) if roles[i] == "sink"]
-        t_off = {}
-        t_total = 0
-        for i in sinks:
-            t_off[i] = t_total
-            t_total += rd(dots[i])
-        first_sink = sinks[0]
-        if first_sink == 0:
-            neighbor, arrow = 1, cdelbar(dots[1])
+        s_off, s_total = offsets(dots, roles, "sink")
+        t_off, t_total = offsets(dots, roles, "source")
+        first = min(t_off)
+        if roles[first] == "lone":
+            source, arrow = first, Matrix.identity(rd(dots[first]))
+        elif first == 0:
+            source, arrow = 1, cdelbar(dots[1])
         else:
-            neighbor, arrow = first_sink - 1, cdel(dots[first_sink - 1])
-        img = place_blocks(t_total, lim.rows, [
-            (t_off[first_sink], s_off[neighbor], arrow)]) @ lim
-        rel_blocks = []
+            source, arrow = first - 1, cdel(dots[first - 1])
+        to_sinks = place_blocks(t_total, s_total, [
+            (t_off[first], s_off[source], arrow)])
+        blocks = []
         at = 0
         for i in range(1, n - 1):
             if roles[i] == "source":
-                rel_blocks += [(t_off[i - 1], at, cdelbar(dots[i])),
-                               (t_off[i + 1], at, cdel(dots[i]).negate())]
+                blocks += [(t_off[i - 1], at, cdelbar(dots[i])),
+                           (t_off[i + 1], at, cdel(dots[i]).negate())]
                 at += rd(dots[i])
-        rel = place_blocks(t_total, at, rel_blocks)
+        for i in sorted({0, n - 1}) if sink_ends else ():
+            if roles[i] == "source":
+                continue
+            p, q = dots[i]
+            near = dots[max(i - 1, 0): i + 2]
+            for src, into in (((p - 1, q), cdel((p - 1, q))),
+                              ((p, q - 1), cdelbar((p, q - 1)))):
+                if src not in near:
+                    blocks.append((t_off[i], at, into))
+                    at += into.cols
+        return to_sinks, place_blocks(t_total, at, blocks)
+
+    @functools.cache
+    def window_rank(dots):
+        """Number of residual zigzag summands containing this window.
+
+        Computed as the rank of the canonical map from the limit to the
+        colimit of the window diagram; both functors are additive, each
+        zigzag containing the whole window contributes exactly 1, and
+        every other summand contributes 0.
+        """
+        if any(rd(d) == 0 for d in dots):
+            return 0
+        roles = Zigzag(dots).roles()
+        to_sinks, rel = colimit(dots, roles)
+        img = to_sinks @ sink_relations(dots, roles)
         return rank(img.hstack(rel)) - rank(rel)
 
     def extend_left(dots):
@@ -649,27 +667,18 @@ def decompose(k, *, seed=0, max_attempts=24):
                   for bid, count in sorted(leftover.items()) if count]
 
     # ---- Phase three: adapted basis for the residual zigzags. ----
-    def hom_space(z):
-        """Structure-compatible maps from the model zigzag into the
-        residual complex, as a kernel basis over the source-dot slots."""
+    # Hom from a zigzag type into the residual, modulo its radical (the
+    # maps that split off no summand), has the type's multiplicity as
+    # dimension, because a zigzag's endomorphisms are the field.  The
+    # radical is the kernel of the map into the window colimit once the
+    # arrows entering the sink ends from outside are divided out too.  A
+    # family that is a basis of every quotient is an isomorphism modulo
+    # the radicals, hence an isomorphism (Nakayama); the canonical
+    # complement of each radical is one.
+    def instance_columns(z, roles, vector):
         dots = z.dots
-        if len(dots) == 1:
-            a, b = cdel(dots[0]), cdelbar(dots[0])
-            return kernel_basis(place_blocks(
-                a.rows + b.rows, a.cols, [(0, 0, a), (a.rows, 0, b)])).basis
-        return sink_relations(dots, z.roles(), kill_ends=True)[1]
-
-    def instance_columns(z, vector):
-        dots = z.dots
-        if len(dots) == 1:
-            return {dots[0]: vector}
-        roles = z.roles()
-        cols = {}
-        offset = 0
-        for i, d in enumerate(dots):
-            if roles[i] == "source":
-                cols[d] = vector[offset: offset + rd(d)]
-                offset += rd(d)
+        s_off, _ = offsets(dots, roles, "sink")
+        cols = {dots[i]: vector[o: o + rd(dots[i])] for i, o in s_off.items()}
         for i, d in enumerate(dots):
             if roles[i] == "sink":
                 if i > 0:
@@ -678,47 +687,23 @@ def decompose(k, *, seed=0, max_attempts=24):
                     cols[d] = cdelbar(dots[1]).apply(cols[dots[1]])
         return cols
 
-    hom = {}
+    zigzag_parts = []
     for z, m in zig_types:
-        hom[z] = hom_space(z)
-        if m > 0 and hom[z].cols == 0:
+        roles = z.roles()
+        hom = sink_relations(z.dots, roles, kill_ends=True)
+        to_sinks, rel = colimit(z.dots, roles, sink_ends=True)
+        rad = preimage(to_sinks @ hom, image_basis(rel))
+        top = complete_basis(rad, Subspace.full(hom.cols))
+        if top.cols != m:
             raise DecompositionError(
-                f"no structure-compatible embedding for {z}")
-    instances = [z for z, m in zig_types for _ in range(m)]
-    rng = random.Random(seed)
-    trial = None
-    for attempt in range(max_attempts):
-        bound = 1 << (attempt // 4)
-        candidate = []
-        per_bid = {bid: [] for bid in support}
-        for z in instances:
-            basis = hom[z]
-            coeffs = [scalar(rng.randint(-bound, bound))
-                      for _ in range(basis.cols)]
-            cols = instance_columns(z, basis.apply(coeffs))
-            candidate.append((z, cols))
-            for bid, vec in cols.items():
-                per_bid[bid].append(vec)
-        good = True
-        for bid in support:
-            vecs = per_bid[bid]
-            if len(vecs) != rd(bid):
-                raise DecompositionError(
-                    f"dot count mismatch at {bid} in the residual")
-            if vecs and rank(Matrix(rd(bid), len(vecs), vecs)) != len(vecs):
-                good = False
-                break
-        if good:
-            trial = candidate
-            break
-    if trial is None:
-        raise DecompositionError(
-            "failed to draw an invertible adapted basis")
+                f"{z} has {top.cols} split embeddings, expected {m}")
+        zigzag_parts += [(z, instance_columns(z, roles, vector))
+                         for vector in (hom @ top).columns()]
 
     # ---- Assemble, verify, return. ----
     all_parts = square_parts + [
         (z, {bid: embed[bid].apply(vec) for bid, vec in cols.items()})
-        for z, cols in trial]
+        for z, cols in zigzag_parts]
     all_parts.sort(key=lambda pc: _part_key(pc[0]))
     columns = {bid: [] for bid in support}
     for part, cols in all_parts:

@@ -216,6 +216,20 @@ class TestJson:
             from_json_dict({"spaces": {"0,0": 2, "1,0": 1},
                             "del": {"0,0": [["1", "oops"]]}})
 
+    def test_bad_scalar_after_repeated_literals_keeps_location(self):
+        """Literals are parsed once per call; a bad cell after repeats of
+        good ones still reports where it is."""
+        with pytest.raises(BicomplexFormatError,
+                           match=r"delbar block at \(0,0\), row 1, column 2"):
+            from_json_dict({"spaces": {"0,0": 3, "0,1": 2},
+                            "delbar": {"0,0": [["1", "0", "0"],
+                                               ["0", "1", "1/0"]]}})
+        k = from_json_dict({"spaces": {"0,0": 2, "1,0": 2},
+                            "del": {"0,0": [["1/2", "0"], ["0", "1/2"]]}})
+        half = scalar(1) / scalar(2)
+        assert k.del_map(0, 0) == Matrix.from_rows(
+            [[half, scalar(0)], [scalar(0), half]])
+
     @pytest.mark.parametrize("obj, key", [
         ({"n": True, "spaces": {}}, "n must be"),
         ({"spaces": {"0,0": True}}, "spaces['0,0']"),

@@ -53,8 +53,10 @@ from bicomplex_lab.exactla import (
     subspace_intersect,
 )
 from bicomplex_lab.models import (
+    from_structure_equations,
     iwasawa,
     kodaira_surface,
+    parse_structure_text,
     random_bicomplex,
     torus,
 )
@@ -399,6 +401,23 @@ class TestFrolicherPages:
         assert capped.e_infinity == full.e_infinity
         with pytest.raises(ValueError):
             frolicher_pages(k, r_max=0)
+
+    def test_page_loop_stops_once_both_chains_are_stable(self, monkeypatch):
+        """On nil4 (support p-width 5) the page chains settle after three
+        steps; no page past that is chased, so each support bidegree gets
+        at most two preimages per page up to one past r_stab."""
+        k = from_structure_equations(parse_structure_text(
+            "n = 4\nd w3 = -1* w1^w2\nd w4 = w1^cw1\n"))
+        calls = []
+
+        def counted(m, w, _original=cohomology.preimage):
+            calls.append(m)
+            return _original(m, w)
+
+        monkeypatch.setattr(cohomology, "preimage", counted)
+        pages = frolicher_pages(k)
+        assert pages.r_stab == 2
+        assert len(calls) <= 2 * len(k.support()) * (pages.r_stab + 1)
 
 
 class TestNaturalMaps:

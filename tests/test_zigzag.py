@@ -26,6 +26,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import test_cohomology as tc
 from bicomplex_lab import cohomology, models
@@ -302,6 +303,25 @@ class TestDecompose:
         assert d.parts == zz.sort_parts(parts)
         assert d.verified
 
+    def test_torus_basis_is_the_identity(self):
+        """Every differential of the torus vanishes, so every vector is a
+        lone dot and the canonical adapted basis is the standard one."""
+        k = models.torus(2)
+        d = zz.decompose(k)
+        assert sorted(d.basis_change) == k.support()
+        for b, m in d.basis_change.items():
+            assert m == Matrix.identity(k.dimension(*b)), b
+
+    def test_makes_no_random_draws(self, monkeypatch):
+        k = zz.synthesize(random_parts(random.Random(3), 12),
+                          scramble_seed=7)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("decompose drew a random number")
+
+        monkeypatch.setattr(zz.random, "Random", no_draws)
+        assert zz.decompose(k).verified
+
     def test_empty_complex(self):
         d = zz.decompose(Bicomplex({}, {}, {}))
         assert d.parts == () and d.verified
@@ -313,6 +333,33 @@ class TestDecompose:
                        del_entries={(0, 0): [[1]], (1, 0): [[1]]})
         with pytest.raises(ValueError):
             zz.decompose(bad)
+
+
+def _zigzag_from(start, first_step, length):
+    dots = [start]
+    step = first_step
+    for _ in range(length - 1):
+        dots.append((dots[-1][0] + step[0], dots[-1][1] + step[1]))
+        step = (0, -1) if step == (1, 0) else (1, 0)
+    return zz.Zigzag(tuple(dots))
+
+
+_CORNERS = st.tuples(st.integers(0, 3), st.integers(2, 5))
+_PARTS = st.one_of(
+    _CORNERS.map(lambda a: zz.Square(anchor=a)),
+    st.builds(_zigzag_from, _CORNERS, st.sampled_from([(1, 0), (0, -1)]),
+              st.integers(1, 5)),
+    _CORNERS.map(lambda a: zz.Zigzag((a,))),
+)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_PARTS, max_size=8), st.integers(0, 1000))
+    def test_decompose_recovers_synthesized_parts(self, parts, seed):
+        d = zz.decompose(zz.synthesize(parts, scramble_seed=seed))
+        assert d.parts == zz.sort_parts(parts)
+        assert d.verified
 
 
 class TestVerifyDecomposition:
