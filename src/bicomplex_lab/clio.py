@@ -625,6 +625,8 @@ def parse_args(argv=None):
     ns = build_parser().parse_args(argv)
     kinds = tuple(s for s in getattr(ns, "kinds",
                                      "dot,square,zigzag").split(",") if s)
+    if not kinds:
+        raise UsageError("--kinds must name at least one part kind")
     for kind in kinds:
         if kind not in ("dot", "square", "zigzag"):
             raise UsageError(f"unknown part kind {kind!r}")

@@ -4,16 +4,19 @@ Scalars are numbers ``a + b*i`` with arbitrary-precision rational parts, so
 every rank, kernel and intersection below is exact; no floating point is
 involved anywhere.  Matrices are stored column-major as sparse columns,
 each a dict ``{row: scalar}`` that holds only the nonzero entries, because
-the differentials are sparse blocks of +-1 and +-i and all the canonical
-forms here are column based.  Elimination, products and reductions visit
-only stored entries, while the public constructor and accessors keep
-speaking dense lists of scalars.  A subspace is represented by its reduced
-column echelon basis (leading entry of each column is 1, pivot rows
-strictly increasing, pivot rows cleared in all other columns), which is
-unique per subspace and therefore usable for equality tests.
+the differentials are sparse blocks of +-1 and +-i.  Elimination, products
+and reductions visit only stored entries, while the public constructor and
+accessors keep speaking dense lists of scalars.  A subspace is represented
+by its reduced column echelon basis (leading entry of each column is 1,
+pivot rows strictly increasing, pivot rows cleared in all other columns),
+which is unique per subspace and therefore usable for equality tests.
+Every such basis comes out of one pass of the one elimination,
+``_echelon``: run on the columns of a matrix for images and ranks, and on
+its rows for kernels, preimages, intersections and solves.
 """
 
 import re as _re_module
+from math import inf as _NO_ROW
 
 try:
     from gmpy2 import mpq as _rat
@@ -368,28 +371,22 @@ def place_blocks(rows, cols, blocks):
     return Matrix._from_sparse(rows, cols, data)
 
 
-def _echelon(work, top_rows):
-    """Reduced column echelon on stacked sparse columns.
+def _echelon(work):
+    """Reduced column echelon of the sparse columns ``work``, in place.
 
-    Only the first ``top_rows`` rows take part in pivoting; rows further
-    down just come along for the ride (used for kernel and solve
-    bookkeeping).
-    ``work`` is a list of column dicts owned by this call, which reduces
-    them in place.  Returns ``(pivots, leftover)`` where ``pivots`` is a
-    list of ``(pivot_row, column)`` sorted by pivot row and ``leftover``
-    contains the columns whose leading block was eliminated to zero.
+    The module's one elimination: ``rce`` and ``rank`` run it on the
+    columns of a matrix, ``kernel_basis`` and ``solve`` on its rows.
+    Returns ``(pivot_row, column)`` pairs sorted by pivot row, each column
+    1 in its own pivot row and 0 in the others.
 
     Every remaining column is zero in all rows above ``r`` when row ``r`` is
     reached, so a column's lead (its least stored row) tells at once whether
     it is nonzero in row ``r``: the pivot for row ``r`` is the first column
     whose lead is ``r``, and rows that no lead reaches have no pivot.
     """
-    leads = [min(c, default=top_rows) for c in work]
+    leads = [min(c, default=_NO_ROW) for c in work]
     out = []
-    while work:
-        r = min(leads)
-        if r >= top_rows:
-            break
+    while (r := min(leads, default=_NO_ROW)) != _NO_ROW:
         j = leads.index(r)
         col = work.pop(j)
         del leads[j]
@@ -399,13 +396,13 @@ def _echelon(work, top_rows):
         for k in [k for k, lead in enumerate(leads) if lead == r]:
             c = work[k]
             _add_scaled(c, -c[r], col)
-            leads[k] = min(c, default=top_rows)
+            leads[k] = min(c, default=_NO_ROW)
         for _, c in out:
             f = c.get(r)
             if f is not None:
                 _add_scaled(c, -f, col)
         out.append((r, col))
-    return out, work
+    return out
 
 
 def _reduce(v, pivots):
@@ -423,13 +420,12 @@ def _reduce(v, pivots):
 
 def rce(m):
     """Canonical reduced column echelon form (zero columns dropped)."""
-    pivots, _ = _echelon([dict(c) for c in m._data], m.rows)
+    pivots = _echelon([dict(c) for c in m._data])
     return Matrix._from_sparse(m.rows, len(pivots), [c for _, c in pivots])
 
 
 def rank(m):
-    pivots, _ = _echelon([dict(c) for c in m._data], m.rows)
-    return len(pivots)
+    return len(_echelon([dict(c) for c in m._data]))
 
 
 class Subspace:
@@ -494,27 +490,23 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
-def _with_identity_below(m):
-    """Fresh copies of the columns of ``m`` with the identity stacked below."""
-    out = []
-    for j, c in enumerate(m._data):
-        col = dict(c)
-        col[m.rows + j] = SC_ONE
-        out.append(col)
-    return out
-
-
-def _leading(cols, n):
-    """The entries of each sparse column in its first ``n`` rows."""
-    return [{i: x for i, x in c.items() if i < n} for c in cols]
-
-
 def kernel_basis(m):
-    """Kernel of a matrix, as a canonical subspace of the source."""
-    _, leftover = _echelon(_with_identity_below(m), m.rows)
-    cols = [{i - m.rows: x for i, x in c.items()} for c in leftover]
-    return Subspace.from_columns(
-        m.cols, Matrix._from_sparse(m.cols, len(cols), cols))
+    """Kernel of a matrix, as a canonical subspace of the source.
+
+    The rows of ``m``, columns reversed, echelon to ``R``.  Each free column
+    ``f`` yields the vector that is 1 at ``f`` and ``-R[row, f]`` at each
+    row's pivot column.  It leads at ``f``, where the others are zero, so
+    these vectors already form the reduced column echelon basis.
+    """
+    last = m.cols - 1
+    rows = m.column_slice(range(last, -1, -1)).transpose()._data
+    free = {j: {j: SC_ONE} for j in range(m.cols)}
+    for p, row in _echelon(rows):
+        del free[last - p], row[p]
+        for f, x in row.items():
+            free[last - f][last - p] = -x
+    cols = list(free.values())
+    return Subspace(m.cols, Matrix._from_sparse(m.cols, len(cols), cols))
 
 
 def image_basis(m):
@@ -523,17 +515,23 @@ def image_basis(m):
 
 
 def solve(a, b):
-    """Any exact solution ``X`` of ``A @ X = B``; raises if none exists."""
+    """An exact solution ``X`` of ``A @ X = B``; raises if none exists.
+
+    The rows of ``[A | B]`` echelon once; a pivot in ``B``'s part means no
+    solution.  ``X`` is zero outside the leftmost independent columns of
+    ``A``: its row ``p`` is the ``B`` part of the row with pivot ``p``.
+    """
     if a.rows != b.rows:
         raise LinAlgError("solve: row mismatch")
-    pivots, _ = _echelon(_with_identity_below(a), a.rows)
-    xcols = []
-    for c in b._data:
-        v = _reduce(dict(c), pivots)
-        if any(i < a.rows for i in v):
+    n = a.cols
+    xcols = [{} for _ in range(b.cols)]
+    for p, row in _echelon(a.hstack(b).transpose()._data):
+        if p >= n:
             raise LinAlgError("solve: inconsistent system")
-        xcols.append({i - a.rows: -x for i, x in v.items()})
-    return Matrix._from_sparse(a.cols, b.cols, xcols)
+        for j, x in row.items():
+            if j >= n:
+                xcols[j - n][p] = x
+    return Matrix._from_sparse(n, b.cols, xcols)
 
 
 def inverse(a):
@@ -549,15 +547,13 @@ def subspace_sum(u, v):
 
 
 def subspace_intersect(u, v):
-    """Zassenhaus-style intersection via the kernel of ``[U | -V]``."""
+    """The intersection ``U @ preimage(U, V)``, canonical as it stands.
+
+    A product of two reduced column echelon bases is itself one.
+    """
     if u.ambient_dim != v.ambient_dim:
         raise LinAlgError("subspace_intersect: ambient dimension mismatch")
-    joint = u.basis.hstack(v.basis.negate())
-    ker = kernel_basis(joint)
-    cols = [u.basis._apply(coeffs)
-            for coeffs in _leading(ker.basis._data, u.basis.cols)]
-    return Subspace.from_columns(
-        u.ambient_dim, Matrix._from_sparse(u.ambient_dim, len(cols), cols))
+    return Subspace(u.ambient_dim, u.basis @ preimage(u.basis, v).basis)
 
 
 def quotient_dim(u, w):
@@ -585,11 +581,12 @@ def complete_basis(inner, outer):
 
 
 def preimage(m, w):
-    """The subspace ``{x : m @ x in W}`` of the source of ``m``."""
+    """The subspace ``{x : m @ x in W}`` of the source of ``m``.
+
+    It is the kernel of ``m`` with each column reduced by W's basis.
+    """
     if w.ambient_dim != m.rows:
         raise LinAlgError("preimage: ambient dimension mismatch")
-    joint = m.hstack(w.basis.negate())
-    ker = kernel_basis(joint)
-    cols = _leading(ker.basis._data, m.cols)
-    return Subspace.from_columns(
-        m.cols, Matrix._from_sparse(m.cols, len(cols), cols))
+    pivots = w._pivots()
+    return kernel_basis(Matrix._from_sparse(
+        m.rows, m.cols, [_reduce(dict(c), pivots) for c in m._data]))

@@ -456,6 +456,9 @@ def random_bicomplex(seed, max_parts=6, max_length=5,
             raise ValueError("symmetric mode needs non-negative bounds")
     rng = random.Random(seed)
     kinds = tuple(kinds)
+    if not kinds or not set(kinds) <= _KIND_WEIGHTS.keys():
+        raise ValueError(f"kinds must be a non-empty choice of "
+                         f"{sorted(_KIND_WEIGHTS)}, got {kinds!r}")
     weights = [_KIND_WEIGHTS[k] for k in kinds]
     parts = []
     n_parts = rng.randint(1, max_parts)

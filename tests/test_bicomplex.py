@@ -92,6 +92,19 @@ class TestValidate:
         assert k.del_blocks() == {}
         assert validate(k) == []
 
+    def test_each_complex_is_validated_once(self, monkeypatch):
+        k = square_complex()
+        ensure_valid(k)
+
+        def no_products(self, other):
+            raise AssertionError("the complex was validated again")
+
+        monkeypatch.setattr(Matrix, "__matmul__", no_products)
+        ensure_valid(k)
+        totalize(k)
+        with pytest.raises(AssertionError):
+            ensure_valid(square_complex())
+
 
 class TestTotalize:
     def test_single_dot(self):

@@ -325,6 +325,11 @@ class TestCorpusCommand:
     def test_bad_kind_rejected(self, capsys):
         assert clio.main(["corpus", "--kinds", "triangle"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("kinds", [",", ""])
+    def test_empty_kinds_rejected(self, kinds, capsys):
+        assert clio.main(["corpus", "--kinds", kinds]) == EXIT_USAGE
+        assert "--kinds" in capsys.readouterr().err
+
 
 class TestCliPlumbing:
     def test_validate_preset(self, capsys):

@@ -15,8 +15,9 @@ Expected values in the "oracle" tests below were computed by hand:
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from bicomplex_lab import exactla
 from bicomplex_lab.exactla import (
     ExactScalar,
     LinAlgError,
@@ -220,6 +221,33 @@ class TestSubspaces:
                 inner, Subspace.from_columns(n, ext)) if ext.cols else inner
             assert rebuilt == outer
 
+    def test_each_subspace_costs_one_elimination(self, monkeypatch):
+        calls = []
+        echelon = exactla._echelon
+
+        def counted(*args):
+            calls.append(args)
+            return echelon(*args)
+
+        monkeypatch.setattr(exactla, "_echelon", counted)
+        counts = {}
+        m = mat([[1, 1, 0, 2], [0, SC_I, 1, 0], [1, 1, 0, 2]])
+        w = Subspace.from_columns(3, [[SC_ONE, SC_ZERO, SC_ZERO]])
+        u = Subspace.from_columns(
+            3, [[SC_ONE, SC_ONE, SC_ZERO], [SC_ZERO, SC_ONE, SC_ONE]])
+        v = Subspace.from_columns(
+            3, [[SC_ZERO, SC_ONE, SC_ZERO], [SC_ZERO, SC_ZERO, SC_ONE]])
+        for name, run in (("kernel_basis", lambda: kernel_basis(m)),
+                          ("preimage", lambda: preimage(m, w)),
+                          ("subspace_intersect",
+                           lambda: subspace_intersect(u, v)),
+                          ("solve", lambda: solve(m, m @ mat(
+                              [[1], [0], [2], [SC_I]])))):
+            calls.clear()
+            run()
+            counts[name] = len(calls)
+        assert counts == dict.fromkeys(counts, 1)
+
     def test_preimage(self):
         m = mat([[1, 0], [0, 1]])
         w = Subspace.from_columns(2, [[SC_ONE, SC_ZERO]])
@@ -237,8 +265,9 @@ small_scalars = st.builds(
 
 
 @st.composite
-def small_matrices(draw, max_dim=5):
-    rows = draw(st.integers(min_value=1, max_value=max_dim))
+def small_matrices(draw, max_dim=5, rows=None):
+    if rows is None:
+        rows = draw(st.integers(min_value=1, max_value=max_dim))
     cols = draw(st.integers(min_value=1, max_value=max_dim))
     data = draw(st.lists(
         st.lists(small_scalars, min_size=cols, max_size=cols),
@@ -274,6 +303,45 @@ class TestProperties:
                 cols[k] = [x + f * y for x, y in zip(cols[k], cols[j])]
         shuffled = Matrix.from_columns(m.rows, cols)
         assert rce(shuffled) == rce(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matrices())
+    def test_kernel_is_canonical_and_annihilated(self, m):
+        ker = kernel_basis(m).basis
+        assert rce(ker) == ker
+        assert (m @ ker).is_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_preimage_is_canonical_and_maps_into_w(self, data):
+        m = data.draw(small_matrices())
+        w = image_basis(data.draw(small_matrices(rows=m.rows)))
+        pre = preimage(m, w).basis
+        assert rce(pre) == pre
+        assert w.contains(image_basis(m @ pre))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_intersection_is_canonical_and_in_both(self, data):
+        u = image_basis(data.draw(small_matrices()))
+        v = image_basis(data.draw(small_matrices(rows=u.ambient_dim)))
+        meet = subspace_intersect(u, v)
+        assert rce(meet.basis) == meet.basis
+        assert u.contains(meet) and v.contains(meet)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_solve_vanishes_on_dependent_columns(self, data):
+        b = data.draw(small_matrices(max_dim=3))
+        a = b @ data.draw(small_matrices(rows=b.cols))
+        assume(rank(a) < a.cols)
+        rhs = a @ data.draw(small_matrices(max_dim=3, rows=a.cols))
+        x = solve(a, rhs)
+        assert a @ x == rhs
+        for j in range(a.cols):
+            if rank(a.column_slice(range(j + 1))) == \
+                    rank(a.column_slice(range(j))):
+                assert all(x.entry(j, t).is_zero() for t in range(x.cols))
 
 
 def stored_entries(m):

@@ -34,6 +34,7 @@ from bicomplex_lab.models import (
     iwasawa,
     kodaira_surface,
     parse_structure_text,
+    random_bicomplex,
     torus,
 )
 
@@ -201,6 +202,13 @@ class TestSpecValidation:
             n=3, differentials={3: ((SC_ONE, ("w", 2), ("w", 1)),)})
         assert (from_structure_equations(direct)
                 == from_structure_equations(swapped))
+
+
+class TestRandomBicomplex:
+    @pytest.mark.parametrize("kinds", [(), ("dot", "triangle")])
+    def test_bad_kinds_raise_value_error(self, kinds):
+        with pytest.raises(ValueError, match="kinds"):
+            random_bicomplex(0, kinds=kinds)
 
 
 class TestTextFormat:
