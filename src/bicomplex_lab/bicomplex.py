@@ -6,16 +6,16 @@ a vertical differential of bidegree (0, 1).  Both differentials square to
 zero and they anticommute, so their sum is a differential on the totalized
 singly-graded complex.
 
-A complex may optionally carry a graded wedge-style product with a linear
-functional on the top bidegree (n, n), an antilinear conjugation symmetry
-swapping the two gradings, and a declared dimension ``n`` confining the
-support to the square grid [0, n] x [0, n].
+A complex may optionally carry the top-form pairing of a graded product
+(one matrix per complementary pair of bidegrees, valued in the line at
+(n, n)), an antilinear conjugation symmetry swapping the two gradings, and
+a declared dimension ``n`` confining the support to the square grid
+[0, n] x [0, n].
 """
 
 import json
 import re
 from dataclasses import dataclass
-from typing import Callable
 
 from .exactla import ExactScalar, Matrix, place_blocks
 
@@ -46,20 +46,18 @@ class ConjugationStructure:
 
 @dataclass(frozen=True)
 class ProductStructure:
-    """Graded bilinear product plus a functional on the top bidegree.
+    """Top-form pairing of a graded product, one matrix per bidegree.
 
-    ``multiply(bidegree_a, vec_a, bidegree_b, vec_b)`` returns the product
-    vector, living in the componentwise-sum bidegree.  ``unit`` is the
-    multiplicative unit in the (0, 0) space.
-    ``fundamental_class_functional(vec)`` evaluates a fixed linear
-    functional on the (n, n) space; for the pairing on cohomology classes to
-    be well defined it must vanish on boundaries there, which builders
-    guarantee and the pairing checker re-verifies.
+    For every (p, q) in [0, n]^2, ``pairings[(p, q)]`` is the
+    ``dim(n-p, n-q) x dim(p, q)`` matrix whose entry (j, i) is a fixed
+    linear functional on the (n, n) space applied to the product e_i f_j
+    of basis vector i at (p, q) and basis vector j at (n-p, n-q).  For the
+    pairing on cohomology classes to be well defined the functional must
+    vanish on boundaries at (n, n), which builders guarantee and the
+    pairing checker re-verifies.
     """
 
-    multiply: Callable
-    unit: list
-    fundamental_class_functional: Callable
+    pairings: dict
 
 
 def _is_count(value):

@@ -23,8 +23,10 @@ The checks, roughly in logical order:
   (injectivity of the comparison maps, squares-and-dots-only
   decomposition, vanishing defect sum) must agree.
 * ``schweitzer_pairing_check`` - non-degeneracy of the top-form pairing
-  on Bott-Chern representatives implies the lemma; well-definedness of
-  the pairing is itself re-verified, not assumed.
+  on Bott-Chern representatives implies the lemma.  The pairing is the
+  complex's matrix per complementary bidegree pair, so each pair costs
+  one Gram product and one rank; well-definedness is re-verified, not
+  assumed.
 * ``duality_check`` - Betti/Serre/Bott-Chern-vs-Aeppli dualities and
   conjugation symmetries, gated on the structures that make them
   meaningful.
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 from .bicomplex import check_real_structure, ensure_valid
 from .cohomology import _subspace, all_tables
-from .exactla import Matrix, SC_ZERO, rank
+from .exactla import Matrix, rank
 from .zigzag import decompose
 
 THEOREM_CHECK_NAMES = ("frolicher_inequality", "non_ddbar_degrees",
@@ -198,15 +200,17 @@ def ddbar_lemma_check(k, *, tables=None, decomposition=None):
 
 
 def schweitzer_pairing_check(k, *, tables=None):
-    """Top-form pairing on Bott-Chern representatives, pair by pair.
+    """Top-form pairing on Bott-Chern representatives, one matrix product
+    per complementary bidegree pair.
 
-    For each complementary bidegree pair the Gram matrix of
-    ``functional(multiply(alpha, beta))`` over Bott-Chern representatives
-    is computed; the pair is non-degenerate when the Gram rank equals the
-    dimension on both sides.  Well-definedness is verified by pairing
-    every representative against the second-order boundaries at the
-    complementary bidegree, which the functional must kill.  The verdict
-    asserts the implication: everywhere non-degenerate => lemma holds.
+    With ``L`` and ``R`` the representatives at (p, q) and (n-p, n-q) and
+    ``P`` the pairing matrix at (p, q), the pairings of the representatives
+    with the basis at (n-p, n-q) are the rows of ``left = (P L)^T``.  The
+    Gram matrix is ``left R``; the pair is non-degenerate when its rank
+    equals the dimension on both sides.  The pairing is well defined at
+    (p, q) when ``left`` kills the second-order boundaries at (n-p, n-q).
+    The verdict asserts the implication: everywhere non-degenerate =>
+    lemma holds.
     """
 
     def skip(reason):
@@ -220,10 +224,11 @@ def schweitzer_pairing_check(k, *, tables=None):
         return skip("no declared n")
     tables = _tables(k, tables)
     n = k.n
-    functional = k.product.fundamental_class_functional
-    multiply = k.product.multiply
     reps = tables.bott_chern.representatives
     dims = tables.bott_chern.dims
+
+    def basis(bid):
+        return reps[bid].basis if bid in reps else Matrix.zero(0, 0)
 
     gram_rank = {}
     degenerate = []
@@ -232,28 +237,12 @@ def schweitzer_pairing_check(k, *, tables=None):
         for q in range(n + 1):
             bid = (p, q)
             comp = (n - p, n - q)
-            h_here = dims.get(bid, 0)
-            h_there = dims.get(comp, 0)
-            left = reps[bid].basis if bid in reps else Matrix.zero(0, 0)
-            right = reps[comp].basis if comp in reps else Matrix.zero(0, 0)
-            bounds = _subspace(k, "im_ddbar", comp).basis
-            for i in range(left.cols):
-                vec = left.column(i)
-                if any(functional(multiply(bid, vec, comp,
-                                           bounds.column(j))) != SC_ZERO
-                       for j in range(bounds.cols)):
-                    ill_defined.append(str(bid))
-                    break
-            cols = []
-            for j in range(right.cols):
-                beta = right.column(j)
-                cols.append([functional(multiply(bid, left.column(i),
-                                                 comp, beta))
-                             for i in range(left.cols)])
-            gram = Matrix(left.cols, right.cols, cols)
-            r = rank(gram)
+            left = (k.product.pairings[bid] @ basis(bid)).transpose()
+            if not (left @ _subspace(k, "im_ddbar", comp).basis).is_zero():
+                ill_defined.append(str(bid))
+            r = rank(left @ basis(comp))
             gram_rank[str(bid)] = r
-            if not (r == h_here == h_there):
+            if not (r == dims.get(bid, 0) == dims.get(comp, 0)):
                 degenerate.append(str(bid))
     non_degenerate = not degenerate
     lemma = _bc_to_a_injective(tables)

@@ -193,8 +193,9 @@ def from_structure_equations(spec, *, label=""):
     The output carries a conjugation structure (generator swap w_i <->
     cw_i) and, whenever the top-bidegree functional provably kills
     boundaries there (automatic for unimodular equations, e.g. all shipped
-    presets), a product structure whose functional reads off the
-    coefficient of the top monomial w1^..^wn^cw1^..^cwn.
+    presets), the pairing matrices of the wedge product followed by the
+    functional that reads off the coefficient of the top monomial
+    w1^..^wn^cw1^..^cwn.
 
     Raises StructureEquationError when integrability fails (a
     conjugate-conjugate term is present) or d does not square to zero.
@@ -231,17 +232,15 @@ def from_structure_equations(spec, *, label=""):
             index_of[(p, q)] = {m: i for i, m in enumerate(basis)}
             spaces[(p, q)] = len(basis)
 
+    def sparse(target, cols):
+        return Matrix._from_sparse(spaces[target], len(cols), cols)
+
     def block(diff_gen, p, q, tp, tq):
-        source = monos[(p, q)]
         target_index = index_of[(tp, tq)]
-        rows = len(monos[(tp, tq)])
-        cols = []
-        for mono in source:
-            col = [SC_ZERO] * rows
-            for m, c in _element_diff(diff_gen, {mono: SC_ONE}).items():
-                col[target_index[m]] = c
-            cols.append(col)
-        return Matrix(rows, len(source), cols)
+        return sparse((tp, tq), [
+            {target_index[m]: c
+             for m, c in _element_diff(diff_gen, {mono: SC_ONE}).items()}
+            for mono in monos[(p, q)]])
 
     del_maps = {}
     delbar_maps = {}
@@ -253,56 +252,35 @@ def from_structure_equations(spec, *, label=""):
                 delbar_maps[(p, q)] = block(delbar_gen, p, q, p, q + 1)
 
     conj_maps = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            rows = spaces[(q, p)]
-            sign = _SIGN_SCALARS[(-1) ** (p * q)]
+    for (p, q), basis in monos.items():
+        sign = _SIGN_SCALARS[(-1) ** (p * q)]
+        target_index = index_of[(q, p)]
+        conj_maps[(p, q)] = sparse((q, p), [{target_index[(mj, mi)]: sign}
+                                            for (mi, mj) in basis])
+
+    # Attach the pairing only when the top functional demonstrably kills
+    # boundaries in bidegree (n, n): equivalent, since that space is a
+    # line, to both differentials into (n, n) vanishing.  On monomials the
+    # pairing is a signed permutation: each monomial pairs only with its
+    # complement, with the sign of their wedge.
+    product = None
+    into_top = (del_maps.get((n - 1, n)), delbar_maps.get((n, n - 1)))
+    if all(m is None or m.is_zero() for m in into_top):
+        everything = range(1, n + 1)
+        pairings = {}
+        for (p, q), basis in monos.items():
+            target_index = index_of[(n - p, n - q)]
             cols = []
-            for (mi, mj) in monos[(p, q)]:
-                col = [SC_ZERO] * rows
-                col[index_of[(q, p)][(mj, mi)]] = sign
-                cols.append(col)
-            conj_maps[(p, q)] = Matrix(rows, len(monos[(p, q)]), cols)
-
-    def multiply(bid_a, vec_a, bid_b, vec_b):
-        tp, tq = bid_a[0] + bid_b[0], bid_a[1] + bid_b[1]
-        target = index_of.get((tp, tq))
-        if target is None:
-            return []
-        out = [SC_ZERO] * spaces[(tp, tq)]
-        basis_a = monos[bid_a]
-        basis_b = monos[bid_b]
-        for ia, ca in enumerate(vec_a):
-            if not ca:
-                continue
-            for ib, cb in enumerate(vec_b):
-                if not cb:
-                    continue
-                wedged = _wedge_monomials(basis_a[ia], basis_b[ib])
-                if wedged is None:
-                    continue
-                sign, mono = wedged
-                idx = target[mono]
-                out[idx] = out[idx] + ca * cb * _SIGN_SCALARS[sign]
-        return out
-
-    def fundamental(vec):
-        return vec[0] if vec else SC_ZERO
-
-    unit = [SC_ONE]
-    product = ProductStructure(multiply=multiply, unit=unit,
-                               fundamental_class_functional=fundamental)
+            for mono in basis:
+                comp = tuple(tuple(x for x in everything if x not in idx)
+                             for idx in mono)
+                sign, _ = _wedge_monomials(mono, comp)
+                cols.append({target_index[comp]: _SIGN_SCALARS[sign]})
+            pairings[(p, q)] = sparse((n - p, n - q), cols)
+        product = ProductStructure(pairings=pairings)
     out = Bicomplex(spaces, del_maps, delbar_maps, n=n, label=label,
                     product=product,
                     conj=ConjugationStructure(maps=conj_maps))
-    # Attach the product only when the top functional demonstrably kills
-    # boundaries in bidegree (n, n): equivalent, since that space is a
-    # line, to both differentials into (n, n) vanishing.
-    if not (out.del_map(n - 1, n).is_zero()
-            and out.delbar_map(n, n - 1).is_zero()):
-        out = Bicomplex(spaces, del_maps, delbar_maps, n=n, label=label,
-                        product=None,
-                        conj=ConjugationStructure(maps=conj_maps))
     ensure_valid(out)
     return out
 
@@ -329,11 +307,16 @@ def kodaira_surface():
     return from_structure_equations(spec, label="kodaira-surface")
 
 
-_N_LINE = re.compile(r"^n\s*=\s*(\d+)$")
-_D_LINE = re.compile(r"^d\s+w(\d+)\s*=\s*(.*)$")
+# Largest n the text format accepts.  The model has total dimension 4^n,
+# so each step in n multiplies every later cost by at least 4; n = 7
+# (total dimension 16384) builds in under a second.  Integers in the
+# grammar have at most 9 digits, so ``int`` never meets its digit limit.
+MAX_N = 7
+_N_LINE = re.compile(r"^n\s*=\s*(\d{1,9})$")
+_D_LINE = re.compile(r"^d\s+w(\d{1,9})\s*=\s*(.*)$")
 _TERM = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?:(?P<scalar>[^*]+?)\s*\*)?\s*"
-    r"(?P<g1>c?w\d+)\s*\^\s*(?P<g2>c?w\d+)")
+    r"(?P<g1>c?w\d{1,9})\s*\^\s*(?P<g2>c?w\d{1,9})")
 
 
 def _parse_generator(token):
@@ -354,6 +337,7 @@ def parse_structure_text(text):
     where ``<expr>`` is ``0`` or a sum of terms ``<scalar>* <gen>^<gen>``
     (the scalar factor is optional) with generators ``w<i>`` / ``cw<i>``
     and scalars in the exact string format ("p/q", "p/q+r/s i", ...).
+    An ``n`` above ``MAX_N`` is rejected before any basis is built.
     """
     n = None
     differentials = {}
@@ -367,6 +351,10 @@ def parse_structure_text(text):
                 raise StructureEquationError(
                     f"line {lineno}: duplicate n declaration")
             n = int(m.group(1))
+            if n > MAX_N:
+                raise StructureEquationError(
+                    f"line {lineno}: n = {n} exceeds the maximum {MAX_N} "
+                    f"(total dimension 4^n)")
             continue
         m = _D_LINE.match(line)
         if not m:

@@ -37,7 +37,7 @@ from bicomplex_lab.checkers import (ALL_CHECK_NAMES, THEOREM_CHECK_NAMES,
                                     run_all_checks, schweitzer_pairing_check,
                                     upper_bound_check)
 from bicomplex_lab.cohomology import aeppli, bott_chern, dolbeault
-from bicomplex_lab.exactla import ExactScalar, Matrix, SC_ZERO
+from bicomplex_lab.exactla import ExactScalar, Matrix
 from bicomplex_lab.models import (iwasawa, kodaira_surface,
                                   random_bicomplex, torus)
 from bicomplex_lab.zigzag import (Square, Zigzag, standard_conjugation,
@@ -64,15 +64,16 @@ def symmetric_complex(parts, n):
         conj=ConjugationStructure(standard_conjugation(parts)))
 
 
-def all_ones_pairing():
-    """Bogus bilinear product: the sum of coordinates on both sides,
-    placed in a one-dimensional top space.  Useful to build deliberately
-    broken inputs for the pairing checker."""
-    def multiply(bid_a, vec_a, bid_b, vec_b):
-        return [sum(vec_a, SC_ZERO) * sum(vec_b, SC_ZERO)]
-
-    return ProductStructure(multiply=multiply, unit=[SC1],
-                            fundamental_class_functional=lambda v: v[0])
+def all_ones_pairing(k, n):
+    """Bogus pairing: every basis vector pairs to 1 with every basis vector
+    of the complementary bidegree.  Useful to build deliberately broken
+    inputs for the pairing checker."""
+    pairings = {}
+    for p in range(n + 1):
+        for q in range(n + 1):
+            rows, cols = k.dimension(n - p, n - q), k.dimension(p, q)
+            pairings[(p, q)] = Matrix(rows, cols, [[SC1] * rows] * cols)
+    return ProductStructure(pairings=pairings)
 
 
 @pytest.fixture(scope="module")
@@ -422,8 +423,8 @@ class TestSchweitzerPairing:
         # all-ones pairing does not kill their product, so
         # well-definedness fails exactly at (1,1).
         parts = [Square((0, 0)), Zigzag(((1, 1),)), Zigzag(((2, 2),))]
-        k = with_structure(synthesize(parts), n=2,
-                           product=all_ones_pairing())
+        base = synthesize(parts)
+        k = with_structure(base, n=2, product=all_ones_pairing(base, 2))
         rep = schweitzer_pairing_check(k)
         assert rep.verdict == "fails"
         assert rep.witnesses["IllDefined"] == ["(1, 1)"]
@@ -436,8 +437,8 @@ class TestSchweitzerPairing:
         # implication itself is violated -> "fails" with full witnesses.
         parts = [VERT_DOMINO, HORIZ_DOMINO, Zigzag(((1, 1),)),
                  Zigzag(((0, 0),))]
-        k = with_structure(synthesize(parts), n=1,
-                           product=all_ones_pairing())
+        base = synthesize(parts)
+        k = with_structure(base, n=1, product=all_ones_pairing(base, 1))
         rep = schweitzer_pairing_check(k)
         assert rep.verdict == "fails"
         assert rep.witnesses["IllDefined"] == []
@@ -450,8 +451,8 @@ class TestSchweitzerPairing:
         assert rep.witnesses["Reason"] == "no product structure"
 
     def test_not_applicable_without_n(self):
-        k = with_structure(synthesize([Zigzag(((0, 0),))]),
-                           product=all_ones_pairing())
+        base = synthesize([Zigzag(((0, 0),))])
+        k = with_structure(base, product=all_ones_pairing(base, 0))
         rep = schweitzer_pairing_check(k)
         assert rep.verdict == "notApplicable"
         assert rep.witnesses["Reason"] == "no declared n"
@@ -478,8 +479,8 @@ class TestDualities:
     def test_broken_duality_fails_with_witness(self):
         # A lone vertical domino has a Bott-Chern class at (0,1) but no
         # Aeppli class at the complementary (1,0), and vice versa.
-        k = with_structure(synthesize([VERT_DOMINO]), n=1,
-                           product=all_ones_pairing())
+        base = synthesize([VERT_DOMINO])
+        k = with_structure(base, n=1, product=all_ones_pairing(base, 1))
         rep = duality_check(k)
         assert rep.verdict == "fails"
         assert rep.witnesses["Mismatches"] == [

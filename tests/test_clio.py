@@ -82,6 +82,18 @@ class TestParseBicomplexFile:
         with pytest.raises(InputError, match="line 2"):
             parse_bicomplex_file(path)
 
+    def test_oversized_bba_rejected_before_any_basis(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_basis(*args):
+            raise AssertionError("a monomial basis was built")
+
+        monkeypatch.setattr(models, "_monomial_basis", no_basis)
+        path = tmp_path / "big.bba"
+        path.write_text("# forty generators\nn = 40\n")
+        assert clio.main(["validate", "--in", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "line 2" in err and "n = 40" in err
+
     def test_json_error_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\n  broken")

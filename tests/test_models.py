@@ -86,13 +86,6 @@ class TestIwasawa:
     def test_real_structure(self):
         assert check_real_structure(iwasawa()) is True
 
-    def test_product_attached_and_normalized(self):
-        k = iwasawa()
-        assert k.product is not None
-        top = [SC_ONE]
-        assert k.product.fundamental_class_functional(top) == SC_ONE
-        assert k.product.unit == [SC_ONE]
-
     def test_block_negation_breaks_anticommutation_at_1_1(self):
         k = iwasawa()
         del_blocks = k.del_blocks()
@@ -134,35 +127,72 @@ class TestKodairaSurface:
         assert k.product is not None
 
 
-class TestProductStructure:
-    def test_graded_commutativity_and_leibniz(self):
-        k = iwasawa()
-        mult = k.product.multiply
-        for (pa, qa), (pb, qb) in [((1, 0), (1, 0)), ((1, 0), (0, 1)),
-                                   ((1, 1), (1, 0)), ((2, 0), (0, 1)),
-                                   ((1, 0), (1, 2))]:
-            for ia in range(k.dimension(pa, qa)):
-                va = Matrix.identity(k.dimension(pa, qa)).column(ia)
-                for ib in range(k.dimension(pb, qb)):
-                    vb = Matrix.identity(k.dimension(pb, qb)).column(ib)
-                    ab = mult((pa, qa), va, (pb, qb), vb)
-                    ba = mult((pb, qb), vb, (pa, qa), va)
-                    sign = (-1) ** ((pa + qa) * (pb + qb))
-                    assert ab == [x * scalar(sign) for x in ba]
-                    # Graded Leibniz rule for the horizontal differential.
-                    lhs = k.del_map(pa + pb, qa + qb).apply(ab)
-                    da = mult((pa + 1, qa), k.del_map(pa, qa).apply(va),
-                              (pb, qb), vb)
-                    db = mult((pa, qa), va,
-                              (pb + 1, qb), k.del_map(pb, qb).apply(vb))
-                    sgn = scalar((-1) ** (pa + qa))
-                    rhs = [x + sgn * y for x, y in zip(da, db)]
-                    assert lhs == rhs
+NIL4_TEXT = "n = 4\nd w3 = -1* w1^w2\nd w4 = w1^cw1\n"
 
-    def test_unit_is_neutral(self):
-        k = kodaira_surface()
-        v = [scalar(3), scalar(0, 1), scalar(0), scalar("1/2")]
-        assert k.product.multiply((0, 0), k.product.unit, (1, 1), v) == v
+PAIRED_MODELS = {
+    "iwasawa": iwasawa,
+    "kodaira": kodaira_surface,
+    "torus2": lambda: torus(2),
+    "torus3": lambda: torus(3),
+    "nil4": lambda: from_structure_equations(parse_structure_text(NIL4_TEXT)),
+}
+
+
+def _signed(m, sign):
+    return m if sign > 0 else m.negate()
+
+
+over_models = pytest.mark.parametrize("name", sorted(PAIRED_MODELS))
+
+
+class TestProductStructure:
+    """The pairing matrices of the wedge product followed by the top
+    functional.  Graded commutativity of the wedge gives the symmetry
+    rule; d of a product landing in (n, n) is killed by the functional
+    (both differentials into (n, n) vanish), so the graded Leibniz rule
+    moves a differential across the pairing with sign -(-1)^(p+q)."""
+
+    @over_models
+    def test_pairings_cover_the_square(self, name):
+        k = PAIRED_MODELS[name]()
+        n = k.n
+        assert set(k.product.pairings) == {
+            (p, q) for p in range(n + 1) for q in range(n + 1)}
+
+    @over_models
+    def test_graded_symmetry(self, name):
+        k = PAIRED_MODELS[name]()
+        n, pair = k.n, k.product.pairings
+        for (p, q), m in pair.items():
+            assert pair[(n - p, n - q)] == _signed(m.transpose(),
+                                                   (-1) ** (p + q))
+
+    @over_models
+    def test_stokes_for_both_differentials(self, name):
+        k = PAIRED_MODELS[name]()
+        n, pair = k.n, k.product.pairings
+        for (p, q), m in pair.items():
+            sign = -((-1) ** (p + q))
+            if p < n:
+                assert pair[(p + 1, q)] @ k.del_map(p, q) == _signed(
+                    k.del_map(n - p - 1, n - q).transpose() @ m, sign)
+            if q < n:
+                assert pair[(p, q + 1)] @ k.delbar_map(p, q) == _signed(
+                    k.delbar_map(n - p, n - q - 1).transpose() @ m, sign)
+
+    @over_models
+    def test_signed_permutation(self, name):
+        k = PAIRED_MODELS[name]()
+        for m in k.product.pairings.values():
+            for col in m.columns():
+                assert [x for x in col if x] in ([SC_ONE], [SC_MINUS_ONE])
+
+    @over_models
+    def test_top_corners_pair_to_one(self, name):
+        k = PAIRED_MODELS[name]()
+        one = Matrix.from_rows([[SC_ONE]])
+        assert k.product.pairings[(0, 0)] == one
+        assert k.product.pairings[(k.n, k.n)] == one
 
     def test_non_unimodular_spec_gets_no_product(self):
         spec = StructureEquationSpec(
@@ -252,3 +282,18 @@ class TestTextFormat:
             parse_structure_text("d w1 = 0\nn = 2")
         with pytest.raises(StructureEquationError, match="missing \\+/-"):
             parse_structure_text("n = 2\nd w1 = w1^w2 w1^cw1")
+
+    def test_n_is_capped(self):
+        assert parse_structure_text("n = 7\n").n == 7
+        with pytest.raises(StructureEquationError, match="line 2: n = 8"):
+            parse_structure_text("# too many generators\nn = 8\n")
+
+    @pytest.mark.parametrize("text", [
+        "n = " + "9" * 5000,
+        "n = 3\nd w" + "9" * 5000 + " = 0",
+        "n = 3\nd w3 = w1^w" + "9" * 5000,
+    ], ids=["n", "equation", "term"])
+    def test_overlong_integers_are_parse_errors(self, text):
+        line = text.count("\n") + 1
+        with pytest.raises(StructureEquationError, match=f"line {line}"):
+            parse_structure_text(text)
