@@ -70,6 +70,14 @@ class BicomplexFormatError(ValueError):
     """Raised for malformed serialized complexes."""
 
 
+# Largest n of a structure-equation model, whose total dimension is 4^n.
+# Each step in n multiplies every later cost by at least 4; n = 7 (total
+# dimension 16384) builds in under a second.  Every input format rejects a
+# larger size before it builds any block.
+MAX_N = 7
+MAX_TOTAL_DIM = 4 ** MAX_N
+
+
 class Bicomplex:
     """Immutable bounded double complex.
 
@@ -397,8 +405,13 @@ def from_json_dict(obj, *, default_label=""):
                 f"spaces[{key!r}]: dimension must be a non-negative integer, "
                 f"got {json.dumps(dim)}")
         spaces[bid] = dim
+    total = sum(spaces.values())
+    if total > MAX_TOTAL_DIM:
+        raise BicomplexFormatError(
+            f"spaces: total dimension {total} exceeds the maximum "
+            f"{MAX_TOTAL_DIM}")
     sections = {}
-    parsed_cells = {}  # literal -> ExactScalar; most cells repeat "0"
+    parsed_cells = {}  # literal -> ExactScalar, each parsed once per call
     for name in ("del", "delbar"):
         raw = obj.get(name, {})
         if not isinstance(raw, dict):
@@ -413,14 +426,15 @@ def from_json_dict(obj, *, default_label=""):
             if not rows or not rows[0]:
                 continue
             width = len(rows[0])
-            parsed = []
+            columns = [{} for _ in range(width)]
             for i, row in enumerate(rows):
                 if len(row) != width:
                     raise BicomplexFormatError(
                         f"{where}: ragged rows (row {i} has {len(row)} "
                         f"entries, expected {width})")
-                out = []
                 for j, cell in enumerate(row):
+                    if cell == "0":  # most cells; sparse columns skip zeros
+                        continue
                     if not isinstance(cell, str):
                         raise BicomplexFormatError(
                             f"{where}, row {i}, column {j}: entries must be "
@@ -434,9 +448,9 @@ def from_json_dict(obj, *, default_label=""):
                                 f"{where}, row {i}, column {j}: {exc}"
                             ) from exc
                         parsed_cells[cell] = value
-                    out.append(value)
-                parsed.append(out)
-            blocks[bid] = Matrix.from_rows(parsed)
+                    if value:
+                        columns[j][i] = value
+            blocks[bid] = Matrix._from_sparse(len(rows), width, columns)
         sections[name] = blocks
     return Bicomplex(spaces, sections["del"], sections["delbar"],
                      n=n, label=label)

@@ -2,29 +2,31 @@
 
 Scalars are numbers ``a + b*i`` with arbitrary-precision rational parts, so
 every rank, kernel and intersection below is exact; no floating point is
-involved anywhere.  Matrices are stored column-major as sparse columns,
-each a dict ``{row: scalar}`` that holds only the nonzero entries, because
-the differentials are sparse blocks of +-1 and +-i.  Elimination, products
-and reductions visit only stored entries, while the public constructor and
-accessors keep speaking dense lists of scalars.  A subspace is represented
-by its reduced column echelon basis (leading entry of each column is 1,
-pivot rows strictly increasing, pivot rows cleared in all other columns),
-which is unique per subspace and therefore usable for equality tests.
-Every such basis comes out of one pass of the one elimination,
-``_echelon``: run on the columns of a matrix for images and ranks, and on
-its rows for kernels, preimages, intersections and solves.
+involved anywhere.  A part is a plain ``int`` when integral and a ``_rat``
+(``Fraction``, or gmpy2's ``mpq``) otherwise: the entries are almost all
++-1 and +-i, and Python mixes the two exactly.  Matrices are stored
+column-major as sparse columns, each a dict ``{row: scalar}`` that holds
+only the nonzero entries, because the differentials are sparse blocks of
++-1 and +-i.  Elimination, products and reductions visit only stored
+entries, while the public constructor and accessors keep speaking dense
+lists of scalars.  A subspace is represented by its reduced column echelon
+basis (leading entry of each column is 1, pivot rows strictly increasing,
+pivot rows cleared in all other columns), which is unique per subspace and
+therefore usable for equality tests.  Every such basis comes out of one
+pass of the one elimination, ``_echelon``: run on the columns of a matrix
+for images and ranks, and on its rows for kernels, preimages,
+intersections and solves.  Its bookkeeping scales with stored entries: a
+heap of lead rows picks each pivot, and a reduction visits only the pivot
+rows a vector actually has.
 """
 
 import re as _re_module
-from math import inf as _NO_ROW
+from heapq import heapify, heappop, heappush
 
 try:
     from gmpy2 import mpq as _rat
 except ImportError:  # pragma: no cover - gmpy2 is optional, Fraction works too
     from fractions import Fraction as _rat
-
-_R0 = _rat(0)
-_R1 = _rat(1)
 
 
 class LinAlgError(ValueError):
@@ -34,34 +36,47 @@ class LinAlgError(ValueError):
 _RAT_TOKEN = _re_module.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
+def _q(num, den=None):
+    """The exact rational ``num`` or ``num/den``: an ``int`` when integral,
+    else a ``_rat``.  Dividing two ``int`` parts with ``/`` would give a
+    float, so every rational that may not be integral is made here."""
+    q = _rat(num) if den is None else _rat(num) / den
+    return int(q) if q.denominator == 1 else q
+
+
 def _parse_rational(token):
     token = "".join(token.split())
     if token in ("", "+"):
-        return _R1
+        return 1
     if token == "-":
-        return -_R1
+        return -1
     if not _RAT_TOKEN.match(token):
         raise LinAlgError(f"invalid rational literal {token!r}")
     if "/" in token:
         num, den = token.split("/")
         if int(den) == 0:
             raise LinAlgError(f"zero denominator in {token!r}")
-        return _rat(int(num), int(den))
-    return _rat(int(token))
+        return _q(int(num), int(den))
+    return int(token)
 
 
 class ExactScalar:
-    """A Gaussian rational ``re + im*i``."""
+    """A Gaussian rational ``re + im*i``.
+
+    Each part is an ``int`` when integral and a ``_rat`` otherwise.  Sums
+    may leave an integral ``_rat`` (1/2 + 1/2); it is equal, hash-equal and
+    prints the same as the ``int``.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is type(_R0) else _rat(re)
-        self.im = im if type(im) is type(_R0) else _rat(im)
+        self.re = re if type(re) is int else _q(re)
+        self.im = im if type(im) is int else _q(im)
 
     @classmethod
     def _raw(cls, re, im):
-        # Internal fast path: both arguments must already be rationals.
+        # Internal fast path: both parts must already be ints or rationals.
         s = object.__new__(cls)
         s.re = re
         s.im = im
@@ -81,11 +96,11 @@ class ExactScalar:
                     split_at = idx
                     break
             if split_at is None:
-                return cls._raw(_R0, _parse_rational(body))
+                return cls._raw(0, _parse_rational(body))
             re_part = _parse_rational(body[:split_at])
             im_part = _parse_rational(body[split_at:])
             return cls._raw(re_part, im_part)
-        return cls._raw(_parse_rational(s), _R0)
+        return cls._raw(_parse_rational(s), 0)
 
     def is_zero(self):
         return not (self.re or self.im)
@@ -108,10 +123,13 @@ class ExactScalar:
         return ExactScalar._raw(a * c - b * d, a * d + b * c)
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
+        re, im = self.re, self.im
+        n = re * re + im * im
         if not n:
             raise LinAlgError("division by zero scalar")
-        return ExactScalar._raw(self.re / n, -self.im / n)
+        if n == 1:  # a Gaussian unit: the inverse is the conjugate
+            return ExactScalar._raw(re, -im)
+        return ExactScalar._raw(_q(re, n), _q(-im, n))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -139,11 +157,11 @@ class ExactScalar:
         return f"ExactScalar({self})"
 
 
-SC_ZERO = ExactScalar._raw(_R0, _R0)
-SC_ONE = ExactScalar._raw(_R1, _R0)
-SC_I = ExactScalar._raw(_R0, _R1)
-SC_MINUS_ONE = ExactScalar._raw(-_R1, _R0)
-SC_MINUS_I = ExactScalar._raw(_R0, -_R1)
+SC_ZERO = ExactScalar._raw(0, 0)
+SC_ONE = ExactScalar._raw(1, 0)
+SC_I = ExactScalar._raw(0, 1)
+SC_MINUS_ONE = ExactScalar._raw(-1, 0)
+SC_MINUS_I = ExactScalar._raw(0, -1)
 
 
 def scalar(re=0, im=0):
@@ -184,8 +202,8 @@ def _add_scaled(acc, g, col):
             pre, pim = gre * yre - gim * yim, gre * yim + gim * yre
         x = get(i)
         if x is None:
-            acc[i] = raw(_R0 if pre is None else pre,
-                         _R0 if pim is None else pim)
+            acc[i] = raw(0 if pre is None else pre,
+                         0 if pim is None else pim)
             continue
         re = x.re if pre is None else x.re + pre
         im = x.im if pim is None else x.im + pim
@@ -381,22 +399,39 @@ def _echelon(work):
 
     Every remaining column is zero in all rows above ``r`` when row ``r`` is
     reached, so a column's lead (its least stored row) tells at once whether
-    it is nonzero in row ``r``: the pivot for row ``r`` is the first column
-    whose lead is ``r``, and rows that no lead reaches have no pivot.
+    it is nonzero in row ``r``.  The columns are kept in buckets by lead, and
+    a heap holds the leads: the pivot for row ``r`` is the lowest index in
+    its bucket, rows that no lead reaches have no pivot, and only the
+    columns eliminated at ``r`` move to a new bucket.
     """
-    leads = [min(c, default=_NO_ROW) for c in work]
+    buckets = {}
+    for j, c in enumerate(work):
+        if c:
+            buckets.setdefault(min(c), []).append(j)
+    heap = list(buckets)
+    heapify(heap)
     out = []
-    while (r := min(leads, default=_NO_ROW)) != _NO_ROW:
-        j = leads.index(r)
-        col = work.pop(j)
-        del leads[j]
+    while heap:
+        r = heappop(heap)
+        bucket = buckets.pop(r)
+        j = min(bucket)
+        col = work[j]
         piv = col[r]
-        if not (piv.re == _R1 and not piv.im):
+        if not (piv.re == 1 and not piv.im):
             col = _scale(col, piv.inverse())
-        for k in [k for k, lead in enumerate(leads) if lead == r]:
+        for k in bucket:
+            if k == j:
+                continue
             c = work[k]
             _add_scaled(c, -c[r], col)
-            leads[k] = min(c, default=_NO_ROW)
+            if c:
+                lead = min(c)
+                moved = buckets.get(lead)
+                if moved is None:
+                    buckets[lead] = [k]
+                    heappush(heap, lead)
+                else:
+                    moved.append(k)
         for _, c in out:
             f = c.get(r)
             if f is not None:
@@ -408,13 +443,14 @@ def _echelon(work):
 def _reduce(v, pivots):
     """Reduce the sparse column ``v`` in place by reduced echelon columns.
 
-    ``pivots`` holds ``(pivot_row, column)`` pairs as :func:`_echelon`
-    returns them; the result, also returned, is zero in every pivot row.
+    ``pivots`` maps each pivot row to its column, as
+    :meth:`Subspace._pivots` returns it; the result, also returned, is zero
+    in every pivot row.  Only the pivot rows ``v`` stores are visited: an
+    echelon column is zero in every other pivot row, so subtracting it
+    never touches them.
     """
-    for prow, col in pivots:
-        f = v.get(prow)
-        if f is not None:
-            _add_scaled(v, -f, col)
+    for prow in [r for r in v if r in pivots]:
+        _add_scaled(v, -v[prow], pivots[prow])
     return v
 
 
@@ -435,11 +471,12 @@ class Subspace:
     subspaces compare equal as objects.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_pivot_cols")
 
     def __init__(self, ambient_dim, basis):
         self.ambient_dim = ambient_dim
         self.basis = basis
+        self._pivot_cols = None
 
     @classmethod
     def from_columns(cls, ambient_dim, columns):
@@ -462,10 +499,13 @@ class Subspace:
         return self.basis.cols
 
     def pivot_rows(self):
-        return [min(c) for c in self.basis._data]
+        return list(self._pivots())
 
     def _pivots(self):
-        return list(zip(self.pivot_rows(), self.basis._data))
+        """``{pivot_row: column}`` of the basis, in column order, built once."""
+        if self._pivot_cols is None:
+            self._pivot_cols = {min(c): c for c in self.basis._data}
+        return self._pivot_cols
 
     def reduce_vector(self, vec):
         """Residual of ``vec`` after subtracting its component in this space."""
@@ -574,8 +614,8 @@ def complete_basis(inner, outer):
         raise LinAlgError("complete_basis: ambient dimension mismatch")
     if not outer.contains(inner):
         raise LinAlgError("complete_basis: inner space not contained in outer")
-    inner_pivots = set(inner.pivot_rows())
-    keep = [j for j, prow in enumerate(outer.pivot_rows())
+    inner_pivots = inner._pivots()
+    keep = [j for j, prow in enumerate(outer._pivots())
             if prow not in inner_pivots]
     return outer.basis.column_slice(keep)
 

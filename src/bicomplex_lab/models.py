@@ -22,6 +22,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .bicomplex import (
+    MAX_N,
     Bicomplex,
     ConjugationStructure,
     ProductStructure,
@@ -307,11 +308,8 @@ def kodaira_surface():
     return from_structure_equations(spec, label="kodaira-surface")
 
 
-# Largest n the text format accepts.  The model has total dimension 4^n,
-# so each step in n multiplies every later cost by at least 4; n = 7
-# (total dimension 16384) builds in under a second.  Integers in the
-# grammar have at most 9 digits, so ``int`` never meets its digit limit.
-MAX_N = 7
+# Integers in the grammar have at most 9 digits, so ``int`` never meets its
+# digit limit.
 _N_LINE = re.compile(r"^n\s*=\s*(\d{1,9})$")
 _D_LINE = re.compile(r"^d\s+w(\d{1,9})\s*=\s*(.*)$")
 _TERM = re.compile(

@@ -13,6 +13,7 @@ Hand-computed facts used below:
 import pytest
 
 from bicomplex_lab.bicomplex import (
+    MAX_TOTAL_DIM,
     Bicomplex,
     BicomplexFormatError,
     ConjugationStructure,
@@ -251,6 +252,24 @@ class TestJson:
         with pytest.raises(BicomplexFormatError, match=r"got true") as info:
             from_json_dict(obj)
         assert key in str(info.value)
+
+    def test_blocks_are_read_as_sparse_columns(self):
+        k = from_json_dict({"spaces": {"0,0": 3, "1,0": 2},
+                            "del": {"0,0": [["0", "1", "0/2"],
+                                            ["0 i", "-1/2 i", "i"]]}})
+        m = k.del_map(0, 0)
+        assert m == Matrix.from_rows(
+            [[scalar(0), scalar(1), scalar(0)],
+             [scalar(0), scalar(0, "-1/2"), scalar(0, 1)]])
+        assert [sorted(col) for col in m._data] == [[], [0, 1], [1]]
+
+    def test_total_dimension_is_capped(self):
+        at_cap = {"spaces": {"0,0": MAX_TOTAL_DIM - 1, "1,0": 1}}
+        assert from_json_dict(at_cap).dimension(0, 0) == MAX_TOTAL_DIM - 1
+        with pytest.raises(BicomplexFormatError,
+                           match=rf"spaces: total dimension "
+                                 rf"{MAX_TOTAL_DIM + 1} exceeds"):
+            from_json_dict({"spaces": {"0,0": MAX_TOTAL_DIM, "1,0": 1}})
 
     def test_shape_problems_surface_via_validate(self):
         k = from_json_dict({"spaces": {"0,0": 2, "1,0": 3},

@@ -417,6 +417,28 @@ class TestSchweitzerPairing:
                 assert rep.witnesses["GramRank"][str((p, q))] \
                     == rep.witnesses["GramRank"][str((n - p, n - q))]
 
+    # Recorded from the check itself.  On iwasawa, (1,1) has Gram rank
+    # h_BC^{1,1} = 4 but its complement (2,2) has h_BC = 8: it is listed
+    # only because the complementary dimension differs.
+    DEGENERATE = {
+        "iwasawa": (iwasawa, "(0,1) (0,2) (1,0) (1,1) (1,2) (1,3) (2,0) "
+                             "(2,1) (2,2) (2,3) (3,1) (3,2)"),
+        "kodaira": (kodaira_surface, "(0,1) (1,0) (1,1) (1,2) (2,1)"),
+        "nil4": (lambda: models.from_structure_equations(
+                     models.parse_structure_text(
+                         "n = 4\nd w3 = -1* w1^w2\nd w4 = w1^cw1\n")),
+                 "(0,1) (0,2) (0,3) (1,0) (1,1) (1,2) (1,3) (1,4) (2,0) "
+                 "(2,1) (2,2) (2,3) (2,4) (3,0) (3,1) (3,2) (3,3) (3,4) "
+                 "(4,1) (4,2) (4,3)"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_list_is_pinned(self, name):
+        build, expected = self.DEGENERATE[name]
+        rep = schweitzer_pairing_check(build())
+        listed = [b.replace(" ", "") for b in rep.witnesses["Degenerate"]]
+        assert listed == expected.split()
+
     def test_ill_defined_product_fails(self):
         # Bott-Chern representatives at (1,1) reduce to the lone dot,
         # but the square's corner is a second-order boundary there; the

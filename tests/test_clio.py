@@ -29,7 +29,7 @@ from bicomplex_lab.clio import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK,
                                 parse_bicomplex_file, render_diagram,
                                 run_corpus)
 from bicomplex_lab.cohomology import all_tables
-from bicomplex_lab.exactla import LinAlgError
+from bicomplex_lab.exactla import LinAlgError, Matrix
 from bicomplex_lab.zigzag import (DecompositionError, Square, Zigzag,
                                   decompose, part_from_json_dict, synthesize)
 
@@ -93,6 +93,19 @@ class TestParseBicomplexFile:
         assert clio.main(["validate", "--in", str(path)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "line 2" in err and "n = 40" in err
+
+    def test_oversized_json_rejected_before_any_block(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_block(*args):
+            raise AssertionError("a zero matrix was built")
+
+        monkeypatch.setattr(Matrix, "zero", no_block)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"spaces": {"0,0": 1000000000, "1,0": 1}}))
+        assert clio.main(["validate", "--in", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "spaces" in err and "1000000001" in err
 
     def test_json_error_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"

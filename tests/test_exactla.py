@@ -13,6 +13,7 @@ Expected values in the "oracle" tests below were computed by hand:
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -439,3 +440,167 @@ class TestSparseProperties:
         a, x = ax
         rhs = a @ x
         assert a @ solve(a, rhs) == rhs
+
+
+def stored_parts(m):
+    return [p for x in stored_entries(m) for p in (x.re, x.im)]
+
+
+def is_exact_part(p):
+    return type(p) is int or type(p) is exactla._rat
+
+
+# Integral literals, "4/2" among them, must come out as ``int``; the rest
+# as ``_rat``.  "3/5+4/5 i" is a unit that is no Gaussian integer.
+literal_scalars = st.sampled_from([
+    "0", "0", "1", "-1", "i", "-i", "2", "4/2", "-6/3 i", "1/2", "-3/4 i",
+    "1+1 i", "2-2 i", "1/2+1/3 i", "3/5+4/5 i"]).map(ExactScalar.parse)
+
+
+@st.composite
+def literal_matrices(draw, max_dim=4, rows=None, cols=None):
+    rows = rows or draw(st.integers(min_value=1, max_value=max_dim))
+    cols = cols or draw(st.integers(min_value=1, max_value=max_dim))
+    return Matrix.from_rows(draw(st.lists(
+        st.lists(literal_scalars, min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows)))
+
+
+class TestIntegerParts:
+    @settings(max_examples=100, deadline=None)
+    @given(literal_scalars)
+    def test_parse_and_inverse_make_int_parts(self, x):
+        made = [x] if x.is_zero() else [x, x.inverse()]
+        for part in (p for y in made for p in (y.re, y.im)):
+            assert is_exact_part(part)
+            if part.denominator == 1:
+                assert type(part) is int
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_no_float_is_ever_stored(self, data):
+        m = data.draw(literal_matrices())
+        w = image_basis(data.draw(literal_matrices(rows=m.rows)))
+        sq = data.draw(literal_matrices(rows=m.rows, cols=m.rows))
+        results = [rce(m), kernel_basis(m).basis, preimage(m, w).basis,
+                   solve(m, m @ m.transpose()), m @ m.transpose()]
+        if rank(sq) == sq.rows:
+            results.append(inverse(sq))
+        for r in results:
+            assert all(is_exact_part(p) for p in stored_parts(r))
+
+    def test_integral_rational_parts_equal_int_parts(self):
+        one = ExactScalar._raw(Fraction(1), Fraction(0))
+        assert one == SC_ONE
+        assert hash(one) == hash(SC_ONE)
+        assert str(one) == "1"
+        half = ExactScalar.parse("1/2")
+        assert half + half == SC_ONE and str(half + half) == "1"
+
+
+def textbook_rce(m):
+    """Gauss-Jordan on dense columns: for each row, the first remaining
+    column nonzero there is the pivot; it clears that row everywhere."""
+    cols = m.columns()
+    out = []
+    for r in range(m.rows):
+        j = next((j for j, c in enumerate(cols) if not c[r].is_zero()), None)
+        if j is None:
+            continue
+        inv = cols[j][r].inverse()
+        piv = [x * inv for x in cols.pop(j)]
+        for c in cols + out:
+            f = c[r]
+            c[:] = [x - f * y for x, y in zip(c, piv)]
+        out.append(piv)
+    return Matrix(m.rows, len(out), out)
+
+
+def textbook_rref(rows, ncols):
+    """Reduced row echelon form by row swaps; returns (rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        k = len(pivots)
+        p = next((i for i in range(k, len(rows))
+                  if not rows[i][c].is_zero()), None)
+        if p is None:
+            continue
+        rows[k], rows[p] = rows[p], rows[k]
+        inv = rows[k][c].inverse()
+        rows[k] = [x * inv for x in rows[k]]
+        for i in range(len(rows)):
+            if i != k:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def textbook_kernel(m):
+    red, pivots = textbook_rref(m.to_rows(), m.cols)
+    vecs = []
+    for f in (f for f in range(m.cols) if f not in pivots):
+        v = [SC_ZERO] * m.cols
+        v[f] = SC_ONE
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[f]
+        vecs.append(v)
+    return textbook_rce(Matrix(m.cols, len(vecs), vecs))
+
+
+def textbook_solve(a, b):
+    """The solution that is zero at every non-pivot column of ``A``."""
+    red, pivots = textbook_rref(a.hstack(b).to_rows(), a.cols + b.cols)
+    if pivots and pivots[-1] >= a.cols:
+        raise LinAlgError("inconsistent")
+    x = [[SC_ZERO] * b.cols for _ in range(a.cols)]
+    for row, pc in zip(red, pivots):
+        x[pc] = row[a.cols:]
+    return Matrix.from_rows(x, a.cols, b.cols)
+
+
+@st.composite
+def bucketed_matrices(draw, max_dim=5):
+    """Columns whose leads are all row 0 or row 1, so that the elimination
+    finds several columns in one lead bucket."""
+    rows = draw(st.integers(min_value=2, max_value=max_dim))
+    cols = draw(st.integers(min_value=2, max_value=max_dim + 1))
+    nonzero = sparse_scalars.filter(lambda x: not x.is_zero())
+    columns = []
+    for _ in range(cols):
+        lead = draw(st.integers(min_value=0, max_value=1))
+        tail = draw(st.lists(sparse_scalars, min_size=rows - lead - 1,
+                             max_size=rows - lead - 1))
+        columns.append([SC_ZERO] * lead + [draw(nonzero)] + tail)
+    return Matrix(rows, cols, columns)
+
+
+class TestAgainstTextbookElimination:
+    @settings(max_examples=80, deadline=None)
+    @given(bucketed_matrices())
+    def test_rce(self, m):
+        assert rce(m) == textbook_rce(m)
+
+    @settings(max_examples=80, deadline=None)
+    @given(bucketed_matrices())
+    def test_kernel_basis(self, m):
+        # kernel_basis echelons the rows with the columns reversed: these
+        # rows are the columns of m, with their shared leads.
+        k = m.transpose().column_slice(range(m.rows - 1, -1, -1))
+        assert kernel_basis(k).basis == textbook_kernel(k)
+        assert kernel_basis(m).basis == textbook_kernel(m)
+
+    @settings(max_examples=80, deadline=None)
+    @given(bucketed_matrices(), st.data())
+    def test_solve(self, m, data):
+        a = m.transpose()  # solve echelons the rows of [A | B]
+        x = data.draw(literal_matrices(rows=a.cols))
+        b = data.draw(st.one_of(st.just(a @ x), literal_matrices(rows=a.rows)))
+        try:
+            want = textbook_solve(a, b)
+        except LinAlgError:
+            with pytest.raises(LinAlgError):
+                solve(a, b)
+        else:
+            assert solve(a, b) == want
