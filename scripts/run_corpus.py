@@ -5,7 +5,12 @@ Writes ``corpus.csv`` (one row per complex: verdicts, defect sum, lemma
 status) plus a short summary to stdout.  Deterministic for fixed seed
 and size; parallelism via BICOMPLEX_LAB_THREADS never changes output.
 
+The flags are checked as the ``corpus`` command checks them: a negative
+``--n`` or an unknown or empty ``--kinds`` list is a usage error (exit 1),
+and empty entries in ``--kinds`` are dropped.
+
 Usage: python3 scripts/run_corpus.py [--seed 0] [--n 500] [--out results]
+       [--kinds dot,square,zigzag]
 """
 
 import argparse
@@ -15,7 +20,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from bicomplex_lab.clio import EXIT_THEOREM, RunConfig, run_corpus
+from bicomplex_lab.clio import (EXIT_THEOREM, EXIT_USAGE, UsageError,
+                                parse_args, run_corpus)
 
 
 def main(argv=None):
@@ -26,8 +32,13 @@ def main(argv=None):
     parser.add_argument("--kinds", default="dot,square,zigzag")
     args = parser.parse_args(argv)
 
-    config = RunConfig(command="corpus", seed=args.seed, n_corpus=args.n,
-                       kinds=tuple(args.kinds.split(",")))
+    try:
+        config = parse_args(["corpus", "--seed", str(args.seed),
+                             "--n-corpus", str(args.n),
+                             "--kinds", args.kinds])
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     csv_text, failure = run_corpus(config)
 
     args.out.mkdir(parents=True, exist_ok=True)

@@ -498,18 +498,11 @@ class Subspace:
     def dim(self):
         return self.basis.cols
 
-    def pivot_rows(self):
-        return list(self._pivots())
-
     def _pivots(self):
         """``{pivot_row: column}`` of the basis, in column order, built once."""
         if self._pivot_cols is None:
             self._pivot_cols = {min(c): c for c in self.basis._data}
         return self._pivot_cols
-
-    def reduce_vector(self, vec):
-        """Residual of ``vec`` after subtracting its component in this space."""
-        return _dense(_reduce(_sparse(vec), self._pivots()), len(vec))
 
     def contains_vector(self, vec):
         return not _reduce(_sparse(vec), self._pivots())

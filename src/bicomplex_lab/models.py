@@ -455,7 +455,7 @@ def random_bicomplex(seed, max_parts=6, max_length=5,
         if kind == "zigzag" and max_length < 2:
             kind = "dot"
         if kind == "dot":
-            part = zz.Zigzag.from_path(
+            part = zz.Zigzag(
                 ((rng.randint(p_lo, p_hi), rng.randint(q_lo, q_hi)),))
         elif kind == "square":
             part = zz.Square(anchor=(rng.randint(p_lo, p_hi - 1),
@@ -468,8 +468,7 @@ def random_bicomplex(seed, max_parts=6, max_length=5,
             p_steps, q_steps = _zigzag_extent(length, first_role)
             start = (rng.randint(p_lo, p_hi - p_steps),
                      rng.randint(q_lo + q_steps, q_hi))
-            part = zz.Zigzag.from_path(
-                _zigzag_dots(start, first_role, length))
+            part = zz.Zigzag(_zigzag_dots(start, first_role, length))
         parts.append(part)
         if symmetric:
             mirrored = zz.mirror_part(part)

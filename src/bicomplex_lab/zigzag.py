@@ -15,10 +15,12 @@ module
 * recounts all five cohomology theories from the summand multiset alone,
   which serves as a combinatorial cross-check of the linear-algebra tables.
 
-Decomposition strategy: squares are split off first (their count per
-anchor is the rank of the composed differential; explicit complements are
-cut out by functionals), leaving a residual complex on which both
-two-step composites vanish.  On the residual, the multiplicity of every
+Decomposition strategy: all squares are split off at once, in input
+coordinates.  At each anchor the square vectors complement the kernel of
+the composed differential (their count is its rank), and one kernel per
+touched bidegree, of the functionals that read the square corners back,
+cuts out the residual complement.  The residual is a plain Bicomplex on
+which both two-step composites vanish.  On it, the multiplicity of every
 candidate staircase is an inclusion-exclusion of limit-to-colimit ranks
 over staircase windows.  The adapted basis realizing the multiset is
 canonical: for each zigzag type it is the echelon complement, inside
@@ -41,7 +43,6 @@ from .exactla import (
     SC_MINUS_I,
     SC_MINUS_ONE,
     SC_ONE,
-    SC_ZERO,
     Subspace,
     complete_basis,
     image_basis,
@@ -115,10 +116,6 @@ class Zigzag:
             if a == b:
                 raise ValueError("zigzag steps must alternate")
         object.__setattr__(self, "dots", dots)
-
-    @classmethod
-    def from_path(cls, dots):
-        return cls(tuple(dots))
 
     @property
     def arrows(self):
@@ -239,10 +236,10 @@ def _pattern(parts):
 
 
 def _entries_to_matrix(entries, rows, cols):
-    data = [[SC_ZERO] * rows for _ in range(cols)]
+    data = [{} for _ in range(cols)]
     for (i, j), value in entries.items():
         data[j][i] = value
-    return Matrix(rows, cols, data)
+    return Matrix._from_sparse(rows, cols, data)
 
 
 def _pattern_blocks(pattern):
@@ -284,14 +281,12 @@ _UNIT_ENTRIES = (SC_ONE, SC_MINUS_ONE, SC_I, SC_MINUS_I)
 def _unitriangular(rng, n, upper):
     cols = []
     for j in range(n):
-        col = [SC_ZERO] * n
-        col[j] = SC_ONE
-        span = range(j) if upper else range(j + 1, n)
-        for i in span:
+        col = {j: SC_ONE}
+        for i in range(j) if upper else range(j + 1, n):
             if rng.random() < 0.4:
                 col[i] = _UNIT_ENTRIES[rng.randrange(4)]
         cols.append(col)
-    return Matrix(n, n, cols)
+    return Matrix._from_sparse(n, n, cols)
 
 
 def scramble_matrices(k, seed):
@@ -435,6 +430,13 @@ def verify_decomposition(d, k):
 def decompose(k):
     """Split a valid bounded complex into squares and zigzags.
 
+    Phase one splits off every square in one pass, in input coordinates:
+    at each anchor the anchor vectors are the canonical complement of
+    ker(del delbar), and the residual is the common kernel of the
+    functionals reading the square corners back, wrapped as a Bicomplex.
+    Phase two counts the zigzags of the residual, phase three picks their
+    adapted basis.
+
     Deterministic: the adapted basis is a function of the input alone, with
     no random draws and no retries.  The result is verified
     exactly before being returned; a verification failure raises
@@ -442,85 +444,69 @@ def decompose(k):
     """
     ensure_valid(k)
     support = k.support()
-    res_dim = {bid: k.dimension(*bid) for bid in support}
-    embed = {bid: Matrix.identity(dim) for bid, dim in res_dim.items()}
-    cur_del = {bid: k.del_map(*bid) for bid in support}
-    cur_delbar = {bid: k.delbar_map(*bid) for bid in support}
 
-    def rd(bid):
-        return res_dim.get(bid, 0)
-
-    def cdel(bid):
-        m = cur_del.get(bid)
-        if m is None:
-            return Matrix.zero(rd((bid[0] + 1, bid[1])), rd(bid))
-        return m
-
-    def cdelbar(bid):
-        m = cur_delbar.get(bid)
-        if m is None:
-            return Matrix.zero(rd((bid[0], bid[1] + 1)), rd(bid))
-        return m
-
-    # ---- Phase one: split off all squares, anchor by anchor. ----
+    # ---- Phase one: split off every square at once. ----
+    # lam, the left inverse of del delbar on the anchors at (p, q), reads
+    # each corner of those squares back: the anchor through lam del delbar,
+    # its del image through lam delbar, its delbar image through lam del,
+    # the top corner directly.  At each bidegree, the common kernel of the
+    # functionals defined there is closed under both differentials (del
+    # delbar del = 0 = delbar del delbar) and meets the squares' span in 0,
+    # so it is the residual complement; untouched bidegrees keep theirs.
     square_parts = []
+    reads = {}
     try:
-        for (p, q) in sorted(support, key=lambda b: (b[0] + b[1], b[0])):
-            composed = cdel((p, q + 1)) @ cdelbar((p, q))
-            r = rank(composed)
-            if r == 0:
+        for (p, q) in support:
+            composed = k.del_map(p, q + 1) @ k.delbar_map(p, q)
+            if composed.is_zero():
                 continue
             anchors = complete_basis(kernel_basis(composed),
-                                     Subspace.full(rd((p, q))))
-            img = composed @ anchors
-            lam = solve(img.transpose(), Matrix.identity(r)).transpose()
-            corners = {
-                (p, q): kernel_basis(lam @ composed).basis,
-                (p + 1, q): kernel_basis(lam @ cdelbar((p + 1, q))).basis,
-                (p, q + 1): kernel_basis(lam @ cdel((p, q + 1))).basis,
-                (p + 1, q + 1): kernel_basis(lam).basis,
-            }
-            e00 = embed[(p, q)] @ anchors
-            e10 = k.del_map(p, q) @ e00
-            e01 = k.delbar_map(p, q) @ e00
+                                     Subspace.full(k.dimension(p, q)))
+            lam = solve((composed @ anchors).transpose(),
+                        Matrix.identity(anchors.cols)).transpose()
+            for bid, functional in (
+                    ((p, q), lam @ composed),
+                    ((p + 1, q), lam @ k.delbar_map(p + 1, q)),
+                    ((p, q + 1), lam @ k.del_map(p, q + 1)),
+                    ((p + 1, q + 1), lam)):
+                reads.setdefault(bid, []).append(functional)
+            e10 = k.del_map(p, q) @ anchors
+            e01 = k.delbar_map(p, q) @ anchors
             e11 = k.delbar_map(p + 1, q) @ e10
-            for j in range(r):
+            for j in range(anchors.cols):
                 square_parts.append((Square(anchor=(p, q)), {
-                    (p, q): e00.column(j), (p + 1, q): e10.column(j),
+                    (p, q): anchors.column(j), (p + 1, q): e10.column(j),
                     (p, q + 1): e01.column(j),
                     (p + 1, q + 1): e11.column(j)}))
+        embed = {}
+        for bid, functionals in reads.items():
+            blocks = []
+            at = 0
+            for f in functionals:
+                blocks.append((at, 0, f))
+                at += f.rows
+            embed[bid] = kernel_basis(
+                place_blocks(at, k.dimension(*bid), blocks)).basis
 
-            def restricted(m, src_basis, tgt_basis):
-                if src_basis is not None:
-                    m = m @ src_basis
-                if tgt_basis is not None:
-                    m = solve(tgt_basis, m)
-                return m
+        def rebased(m, src, tgt):
+            if src in embed:
+                m = m @ embed[src]
+            return solve(embed[tgt], m) if tgt in embed else m
 
-            up_del = {}
-            up_delbar = {}
-            for src in support:
-                tgt = (src[0] + 1, src[1])
-                if src in corners or tgt in corners:
-                    up_del[src] = restricted(cdel(src), corners.get(src),
-                                             corners.get(tgt))
-                tgt = (src[0], src[1] + 1)
-                if src in corners or tgt in corners:
-                    up_delbar[src] = restricted(cdelbar(src),
-                                                corners.get(src),
-                                                corners.get(tgt))
-            cur_del.update(up_del)
-            cur_delbar.update(up_delbar)
-            for bid, basis in corners.items():
-                embed[bid] = embed[bid] @ basis
-                res_dim[bid] = basis.cols
+        res = Bicomplex(
+            {bid: embed[bid].cols if bid in embed else k.dimension(*bid)
+             for bid in support},
+            {(p, q): rebased(k.del_map(p, q), (p, q), (p + 1, q))
+             for (p, q) in support},
+            {(p, q): rebased(k.delbar_map(p, q), (p, q), (p, q + 1))
+             for (p, q) in support})
     except LinAlgError as exc:
         raise DecompositionError(
-            f"square peeling failed at exact arithmetic: {exc}") from exc
-    for (p, q) in support:
-        if not (cdel((p, q + 1)) @ cdelbar((p, q))).is_zero():
+            f"square splitting failed at exact arithmetic: {exc}") from exc
+    for (p, q) in res.support():
+        if not (res.del_map(p, q + 1) @ res.delbar_map(p, q)).is_zero():
             raise DecompositionError(
-                "square peeling left a nonzero two-step composite")
+                "square splitting left a nonzero two-step composite")
 
     # ---- Phase two: zigzag multiplicities on the residual complex. ----
     def offsets(dots, roles, skip):
@@ -530,7 +516,7 @@ def decompose(k):
         for i, d in enumerate(dots):
             if roles[i] != skip:
                 off[i] = total
-                total += rd(d)
+                total += res.dimension(*d)
         return off, total
 
     def sink_relations(dots, roles, kill_ends=False):
@@ -549,11 +535,13 @@ def decompose(k):
         at = 0
         for i in range(1, n - 1):
             if roles[i] == "sink":
-                blocks += [(at, s_off[i - 1], cdel(dots[i - 1])),
-                           (at, s_off[i + 1], cdelbar(dots[i + 1]).negate())]
-                at += rd(dots[i])
+                blocks += [(at, s_off[i - 1], res.del_map(*dots[i - 1])),
+                           (at, s_off[i + 1],
+                            res.delbar_map(*dots[i + 1]).negate())]
+                at += res.dimension(*dots[i])
         if kill_ends:
-            for i, kill in ((0, cdelbar(dots[0])), (n - 1, cdel(dots[-1]))):
+            for i, kill in ((0, res.delbar_map(*dots[0])),
+                            (n - 1, res.del_map(*dots[-1]))):
                 if roles[i] != "sink":
                     blocks.append((at, s_off[i], kill))
                     at += kill.rows
@@ -575,27 +563,28 @@ def decompose(k):
         t_off, t_total = offsets(dots, roles, "source")
         first = min(t_off)
         if roles[first] == "lone":
-            source, arrow = first, Matrix.identity(rd(dots[first]))
+            source = first
+            arrow = Matrix.identity(res.dimension(*dots[first]))
         elif first == 0:
-            source, arrow = 1, cdelbar(dots[1])
+            source, arrow = 1, res.delbar_map(*dots[1])
         else:
-            source, arrow = first - 1, cdel(dots[first - 1])
+            source, arrow = first - 1, res.del_map(*dots[first - 1])
         to_sinks = place_blocks(t_total, s_total, [
             (t_off[first], s_off[source], arrow)])
         blocks = []
         at = 0
         for i in range(1, n - 1):
             if roles[i] == "source":
-                blocks += [(t_off[i - 1], at, cdelbar(dots[i])),
-                           (t_off[i + 1], at, cdel(dots[i]).negate())]
-                at += rd(dots[i])
+                blocks += [(t_off[i - 1], at, res.delbar_map(*dots[i])),
+                           (t_off[i + 1], at, res.del_map(*dots[i]).negate())]
+                at += res.dimension(*dots[i])
         for i in sorted({0, n - 1}) if sink_ends else ():
             if roles[i] == "source":
                 continue
             p, q = dots[i]
             near = dots[max(i - 1, 0): i + 2]
-            for src, into in (((p - 1, q), cdel((p - 1, q))),
-                              ((p, q - 1), cdelbar((p, q - 1)))):
+            for src, into in (((p - 1, q), res.del_map(p - 1, q)),
+                              ((p, q - 1), res.delbar_map(p, q - 1))):
                 if src not in near:
                     blocks.append((t_off[i], at, into))
                     at += into.cols
@@ -610,7 +599,7 @@ def decompose(k):
         zigzag containing the whole window contributes exactly 1, and
         every other summand contributes 0.
         """
-        if any(rd(d) == 0 for d in dots):
+        if any(res.dimension(*d) == 0 for d in dots):
             return 0
         roles = Zigzag(dots).roles()
         to_sinks, rel = colimit(dots, roles)
@@ -630,15 +619,13 @@ def decompose(k):
         return dots + ((last[0] + 1, last[1]),)
 
     multiplicity = {}
-    for first in support:
-        if rd(first) == 0:
-            continue
+    for first in res.support():
         for first_step in ((1, 0), (0, -1)):
             dots = [first]
             step = first_step
             while True:
                 nxt = (dots[-1][0] + step[0], dots[-1][1] + step[1])
-                if rd(nxt) == 0:
+                if res.dimension(*nxt) == 0:
                     break
                 dots.append(nxt)
                 step = (0, -1) if step == (1, 0) else (1, 0)
@@ -654,7 +641,7 @@ def decompose(k):
                         "negative zigzag multiplicity computed")
                 if m:
                     multiplicity[Zigzag(window)] = m
-    leftover = dict(res_dim)
+    leftover = {bid: res.dimension(*bid) for bid in res.support()}
     for z, m in multiplicity.items():
         for d in z.dots:
             leftover[d] -= m
@@ -678,13 +665,15 @@ def decompose(k):
     def instance_columns(z, roles, vector):
         dots = z.dots
         s_off, _ = offsets(dots, roles, "sink")
-        cols = {dots[i]: vector[o: o + rd(dots[i])] for i, o in s_off.items()}
+        cols = {dots[i]: vector[o: o + res.dimension(*dots[i])]
+                for i, o in s_off.items()}
         for i, d in enumerate(dots):
             if roles[i] == "sink":
                 if i > 0:
-                    cols[d] = cdel(dots[i - 1]).apply(cols[dots[i - 1]])
+                    cols[d] = res.del_map(*dots[i - 1]).apply(
+                        cols[dots[i - 1]])
                 else:
-                    cols[d] = cdelbar(dots[1]).apply(cols[dots[1]])
+                    cols[d] = res.delbar_map(*dots[1]).apply(cols[dots[1]])
         return cols
 
     zigzag_parts = []
@@ -702,7 +691,8 @@ def decompose(k):
 
     # ---- Assemble, verify, return. ----
     all_parts = square_parts + [
-        (z, {bid: embed[bid].apply(vec) for bid, vec in cols.items()})
+        (z, {bid: embed[bid].apply(vec) if bid in embed else vec
+             for bid, vec in cols.items()})
         for z, cols in zigzag_parts]
     all_parts.sort(key=lambda pc: _part_key(pc[0]))
     columns = {bid: [] for bid in support}

@@ -16,6 +16,7 @@ import dataclasses
 import io
 import json
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -354,6 +355,35 @@ class TestCorpusCommand:
     def test_empty_kinds_rejected(self, kinds, capsys):
         assert clio.main(["corpus", "--kinds", kinds]) == EXIT_USAGE
         assert "--kinds" in capsys.readouterr().err
+
+
+class TestCorpusScript:
+    """``scripts/run_corpus.py`` reads its flags through ``parse_args``."""
+
+    @staticmethod
+    def _main(argv):
+        script = Path(__file__).parents[1] / "scripts" / "run_corpus.py"
+        return runpy.run_path(str(script))["main"](argv)
+
+    def test_negative_size_is_usage_error(self, tmp_path, capsys):
+        assert self._main(["--n", "-3", "--out", str(tmp_path)]) \
+            == EXIT_USAGE
+        assert "--n-corpus must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "corpus.csv").exists()
+
+    def test_bad_kind_is_usage_error(self, tmp_path, capsys):
+        assert self._main(["--kinds", "triangle", "--out",
+                           str(tmp_path)]) == EXIT_USAGE
+        assert "unknown part kind 'triangle'" in capsys.readouterr().err
+
+    def test_empty_kind_entry_is_dropped_as_in_the_cli(self, tmp_path,
+                                                       capsys):
+        assert self._main(["--kinds", "dot,", "--n", "3",
+                           "--out", str(tmp_path / "script")]) == EXIT_OK
+        assert clio.main(["corpus", "--kinds", "dot", "--n-corpus", "3",
+                          "--out", str(tmp_path / "cli")]) == EXIT_OK
+        assert (tmp_path / "script" / "corpus.csv").read_text() \
+            == (tmp_path / "cli" / "corpus.csv").read_text()
 
 
 class TestCliPlumbing:

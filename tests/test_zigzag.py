@@ -37,7 +37,14 @@ from bicomplex_lab.bicomplex import (
     check_real_structure,
     validate,
 )
-from bicomplex_lab.exactla import Matrix, rank, scalar
+from bicomplex_lab.exactla import (
+    Matrix,
+    Subspace,
+    complete_basis,
+    kernel_basis,
+    rank,
+    scalar,
+)
 
 THEORIES = ("de_rham", "dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
 
@@ -85,7 +92,7 @@ class TestParts:
         assert z.arrows == ("del", "delbar")
         assert z.roles() == ("source", "sink", "source")
         assert not z.is_dot
-        lone = zz.Zigzag.from_path([(0, 0)])
+        lone = zz.Zigzag(((0, 0),))
         assert lone.is_dot and lone.roles() == ("lone",)
 
     def test_zigzag_validation(self):
@@ -200,6 +207,18 @@ class TestBasisChanges:
         after = cohomology.all_tables(scrambled)
         for name in THEORIES:
             assert getattr(before, name).dims == getattr(after, name).dims
+
+
+def _square_anchor_columns(d):
+    """Per square anchor, the ``basis_change`` columns of its anchor dots."""
+    at = Counter()
+    columns = {}
+    for part in d.parts:
+        for dot in part.dots:
+            if part.kind == "square" and dot == part.anchor:
+                columns.setdefault(dot, []).append(at[dot])
+            at[dot] += 1
+    return columns
 
 
 class TestDecompose:
@@ -327,6 +346,25 @@ class TestDecompose:
         assert d.parts == () and d.verified
         counted = zz.count_cohomology_from_zigzags(d)
         assert counted.de_rham.dims == {}
+
+    def test_square_anchors_complement_ker_del_delbar(self):
+        """Squares are split off in input coordinates: at each anchor the
+        anchor vectors are the canonical complement of ker(del delbar),
+        not one taken in a residual left by earlier anchors."""
+        nil4 = models.from_structure_equations(models.parse_structure_text(
+            "n = 4\nd w3 = -1* w1^w2\nd w4 = w1^cw1\n"))
+        counted = Counter()
+        for name, k in [("random", models.random_bicomplex(s).bicomplex)
+                        for s in range(200)] + [("nil4", nil4)]:
+            d = zz.decompose(k)
+            for (p, q), cols in _square_anchor_columns(d).items():
+                composed = k.del_map(p, q + 1) @ k.delbar_map(p, q)
+                expected = complete_basis(kernel_basis(composed),
+                                          Subspace.full(k.dimension(p, q)))
+                assert d.basis_change[(p, q)].column_slice(cols) \
+                    == expected, (name, (p, q))
+                counted[name] += len(cols)
+        assert counted["random"] == 142 and counted["nil4"] > 0
 
     def test_invalid_input_rejected(self):
         bad = tc.build({(0, 0): 1, (1, 0): 1, (2, 0): 1},
