@@ -6,11 +6,12 @@ status) plus a short summary to stdout.  Deterministic for fixed seed
 and size; parallelism via BICOMPLEX_LAB_THREADS never changes output.
 
 The flags are checked as the ``corpus`` command checks them: a negative
-``--n`` or an unknown or empty ``--kinds`` list is a usage error (exit 1),
-and empty entries in ``--kinds`` are dropped.
+``--n-corpus`` or an unknown or empty ``--kinds`` list is a usage error
+(exit 1), and empty entries in ``--kinds`` are dropped.  ``--n`` is a
+short alias of ``--n-corpus``.
 
-Usage: python3 scripts/run_corpus.py [--seed 0] [--n 500] [--out results]
-       [--kinds dot,square,zigzag]
+Usage: python3 scripts/run_corpus.py [--seed 0] [--n-corpus 500]
+       [--out results] [--kinds dot,square,zigzag]
 """
 
 import argparse
@@ -27,14 +28,14 @@ from bicomplex_lab.clio import (EXIT_THEOREM, EXIT_USAGE, UsageError,
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--n", type=int, default=500)
+    parser.add_argument("--n-corpus", "--n", type=int, default=500)
     parser.add_argument("--out", type=Path, default=Path("results"))
     parser.add_argument("--kinds", default="dot,square,zigzag")
     args = parser.parse_args(argv)
 
     try:
         config = parse_args(["corpus", "--seed", str(args.seed),
-                             "--n-corpus", str(args.n),
+                             "--n-corpus", str(args.n_corpus),
                              "--kinds", args.kinds])
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -49,7 +50,7 @@ def main(argv=None):
     lemma_true = sum(1 for r in rows if r["lemmaHolds"] == "True")
     dims = Counter(int(r["totalDim"]) for r in rows)
     print(f"{len(rows)} complexes (seeds {args.seed}.."
-          f"{args.seed + args.n - 1}) -> {out_file}")
+          f"{args.seed + args.n_corpus - 1}) -> {out_file}")
     if rows:
         print(f"total dim: min {min(dims)}, max {max(dims)}")
         print(f"lemma holds on {lemma_true}/{len(rows)}")

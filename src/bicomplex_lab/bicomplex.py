@@ -423,15 +423,16 @@ def from_json_dict(obj, *, default_label=""):
             if not isinstance(rows, list) or not all(
                     isinstance(r, list) for r in rows):
                 raise BicomplexFormatError(f"{where}: expected a list of rows")
-            if not rows or not rows[0]:
-                continue
-            width = len(rows[0])
-            columns = [{} for _ in range(width)]
+            width = len(rows[0]) if rows else 0
             for i, row in enumerate(rows):
                 if len(row) != width:
                     raise BicomplexFormatError(
                         f"{where}: ragged rows (row {i} has {len(row)} "
                         f"entries, expected {width})")
+            if not width:
+                continue
+            columns = [{} for _ in range(width)]
+            for i, row in enumerate(rows):
                 for j, cell in enumerate(row):
                     if cell == "0":  # most cells; sparse columns skip zeros
                         continue

@@ -451,12 +451,20 @@ def _write_atomic(path, text):
 
 
 def _deliver(files, out_dir):
-    """Write {name: text} into out_dir, or print to stdout if none."""
+    """Write {name: text} into out_dir, or print to stdout if none.
+
+    A directory or file that cannot be created (say, ``out_dir`` names an
+    existing regular file) is a UsageError naming the path.
+    """
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for name in sorted(files):
-            _write_atomic(out / name, files[name])
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for name in sorted(files):
+                _write_atomic(out / name, files[name])
+        except OSError as exc:
+            raise UsageError(f"cannot write {exc.filename or out}: "
+                             f"{exc.strerror or exc}") from exc
         return
     for i, name in enumerate(sorted(files)):
         if len(files) > 1:

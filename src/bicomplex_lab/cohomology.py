@@ -311,8 +311,8 @@ def natural_maps(k):
             basis = pairs[bid][side].basis
             blocks.append((offset, cols, basis))
             cols += basis.cols
-        return Subspace.from_columns(
-            t.dims[deg], place_blocks(t.dims[deg], cols, blocks))
+        # Reduced echelon blocks at ascending row offsets: canonical as is.
+        return Subspace(t.dims[deg], place_blocks(t.dims[deg], cols, blocks))
 
     return NaturalMapRanks(
         bott_chern_to_dolbeault=bigraded(bc, dol),

@@ -17,16 +17,20 @@ module
 
 Decomposition strategy: all squares are split off at once, in input
 coordinates.  At each anchor the square vectors complement the kernel of
-the composed differential (their count is its rank), and one kernel per
-touched bidegree, of the functionals that read the square corners back,
-cuts out the residual complement.  The residual is a plain Bicomplex on
-which both two-step composites vanish.  On it, the multiplicity of every
-candidate staircase is an inclusion-exclusion of limit-to-colimit ranks
-over staircase windows.  The adapted basis realizing the multiset is
-canonical: for each zigzag type it is the echelon complement, inside
-the space of structure-compatible maps from the model zigzag, of the
-maps that do not split (those that vanish in the window colimit once
-the arrows entering its sink ends are killed).  No random draws are made.
+the composed differential (read from the cohomology module's per-complex
+store; their count is its rank), and one kernel per touched bidegree, of
+the functionals that read the square corners back, cuts out the residual
+complement.  The residual is a plain Bicomplex on which both two-step
+composites vanish.  On it, the multiplicity of every candidate staircase
+is an inclusion-exclusion of limit-to-colimit ranks over staircase
+windows.  The adapted basis realizing the multiset is canonical: for
+each zigzag type it is the echelon complement, inside the space of
+structure-compatible maps from the model zigzag, of the maps that do not
+split (those that vanish in the window colimit once the arrows entering
+its sink ends are killed).  No random draws are made.  Every step works
+on whole sparse blocks: each summand type contributes one matrix per
+bidegree, holding the vectors of all its copies, and the adapted basis
+at a bidegree is these blocks side by side in canonical part order.
 """
 
 import functools
@@ -35,7 +39,7 @@ from dataclasses import dataclass, replace
 from typing import ClassVar, NamedTuple
 
 from .bicomplex import Bicomplex, ensure_valid
-from .cohomology import CohomologyTable
+from .cohomology import CohomologyTable, _subspace
 from .exactla import (
     LinAlgError,
     Matrix,
@@ -192,13 +196,26 @@ def decomposition_to_json_dict(d):
 
 class _Pattern(NamedTuple):
     spaces: dict     # bidegree -> dimension
-    del_entries: dict        # bidegree -> {(row, col): scalar}
-    delbar_entries: dict
+    del_blocks: dict     # source bidegree -> Matrix, where arrows leave it
+    delbar_blocks: dict
     index: dict      # (part position, bidegree) -> basis offset
 
 
+def _arrows(part):
+    """``(differential, source, target, coefficient)`` per arrow of a part;
+    the differential is 0 for del and 1 for delbar."""
+    if isinstance(part, Square):
+        p, q = part.anchor
+        return ((0, (p, q), (p + 1, q), SC_ONE),
+                (1, (p, q), (p, q + 1), SC_ONE),
+                (1, (p + 1, q), (p + 1, q + 1), SC_ONE),
+                (0, (p, q + 1), (p + 1, q + 1), SC_MINUS_ONE))
+    return tuple((0, a, b, SC_ONE) if b[0] > a[0] else (1, b, a, SC_ONE)
+                 for a, b in zip(part.dots, part.dots[1:]))
+
+
 def _pattern(parts):
-    """Stacked block layout of a part sequence, entries still sparse."""
+    """Stacked block layout of a part sequence, as sparse matrices."""
     spaces = {}
     index = {}
     for t, part in enumerate(parts):
@@ -207,52 +224,18 @@ def _pattern(parts):
         for d in part.dots:
             index[(t, d)] = spaces.get(d, 0)
             spaces[d] = index[(t, d)] + 1
-    del_entries = {}
-    delbar_entries = {}
-
-    def put(table, src, tgt_row, src_col, value):
-        table.setdefault(src, {})[(tgt_row, src_col)] = value
-
+    columns = ({}, {})   # per differential: source bidegree -> columns
     for t, part in enumerate(parts):
-        if isinstance(part, Square):
-            p, q = part.anchor
-            put(del_entries, (p, q),
-                index[(t, (p + 1, q))], index[(t, (p, q))], SC_ONE)
-            put(delbar_entries, (p, q),
-                index[(t, (p, q + 1))], index[(t, (p, q))], SC_ONE)
-            put(delbar_entries, (p + 1, q),
-                index[(t, (p + 1, q + 1))], index[(t, (p + 1, q))], SC_ONE)
-            put(del_entries, (p, q + 1),
-                index[(t, (p + 1, q + 1))], index[(t, (p, q + 1))],
-                SC_MINUS_ONE)
-        else:
-            for a, b in zip(part.dots, part.dots[1:]):
-                if b[0] > a[0]:
-                    put(del_entries, a, index[(t, b)], index[(t, a)], SC_ONE)
-                else:
-                    put(delbar_entries, b,
-                        index[(t, a)], index[(t, b)], SC_ONE)
-    return _Pattern(spaces, del_entries, delbar_entries, index)
-
-
-def _entries_to_matrix(entries, rows, cols):
-    data = [{} for _ in range(cols)]
-    for (i, j), value in entries.items():
-        data[j][i] = value
-    return Matrix._from_sparse(rows, cols, data)
-
-
-def _pattern_blocks(pattern):
-    spaces = pattern.spaces
-    del_blocks = {
-        (p, q): _entries_to_matrix(entries, spaces.get((p + 1, q), 0),
-                                   spaces[(p, q)])
-        for (p, q), entries in pattern.del_entries.items()}
-    delbar_blocks = {
-        (p, q): _entries_to_matrix(entries, spaces.get((p, q + 1), 0),
-                                   spaces[(p, q)])
-        for (p, q), entries in pattern.delbar_entries.items()}
-    return del_blocks, delbar_blocks
+        for which, src, tgt, value in _arrows(part):
+            if src not in columns[which]:
+                columns[which][src] = [{} for _ in range(spaces[src])]
+            columns[which][src][index[(t, src)]][index[(t, tgt)]] = value
+    del_blocks, delbar_blocks = (
+        {(p, q): Matrix._from_sparse(spaces[(p + dp, q + dq)], len(cols),
+                                     cols)
+         for (p, q), cols in blocks.items()}
+        for blocks, (dp, dq) in zip(columns, ((1, 0), (0, 1))))
+    return _Pattern(spaces, del_blocks, delbar_blocks, index)
 
 
 def synthesize(parts, scramble_seed=None):
@@ -265,8 +248,7 @@ def synthesize(parts, scramble_seed=None):
     """
     parts = sort_parts(parts)
     pattern = _pattern(parts)
-    del_blocks, delbar_blocks = _pattern_blocks(pattern)
-    k = Bicomplex(pattern.spaces, del_blocks, delbar_blocks,
+    k = Bicomplex(pattern.spaces, pattern.del_blocks, pattern.delbar_blocks,
                   label="synthesized")
     ensure_valid(k)
     if scramble_seed is not None:
@@ -342,7 +324,8 @@ def standard_conjugation(parts):
             raise ValueError("part multiset is not closed under mirroring")
         for slot, t in enumerate(where):
             partner[t] = mirrored[slot]
-    entries = {}
+    columns = {bid: [{} for _ in range(dim)]
+               for bid, dim in pattern.spaces.items()}
     for t, part in enumerate(parts):
         u = partner[t]
         if isinstance(part, Square):
@@ -355,12 +338,11 @@ def standard_conjugation(parts):
             corners = tuple(((p, q), (q, p), SC_ONE)
                             for (p, q) in part.dots)
         for src, dst, coeff in corners:
-            entries.setdefault(src, {})[
-                (pattern.index[(u, dst)], pattern.index[(t, src)])] = coeff
-    return {bid: _entries_to_matrix(
-                entries.get(bid, {}),
-                pattern.spaces.get((bid[1], bid[0]), 0), dim)
-            for bid, dim in pattern.spaces.items()}
+            columns[src][pattern.index[(t, src)]][
+                pattern.index[(u, dst)]] = coeff
+    return {bid: Matrix._from_sparse(pattern.spaces.get((bid[1], bid[0]), 0),
+                                     len(cols), cols)
+            for bid, cols in columns.items()}
 
 
 # --------------------------------------------------------------------------
@@ -394,34 +376,22 @@ def verify_decomposition(d, k):
         support = k.support()
         if sorted(pattern.spaces) != support:
             return False
+        basis = d.basis_change
         for bid in support:
             dim = k.dimension(*bid)
-            s = d.basis_change.get(bid)
+            s = basis.get(bid)
             if (pattern.spaces[bid] != dim or s is None
                     or s.rows != dim or s.cols != dim or rank(s) != dim):
                 return False
-        del_blocks, delbar_blocks = _pattern_blocks(pattern)
-
-        def base(bid):
-            s = d.basis_change.get(bid)
-            return s if s is not None else Matrix.zero(0, 0)
-
         for (p, q) in support:
-            s = base((p, q))
-            lhs = k.del_map(p, q) @ s
-            pat = del_blocks.get((p, q))
-            if pat is None:
-                if not lhs.is_zero():
+            for diff, blocks, tgt in (
+                    (k.del_map(p, q), pattern.del_blocks, (p + 1, q)),
+                    (k.delbar_map(p, q), pattern.delbar_blocks, (p, q + 1))):
+                lhs = diff @ basis[(p, q)]
+                pat = blocks.get((p, q))
+                if not (lhs.is_zero() if pat is None
+                        else lhs == basis[tgt] @ pat):
                     return False
-            elif lhs != base((p + 1, q)) @ pat:
-                return False
-            lhs = k.delbar_map(p, q) @ s
-            pat = delbar_blocks.get((p, q))
-            if pat is None:
-                if not lhs.is_zero():
-                    return False
-            elif lhs != base((p, q + 1)) @ pat:
-                return False
         return True
     except (LinAlgError, ValueError, KeyError, TypeError):
         return False
@@ -432,10 +402,14 @@ def decompose(k):
 
     Phase one splits off every square in one pass, in input coordinates:
     at each anchor the anchor vectors are the canonical complement of
-    ker(del delbar), and the residual is the common kernel of the
-    functionals reading the square corners back, wrapped as a Bicomplex.
-    Phase two counts the zigzags of the residual, phase three picks their
-    adapted basis.
+    ker(del delbar), taken from the complex's cohomology store, and the
+    residual is the common kernel of the functionals reading the square
+    corners back, wrapped as a Bicomplex.  Phase two counts the zigzags
+    of the residual, phase three picks their adapted basis.  Each square
+    anchor and each zigzag type yields one block per bidegree it touches
+    (anchors, their del, delbar and delbar-del images; source rows of the
+    split maps, their sink images), and ``basis_change`` stacks these
+    blocks side by side in canonical part order.
 
     Deterministic: the adapted basis is a function of the input alone, with
     no random draws and no retries.  The result is verified
@@ -453,15 +427,15 @@ def decompose(k):
     # functionals defined there is closed under both differentials (del
     # delbar del = 0 = delbar del delbar) and meets the squares' span in 0,
     # so it is the residual complement; untouched bidegrees keep theirs.
-    square_parts = []
+    types = []   # (part, multiplicity, {bidegree: block of its vectors})
     reads = {}
     try:
         for (p, q) in support:
-            composed = k.del_map(p, q + 1) @ k.delbar_map(p, q)
-            if composed.is_zero():
+            ker = _subspace(k, "ker_ddbar", (p, q))
+            if ker.dim == k.dimension(p, q):
                 continue
-            anchors = complete_basis(kernel_basis(composed),
-                                     Subspace.full(k.dimension(p, q)))
+            composed = k.del_map(p, q + 1) @ k.delbar_map(p, q)
+            anchors = complete_basis(ker, Subspace.full(k.dimension(p, q)))
             lam = solve((composed @ anchors).transpose(),
                         Matrix.identity(anchors.cols)).transpose()
             for bid, functional in (
@@ -471,13 +445,10 @@ def decompose(k):
                     ((p + 1, q + 1), lam)):
                 reads.setdefault(bid, []).append(functional)
             e10 = k.del_map(p, q) @ anchors
-            e01 = k.delbar_map(p, q) @ anchors
-            e11 = k.delbar_map(p + 1, q) @ e10
-            for j in range(anchors.cols):
-                square_parts.append((Square(anchor=(p, q)), {
-                    (p, q): anchors.column(j), (p + 1, q): e10.column(j),
-                    (p, q + 1): e01.column(j),
-                    (p + 1, q + 1): e11.column(j)}))
+            types.append((Square(anchor=(p, q)), anchors.cols, {
+                (p, q): anchors, (p + 1, q): e10,
+                (p, q + 1): k.delbar_map(p, q) @ anchors,
+                (p + 1, q + 1): k.delbar_map(p + 1, q) @ e10}))
         embed = {}
         for bid, functionals in reads.items():
             blocks = []
@@ -662,47 +633,41 @@ def decompose(k):
     # family that is a basis of every quotient is an isomorphism modulo
     # the radicals, hence an isomorphism (Nakayama); the canonical
     # complement of each radical is one.
-    def instance_columns(z, roles, vector):
-        dots = z.dots
-        s_off, _ = offsets(dots, roles, "sink")
-        cols = {dots[i]: vector[o: o + res.dimension(*dots[i])]
-                for i, o in s_off.items()}
-        for i, d in enumerate(dots):
-            if roles[i] == "sink":
-                if i > 0:
-                    cols[d] = res.del_map(*dots[i - 1]).apply(
-                        cols[dots[i - 1]])
-                else:
-                    cols[d] = res.delbar_map(*dots[1]).apply(cols[dots[1]])
-        return cols
-
-    zigzag_parts = []
     for z, m in zig_types:
+        dots = z.dots
         roles = z.roles()
-        hom = sink_relations(z.dots, roles, kill_ends=True)
-        to_sinks, rel = colimit(z.dots, roles, sink_ends=True)
+        hom = sink_relations(dots, roles, kill_ends=True)
+        to_sinks, rel = colimit(dots, roles, sink_ends=True)
         rad = preimage(to_sinks @ hom, image_basis(rel))
         top = complete_basis(rad, Subspace.full(hom.cols))
         if top.cols != m:
             raise DecompositionError(
                 f"{z} has {top.cols} split embeddings, expected {m}")
-        zigzag_parts += [(z, instance_columns(z, roles, vector))
-                         for vector in (hom @ top).columns()]
+        # Rows of the split maps, cut per source dot; each sink block is
+        # the image of its left neighbour under del (or, for a sink at the
+        # start, of its right neighbour under delbar).
+        maps = (hom @ top).transpose()
+        s_off, _ = offsets(dots, roles, "sink")
+        blocks = {dots[i]: maps.column_slice(
+                      range(o, o + res.dimension(*dots[i]))).transpose()
+                  for i, o in s_off.items()}
+        for i, d in enumerate(dots):
+            if roles[i] == "sink":
+                blocks[d] = (res.del_map(*dots[i - 1]) @ blocks[dots[i - 1]]
+                             if i > 0 else
+                             res.delbar_map(*dots[1]) @ blocks[dots[1]])
+        types.append((z, m, {bid: embed[bid] @ b if bid in embed else b
+                             for bid, b in blocks.items()}))
 
     # ---- Assemble, verify, return. ----
-    all_parts = square_parts + [
-        (z, {bid: embed[bid].apply(vec) if bid in embed else vec
-             for bid, vec in cols.items()})
-        for z, cols in zigzag_parts]
-    all_parts.sort(key=lambda pc: _part_key(pc[0]))
-    columns = {bid: [] for bid in support}
-    for part, cols in all_parts:
-        for bid, vec in cols.items():
-            columns[bid].append(vec)
-    basis_change = {bid: Matrix(k.dimension(*bid), len(vecs), vecs)
-                    for bid, vecs in columns.items()}
-    result = Decomposition(parts=tuple(p for p, _ in all_parts),
-                           basis_change=basis_change, verified=False)
+    types.sort(key=lambda t: _part_key(t[0]))
+    basis_change = {bid: Matrix.zero(k.dimension(*bid), 0) for bid in support}
+    for _, _, blocks in types:
+        for bid, b in blocks.items():
+            basis_change[bid] = basis_change[bid].hstack(b)
+    result = Decomposition(
+        parts=tuple(part for part, m, _ in types for _ in range(m)),
+        basis_change=basis_change, verified=False)
     if not verify_decomposition(result, k):
         raise DecompositionError("internal verification failure")
     return replace(result, verified=True)

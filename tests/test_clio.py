@@ -124,6 +124,15 @@ class TestParseBicomplexFile:
         assert "(0,0) is 2x3" in capsys.readouterr().err
 
 
+    def test_empty_first_row_does_not_hide_a_ragged_block(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({"spaces": {"0,0": 1, "1,0": 2},
+                                    "del": {"0,0": [[], ["1"]]}}))
+        assert clio.main(["validate", "--in", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "del block at (0,0)" in err and "row 1" in err
+
     def test_json_boolean_dimension_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bool.json"
         path.write_text(json.dumps({"n": 1, "spaces": {"0,0": True}}))
@@ -371,6 +380,18 @@ class TestCorpusScript:
         assert "--n-corpus must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "corpus.csv").exists()
 
+    def test_n_is_an_alias_of_the_flag_the_message_names(self, tmp_path,
+                                                         capsys):
+        assert self._main(["--n-corpus", "-3", "--out", str(tmp_path)]) \
+            == EXIT_USAGE
+        assert "--n-corpus must be >= 0" in capsys.readouterr().err
+        assert self._main(["--n-corpus", "3", "--out",
+                           str(tmp_path / "long")]) == EXIT_OK
+        assert self._main(["--n", "3", "--out",
+                           str(tmp_path / "short")]) == EXIT_OK
+        assert (tmp_path / "long" / "corpus.csv").read_text() \
+            == (tmp_path / "short" / "corpus.csv").read_text()
+
     def test_bad_kind_is_usage_error(self, tmp_path, capsys):
         assert self._main(["--kinds", "triangle", "--out",
                            str(tmp_path)]) == EXIT_USAGE
@@ -423,6 +444,18 @@ class TestCliPlumbing:
         assert names == ["aeppli.csv", "bott_chern.csv",
                          "conj_dolbeault.csv", "de_rham.csv",
                          "dolbeault.csv"]  # no .tmp leftovers
+
+    def test_out_at_an_existing_file_is_usage_error(self, tmp_path,
+                                                    capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        for out in (taken, taken / "sub"):
+            assert clio.main(["check", "--preset", "torus1",
+                              "--out", str(out)]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage error: cannot write {taken}")
+            assert err.count("\n") == 1
+        assert taken.read_text() == "keep\n"
 
     def test_decompose_json_round_trips_parts(self, tmp_path):
         rc = clio.main(["decompose", "--preset", "kodaira",

@@ -21,6 +21,8 @@ Expected values and how they were obtained:
   expectation.
 """
 
+import hashlib
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -47,6 +49,9 @@ from bicomplex_lab.exactla import (
 )
 
 THEORIES = ("de_rham", "dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
+
+BASIS_DIGEST = ("2b684a7620067ca59c07c4a945325b6a"
+                "5cbe541092182cb5103854e2937fbcf4")
 
 
 def assert_counts_match_tables(k, decomposition=None):
@@ -365,6 +370,48 @@ class TestDecompose:
                     == expected, (name, (p, q))
                 counted[name] += len(cols)
         assert counted["random"] == 142 and counted["nil4"] > 0
+
+    def test_adapted_basis_is_pinned(self):
+        """SHA-256 over the parts and the ``str`` of every basis_change
+        entry of iwasawa, kodaira, nil4 and 70 random complexes; recorded
+        when the adapted basis was still assembled vector by vector, so
+        building it from whole blocks changed no entry."""
+        nil4 = models.from_structure_equations(models.parse_structure_text(
+            "n = 4\nd w3 = -1* w1^w2\nd w4 = w1^cw1\n"))
+        inputs = [models.iwasawa(), models.kodaira_surface(), nil4]
+        inputs += [models.random_bicomplex(s).bicomplex for s in range(50)]
+        inputs += [models.random_bicomplex(s, symmetric=True).bicomplex
+                   for s in range(20)]
+        h = hashlib.sha256()
+        for k in inputs:
+            d = zz.decompose(k)
+            h.update(json.dumps([zz.part_to_json_dict(p)
+                                 for p in d.parts]).encode())
+            for bid in sorted(d.basis_change):
+                m = d.basis_change[bid]
+                h.update(f"{bid} {m.rows}x{m.cols}\n".encode())
+                for row in m.to_rows():
+                    h.update((" ".join(map(str, row)) + "\n").encode())
+        assert h.hexdigest() == BASIS_DIGEST
+
+    def test_reads_ker_del_delbar_from_the_store(self, monkeypatch):
+        """After all_tables, decompose computes no ker(del delbar) of its
+        own: the store's builder runs once per bidegree in total, and on a
+        fresh complex decompose fills the store itself."""
+        make = cohomology._SUBSPACES["ker_ddbar"]
+        calls = Counter()
+
+        def counted(k, p, q):
+            calls[(p, q)] += 1
+            return make(k, p, q)
+
+        monkeypatch.setitem(cohomology._SUBSPACES, "ker_ddbar", counted)
+        k = models.iwasawa()
+        cohomology.all_tables(k)
+        zz.decompose(k)
+        assert calls == Counter(dict.fromkeys(k.support(), 1))
+        zz.decompose(models.iwasawa())
+        assert calls == Counter(dict.fromkeys(k.support(), 2))
 
     def test_invalid_input_rejected(self):
         bad = tc.build({(0, 0): 1, (1, 0): 1, (2, 0): 1},
