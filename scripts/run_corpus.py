@@ -8,7 +8,9 @@ and size; parallelism via BICOMPLEX_LAB_THREADS never changes output.
 The flags are checked as the ``corpus`` command checks them: a negative
 ``--n-corpus`` or an unknown or empty ``--kinds`` list is a usage error
 (exit 1), and empty entries in ``--kinds`` are dropped.  ``--n`` is a
-short alias of ``--n-corpus``.
+short alias of ``--n-corpus``.  An ``--out`` that cannot be a directory
+(say, an existing regular file) is the same ``cannot write`` usage error,
+raised before any complex is computed.
 
 Usage: python3 scripts/run_corpus.py [--seed 0] [--n-corpus 500]
        [--out results] [--kinds dot,square,zigzag]
@@ -22,7 +24,7 @@ from collections import Counter
 from pathlib import Path
 
 from bicomplex_lab.clio import (EXIT_THEOREM, EXIT_USAGE, UsageError,
-                                parse_args, run_corpus)
+                                _deliver, parse_args, run_corpus)
 
 
 def main(argv=None):
@@ -37,14 +39,13 @@ def main(argv=None):
         config = parse_args(["corpus", "--seed", str(args.seed),
                              "--n-corpus", str(args.n_corpus),
                              "--kinds", args.kinds])
+        _deliver({}, args.out)  # the directory, before any work
+        csv_text, failure = run_corpus(config)
+        _deliver({"corpus.csv": csv_text}, args.out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    csv_text, failure = run_corpus(config)
-
-    args.out.mkdir(parents=True, exist_ok=True)
     out_file = args.out / "corpus.csv"
-    out_file.write_text(csv_text)
 
     rows = list(csv.DictReader(io.StringIO(csv_text)))
     lemma_true = sum(1 for r in rows if r["lemmaHolds"] == "True")

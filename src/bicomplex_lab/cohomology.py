@@ -20,7 +20,10 @@ All of it is built from the kernels and images of del, delbar and
 del delbar per bidegree and of the total differential.  A private store
 in the complex's ``_store`` slot computes each of these, the totalization
 and every theory's (cocycles, coboundaries) pair at most once, on first
-use; this module and the Schweitzer pairing check read from it.
+use; this module and the Schweitzer pairing check read from it.  The
+store also seeds the Frolicher page chase, whose first step reads
+im delbar and the Dolbeault cocycles from it; later steps recompute only
+the bidegrees whose chain entries moved.
 """
 
 from dataclasses import dataclass
@@ -34,6 +37,7 @@ from .exactla import (
     place_blocks,
     preimage,
     quotient_dim,
+    rank_modulo,
     subspace_intersect,
     subspace_sum,
 )
@@ -207,70 +211,74 @@ def de_rham(k):
     return _table(k, "de_rham")
 
 
-def _map_image(m, sub):
-    """Image of a subspace under a linear map (zero space for None)."""
-    if sub is None:
-        return Subspace.zero(m.rows)
-    return image_basis(m @ sub.basis)
-
-
 def frolicher_pages(k, r_max=None):
     """Spectral-sequence pages for the filtration by horizontal degree.
 
-    Page 1 carries the Dolbeault dimensions; the limit page refines de Rham
+    Page 1 is the Dolbeault table; the limit page refines de Rham
     (anti-diagonal sums of the limit equal the Betti numbers).  Page r is
     the subquotient of elements extendable to a length-r staircase divided
     by staircase boundaries; both chains are computed by iterated
     image/preimage steps, so every page dimension is exact.
 
+    The store seeds the chase: level-2 extendable elements are those whose
+    del lies in im delbar, and level-1 absorbable ones are the Dolbeault
+    cocycles.  After that, a step recomputes a chain entry only where its
+    neighbour moved in the last step, and a page entry only where one of
+    the chain entries it reads moved; the others repeat the last page.
+
     ``r_max`` caps how many pages are reported (it never affects
     ``r_stab`` or ``e_infinity``); pages past stabilization are omitted
     since they repeat the last one.  Raises ValueError for ``r_max`` < 1.
     """
-    dol = _pairs(k, "dolbeault")
     if r_max is not None and r_max < 1:
         raise ValueError("r_max must be at least 1")
+    dol = _pairs(k, "dolbeault")
     support = k.support()
     if not support:
         return FrolicherPages(pages={1: {}}, r_stab=1, e_infinity={})
     p_values = [p for p, _ in support]
     hard_stop = max(p_values) - min(p_values) + 1
-    # extendable[r][(p,q)]: elements whose horizontal image can be chased
-    # through r-1 further anti-diagonal steps; absorbable[r] mirrors it for
+    # extendable[(p,q)]: elements whose horizontal image can be chased
+    # through r-1 further anti-diagonal steps; absorbable mirrors it for
     # boundaries.  Level 1 extendable = everything; level 0 absorbable = 0.
     extendable = {bid: Subspace.full(k.dimension(*bid)) for bid in support}
     absorbable = {bid: Subspace.zero(k.dimension(*bid)) for bid in support}
-    dims_per_page = []
-    for r in range(1, hard_stop + 1):
-        dims = {}
+    dims = {bid: z.dim - b.dim for bid, (z, b) in dol.items()}
+    dims_per_page = [dims]
+    while len(dims_per_page) < hard_stop:
+        if len(dims_per_page) == 1:
+            new_ext = {(p, q): preimage(
+                k.del_map(p, q), _subspace(k, "im_delbar", (p + 1, q)))
+                for (p, q) in support}
+            new_abs = {bid: z for bid, (z, _) in dol.items()}
+        else:
+            # An entry reads only its neighbour's previous level.
+            new_ext = {(p, q): preimage(k.del_map(p, q), image_basis(
+                k.delbar_map(p + 1, q - 1) @ extendable[(p + 1, q - 1)].basis))
+                for (p, q) in support if (p + 1, q - 1) in moved_ext}
+            new_abs = {(p, q): preimage(k.delbar_map(p, q), image_basis(
+                k.del_map(p - 1, q + 1) @ absorbable[(p - 1, q + 1)].basis))
+                for (p, q) in support if (p - 1, q + 1) in moved_abs}
+        # Subspaces are canonical, so != is exact: once neither chain
+        # moves, every later page repeats the last one.
+        moved_ext = {bid for bid, s in new_ext.items() if s != extendable[bid]}
+        moved_abs = {bid for bid, s in new_abs.items() if s != absorbable[bid]}
+        if not (moved_ext or moved_abs):
+            break
+        extendable.update(new_ext)
+        absorbable.update(new_abs)
+        dims = dict(dims)
         for (p, q) in support:
+            if (p, q) not in moved_ext and (p - 1, q) not in moved_abs:
+                continue
             z_dol, b = dol[(p, q)]
             z = subspace_intersect(z_dol, extendable[(p, q)])
             boundary_src = absorbable.get((p - 1, q))
             if boundary_src is not None and boundary_src.dim:
-                b = subspace_sum(
-                    b, _map_image(k.del_map(p - 1, q), boundary_src))
+                b = subspace_sum(b, image_basis(
+                    k.del_map(p - 1, q) @ boundary_src.basis))
             dims[(p, q)] = quotient_dim(z, b)
         dims_per_page.append(dims)
-        if r == hard_stop:
-            break
-        chains = (extendable, absorbable)
-        extendable = {
-            (p, q): preimage(
-                k.del_map(p, q),
-                _map_image(k.delbar_map(p + 1, q - 1),
-                           extendable.get((p + 1, q - 1))))
-            for (p, q) in support}
-        absorbable = {
-            (p, q): preimage(
-                k.delbar_map(p, q),
-                _map_image(k.del_map(p - 1, q + 1),
-                           absorbable.get((p - 1, q + 1))))
-            for (p, q) in support}
-        # Subspaces are canonical, so == is exact: once both chains stop
-        # moving, every later page repeats this one.
-        if (extendable, absorbable) == chains:
-            break
     e_infinity = dims_per_page[-1]
     r_stab = next(r for r, dims in enumerate(dims_per_page, start=1)
                   if dims == e_infinity)
@@ -279,28 +287,22 @@ def frolicher_pages(k, r_max=None):
     return FrolicherPages(pages=pages, r_stab=r_stab, e_infinity=e_infinity)
 
 
-def _induced_rank(source_cocycles, target_boundaries):
-    """Rank of the identity-induced map between two quotient theories."""
-    return (subspace_sum(source_cocycles, target_boundaries).dim
-            - target_boundaries.dim)
-
-
 def natural_maps(k):
     """Ranks of the seven identity-induced maps between the theories.
 
     Each of the theories is a quotient of a cocycle space and the identity
     on the underlying complex carries one into another whenever the
     cocycles shrink and the coboundaries grow; the rank of the induced map
-    is dim((source cocycles + target coboundaries) / target coboundaries).
-    Maps through de Rham first re-express bigraded subspaces in total-space
-    coordinates.
+    is dim((source cocycles + target coboundaries) / target coboundaries),
+    which ``rank_modulo`` takes without echeloning the sum.  Maps through
+    de Rham first re-express bigraded subspaces in total-space coordinates.
     """
     bc, dol, conj, aep, dr = (_pairs(k, theory) for theory in (
         "bott_chern", "dolbeault", "conj_dolbeault", "aeppli", "de_rham"))
     t = _total(k)
 
     def bigraded(source, target):
-        return {bid: _induced_rank(source[bid][0], target[bid][1])
+        return {bid: rank_modulo(source[bid][0], target[bid][1])
                 for bid in k.support()}
 
     def embedded(deg, pairs, side):
@@ -318,13 +320,13 @@ def natural_maps(k):
         bott_chern_to_dolbeault=bigraded(bc, dol),
         bott_chern_to_conj_dolbeault=bigraded(bc, conj),
         bott_chern_to_de_rham={
-            deg: _induced_rank(embedded(deg, bc, 0), dr[deg][1])
+            deg: rank_modulo(embedded(deg, bc, 0), dr[deg][1])
             for deg in t.degrees()},
         bott_chern_to_aeppli=bigraded(bc, aep),
         dolbeault_to_aeppli=bigraded(dol, aep),
         conj_dolbeault_to_aeppli=bigraded(conj, aep),
         de_rham_to_aeppli={
-            deg: _induced_rank(dr[deg][0], embedded(deg, aep, 1))
+            deg: rank_modulo(dr[deg][0], embedded(deg, aep, 1))
             for deg in t.degrees()},
     )
 

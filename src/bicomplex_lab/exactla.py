@@ -596,6 +596,21 @@ def quotient_dim(u, w):
     return u.dim - w.dim
 
 
+def rank_modulo(u, w):
+    """Dimension of ``(U + W)/W``, with no containment required.
+
+    U's basis columns are reduced by W's pivots, as ``contains`` does.
+    What is left is zero in every pivot row of W, so it meets W only in 0
+    and its rank is the dimension U adds to W.
+    """
+    if u.ambient_dim != w.ambient_dim:
+        raise LinAlgError("rank_modulo: ambient dimension mismatch")
+    pivots = w._pivots()
+    return rank(Matrix._from_sparse(
+        u.ambient_dim, u.dim,
+        [_reduce(dict(c), pivots) for c in u.basis._data]))
+
+
 def complete_basis(inner, outer):
     """Columns extending a basis of ``inner`` to one of ``outer``.
 

@@ -392,6 +392,20 @@ class TestCorpusScript:
         assert (tmp_path / "long" / "corpus.csv").read_text() \
             == (tmp_path / "short" / "corpus.csv").read_text()
 
+    def test_out_at_an_existing_file_fails_before_the_corpus(
+            self, tmp_path, monkeypatch, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        computed = []
+        monkeypatch.setattr(clio, "run_corpus", computed.append)
+        for out in (taken, taken / "sub"):
+            assert self._main(["--n", "1", "--out", str(out)]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage error: cannot write {taken}")
+            assert err.count("\n") == 1
+        assert computed == []
+        assert taken.read_text() == "keep\n"
+
     def test_bad_kind_is_usage_error(self, tmp_path, capsys):
         assert self._main(["--kinds", "triangle", "--out",
                            str(tmp_path)]) == EXIT_USAGE

@@ -35,6 +35,7 @@ from bicomplex_lab.bicomplex import Bicomplex, totalize
 from bicomplex_lab.checkers import run_all_checks
 from bicomplex_lab.cohomology import (
     BIGRADED_THEORIES,
+    FrolicherPages,
     aeppli,
     all_tables,
     bott_chern,
@@ -48,9 +49,13 @@ from bicomplex_lab.exactla import (
     Matrix,
     Subspace,
     image_basis,
+    kernel_basis,
+    preimage,
+    quotient_dim,
     rank,
     scalar,
     subspace_intersect,
+    subspace_sum,
 )
 from bicomplex_lab.models import (
     from_structure_equations,
@@ -182,6 +187,73 @@ def nonzero(dims):
 EXAMPLES = [dot(1, 2), vertical_two_dots(), horizontal_two_dots(),
             staircase_three_dots(), square_complex(), diagram_a(),
             diagram_b(), torus(2), iwasawa(), kodaira_surface()]
+
+
+def nil4():
+    return from_structure_equations(parse_structure_text(
+        "n = 4\nd w3 = -1* w1^w2\nd w4 = w1^cw1\n"))
+
+
+# --------------------------------------------------------------------------
+# Reference page loop: every chain and page entry recomputed on every page.
+# --------------------------------------------------------------------------
+
+def _map_image(m, sub):
+    """Image of a subspace under a linear map (zero space for None)."""
+    if sub is None:
+        return Subspace.zero(m.rows)
+    return image_basis(m @ sub.basis)
+
+
+def reference_frolicher_pages(k, r_max=None):
+    """The full-recompute page loop, with Dolbeault pairs of its own."""
+    if r_max is not None and r_max < 1:
+        raise ValueError("r_max must be at least 1")
+    support = k.support()
+    if not support:
+        return FrolicherPages(pages={1: {}}, r_stab=1, e_infinity={})
+    dol = {(p, q): (kernel_basis(k.delbar_map(p, q)),
+                    image_basis(k.delbar_map(p, q - 1)))
+           for (p, q) in support}
+    p_values = [p for p, _ in support]
+    hard_stop = max(p_values) - min(p_values) + 1
+    extendable = {bid: Subspace.full(k.dimension(*bid)) for bid in support}
+    absorbable = {bid: Subspace.zero(k.dimension(*bid)) for bid in support}
+    dims_per_page = []
+    for r in range(1, hard_stop + 1):
+        dims = {}
+        for (p, q) in support:
+            z_dol, b = dol[(p, q)]
+            z = subspace_intersect(z_dol, extendable[(p, q)])
+            boundary_src = absorbable.get((p - 1, q))
+            if boundary_src is not None and boundary_src.dim:
+                b = subspace_sum(
+                    b, _map_image(k.del_map(p - 1, q), boundary_src))
+            dims[(p, q)] = quotient_dim(z, b)
+        dims_per_page.append(dims)
+        if r == hard_stop:
+            break
+        chains = (extendable, absorbable)
+        extendable = {
+            (p, q): preimage(
+                k.del_map(p, q),
+                _map_image(k.delbar_map(p + 1, q - 1),
+                           extendable.get((p + 1, q - 1))))
+            for (p, q) in support}
+        absorbable = {
+            (p, q): preimage(
+                k.delbar_map(p, q),
+                _map_image(k.del_map(p - 1, q + 1),
+                           absorbable.get((p - 1, q + 1))))
+            for (p, q) in support}
+        if (extendable, absorbable) == chains:
+            break
+    e_infinity = dims_per_page[-1]
+    r_stab = next(r for r, dims in enumerate(dims_per_page, start=1)
+                  if dims == e_infinity)
+    last = r_stab if r_max is None else min(r_stab, r_max)
+    pages = {r: dims_per_page[r - 1] for r in range(1, last + 1)}
+    return FrolicherPages(pages=pages, r_stab=r_stab, e_infinity=e_infinity)
 
 
 # --------------------------------------------------------------------------
@@ -345,6 +417,15 @@ class TestStructureModels:
             assert all(dims[(p, q)] == dims[(q, p)] for (p, q) in dims)
 
 
+@pytest.fixture(scope="module")
+def page_inputs():
+    inputs = [*EXAMPLES, nil4()]
+    inputs += [random_bicomplex(seed)[0] for seed in range(300)]
+    inputs += [random_bicomplex(seed, symmetric=True)[0]
+               for seed in range(100)]
+    return inputs
+
+
 class TestFrolicherPages:
     def test_torus_stabilizes_immediately(self):
         pages = frolicher_pages(torus(2))
@@ -402,12 +483,23 @@ class TestFrolicherPages:
         with pytest.raises(ValueError):
             frolicher_pages(k, r_max=0)
 
+    def test_r_max_is_checked_before_any_work(self):
+        k = iwasawa()
+        with pytest.raises(ValueError):
+            frolicher_pages(k, r_max=0)
+        assert k._store is None
+
+    @pytest.mark.parametrize("r_max", [None, 1, 2])
+    def test_matches_the_full_recompute_loop(self, page_inputs, r_max):
+        for k in page_inputs:
+            assert frolicher_pages(k, r_max=r_max) \
+                == reference_frolicher_pages(k, r_max=r_max), k.label
+
     def test_page_loop_stops_once_both_chains_are_stable(self, monkeypatch):
         """On nil4 (support p-width 5) the page chains settle after three
         steps; no page past that is chased, so each support bidegree gets
         at most two preimages per page up to one past r_stab."""
-        k = from_structure_equations(parse_structure_text(
-            "n = 4\nd w3 = -1* w1^w2\nd w4 = w1^cw1\n"))
+        k = nil4()
         calls = []
 
         def counted(m, w, _original=cohomology.preimage):
@@ -418,6 +510,28 @@ class TestFrolicherPages:
         pages = frolicher_pages(k)
         assert pages.r_stab == 2
         assert len(calls) <= 2 * len(k.support()) * (pages.r_stab + 1)
+
+    @pytest.mark.parametrize("make, preimages, intersections",
+                             [(nil4, 59, 31), (iwasawa, 29, 13)],
+                             ids=["nil4", "iwasawa"])
+    def test_only_moved_entries_are_chased(self, monkeypatch, make,
+                                           preimages, intersections):
+        """With the Dolbeault pairs in the store, the chase takes only the
+        preimages and intersections of chain and page entries that moved.
+        Recomputing every entry on every page took 150 preimages and 75
+        intersections on nil4, and 96 and 48 on iwasawa."""
+        k = make()
+        dolbeault(k)
+        calls = {"preimage": 0, "subspace_intersect": 0}
+        for name in calls:
+            def counted(*args, _original=getattr(cohomology, name),
+                        _name=name):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(cohomology, name, counted)
+        frolicher_pages(k)
+        assert calls == {"preimage": preimages,
+                         "subspace_intersect": intersections}
 
 
 class TestNaturalMaps:

@@ -37,6 +37,7 @@ from bicomplex_lab.exactla import (
     preimage,
     quotient_dim,
     rank,
+    rank_modulo,
     rce,
     scalar,
     solve,
@@ -177,6 +178,8 @@ class TestSubspaces:
             assert s.dim + w.dim == u.dim + v.dim
             assert s.contains(u) and s.contains(v)
             assert u.contains(w) and v.contains(w)
+            assert rank_modulo(u, v) == s.dim - v.dim
+            assert rank_modulo(v, u) == s.dim - u.dim
 
     def test_quotient_dim(self):
         u = Subspace.full(3)
@@ -184,6 +187,10 @@ class TestSubspaces:
         assert quotient_dim(u, w) == 2
         with pytest.raises(LinAlgError):
             quotient_dim(w, u)
+
+    def test_rank_modulo_needs_one_ambient_space(self):
+        with pytest.raises(LinAlgError):
+            rank_modulo(Subspace.full(2), Subspace.full(3))
 
     def test_complete_basis_oracle(self):
         outer = Subspace.full(2)
