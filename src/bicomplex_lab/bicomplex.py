@@ -350,16 +350,24 @@ def check_real_structure(k):
     return True
 
 
-_BIDEGREE_KEY = re.compile(r"^\s*(-?\d+)\s*,\s*(-?\d+)\s*$")
+_BIDEGREE_KEY = re.compile(r"^\s*(-?\d+)\s*,\s*(-?\d+)\s*$", re.ASCII)
 _ALLOWED_KEYS = frozenset({"label", "n", "spaces", "del", "delbar"})
 
 
-def _parse_bidegree_key(text, where):
+def _parse_bidegree_key(text, where, seen):
+    """The bidegree a key names; ``seen`` maps those already read in this
+    section to their spelling, so two spellings of one are an error."""
     m = _BIDEGREE_KEY.match(text)
     if not m:
         raise BicomplexFormatError(
             f"{where}: bad bidegree key {text!r}, expected \"p,q\"")
-    return int(m.group(1)), int(m.group(2))
+    bid = int(m.group(1)), int(m.group(2))
+    if bid in seen:
+        raise BicomplexFormatError(
+            f"{where}: keys {seen[bid]!r} and {text!r} both name the "
+            f"bidegree ({bid[0]},{bid[1]})")
+    seen[bid] = text
+    return bid
 
 
 def to_json_dict(k):
@@ -398,8 +406,9 @@ def from_json_dict(obj, *, default_label=""):
     if not isinstance(spaces_raw, dict):
         raise BicomplexFormatError("spaces must be an object")
     spaces = {}
+    spellings = {}
     for key, dim in spaces_raw.items():
-        bid = _parse_bidegree_key(key, "spaces")
+        bid = _parse_bidegree_key(key, "spaces", spellings)
         if not _is_count(dim):
             raise BicomplexFormatError(
                 f"spaces[{key!r}]: dimension must be a non-negative integer, "
@@ -417,8 +426,9 @@ def from_json_dict(obj, *, default_label=""):
         if not isinstance(raw, dict):
             raise BicomplexFormatError(f"{name} must be an object")
         blocks = {}
+        spellings = {}
         for key, rows in raw.items():
-            bid = _parse_bidegree_key(key, name)
+            bid = _parse_bidegree_key(key, name, spellings)
             where = f"{name} block at ({bid[0]},{bid[1]})"
             if not isinstance(rows, list) or not all(
                     isinstance(r, list) for r in rows):

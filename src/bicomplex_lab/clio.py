@@ -88,25 +88,52 @@ class RunConfig:
 # Input.
 # --------------------------------------------------------------------------
 
+class _RepeatedKey(ValueError):
+    pass
+
+
+def _unique_keys(pairs):
+    """``object_pairs_hook`` that rejects a key repeated in one object.
+
+    It sees each object's own pairs once, so it costs O(keys) per object
+    and never walks the row lists.
+    """
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _RepeatedKey(key)
+            seen.add(key)
+    return obj
+
+
 def parse_bicomplex_file(path):
     """Parse a ``.json`` or ``.bba`` file into a Bicomplex.
 
     Raises :class:`InputError` with file/line context on unreadable
-    files, parse errors, and unknown extensions.  Validation is the
+    files, text that is not UTF-8, parse errors (a key repeated in one
+    JSON object among them), and unknown extensions.  Validation is the
     caller's concern (the ``validate`` command reports violations, every
     other command aborts on them).
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text at byte {exc.start}"
+                         ) from exc
     if path.suffix == ".json":
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON at line {exc.lineno}, "
                              f"column {exc.colno}: {exc.msg}") from exc
+        except _RepeatedKey as exc:
+            raise InputError(f"{path}: repeated key {exc.args[0]!r} in a "
+                             f"JSON object") from exc
         try:
             return from_json_dict(obj, default_label=path.stem)
         except BicomplexFormatError as exc:
@@ -566,6 +593,7 @@ def _cmd_render(config):
 
 
 def _cmd_corpus(config):
+    _deliver({}, config.out_dir)  # the directory, before any work
     csv_text, failure = run_corpus(config)
     _deliver({"corpus.csv": csv_text}, config.out_dir)
     return EXIT_THEOREM if failure else EXIT_OK

@@ -33,7 +33,7 @@ class LinAlgError(ValueError):
     """Raised for dimension mismatches, singular solves and bad scalars."""
 
 
-_RAT_TOKEN = _re_module.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RAT_TOKEN = _re_module.compile(r"^[+-]?\d+(?:/\d+)?$", _re_module.ASCII)
 
 
 def _q(num, den=None):

@@ -310,11 +310,11 @@ def kodaira_surface():
 
 # Integers in the grammar have at most 9 digits, so ``int`` never meets its
 # digit limit.
-_N_LINE = re.compile(r"^n\s*=\s*(\d{1,9})$")
-_D_LINE = re.compile(r"^d\s+w(\d{1,9})\s*=\s*(.*)$")
+_N_LINE = re.compile(r"^n\s*=\s*(\d{1,9})$", re.ASCII)
+_D_LINE = re.compile(r"^d\s+w(\d{1,9})\s*=\s*(.*)$", re.ASCII)
 _TERM = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?:(?P<scalar>[^*]+?)\s*\*)?\s*"
-    r"(?P<g1>c?w\d{1,9})\s*\^\s*(?P<g2>c?w\d{1,9})")
+    r"(?P<g1>c?w\d{1,9})\s*\^\s*(?P<g2>c?w\d{1,9})", re.ASCII)
 
 
 def _parse_generator(token):

@@ -21,19 +21,29 @@ the composed differential (read from the cohomology module's per-complex
 store; their count is its rank), and one kernel per touched bidegree, of
 the functionals that read the square corners back, cuts out the residual
 complement.  The residual is a plain Bicomplex on which both two-step
-composites vanish.  On it, the multiplicity of every candidate staircase
-is an inclusion-exclusion of limit-to-colimit ranks over staircase
-windows.  The adapted basis realizing the multiset is canonical: for
-each zigzag type it is the echelon complement, inside the space of
-structure-compatible maps from the model zigzag, of the maps that do not
-split (those that vanish in the window colimit once the arrows entering
-its sink ends are killed).  No random draws are made.  Every step works
-on whole sparse blocks: each summand type contributes one matrix per
-bidegree, holding the vectors of all its copies, and the adapted basis
-at a bidegree is these blocks side by side in canonical part order.
+composites vanish.  Its spaces in total degrees k and k + 1, joined by
+both differentials, form one alternating type-A quiver representation
+(strip k), whose bars of two or more nodes are exactly the zigzags that
+live there.  One left-to-right zigzag-persistence sweep per strip counts
+them (Carlsson and de Silva, *Zigzag persistence*, 2010): it keeps a
+basis of the current node with one vector per live bar, and reduces a
+bar's vector only by the vectors of bars of larger key, where a bar born
+at node b outside an image has key (0, -b) and one born in a kernel has
+key (1, b); in that order, adding one bar's vector to another's is an
+automorphism of the part already swept.  Runs end at zero spaces and zero
+arrows, so a complex with zero differentials needs no elimination.  The
+lone dots are what the zigzags leave of each dimension.  The adapted
+basis realizing the multiset is canonical: for each zigzag type it is
+the echelon complement, inside the space of structure-compatible maps
+from the model zigzag, of the maps that do not split (those that vanish
+in the window colimit once the arrows entering its sink ends are
+killed); their count checks the sweep's multiplicity again.  No random
+draws are made.  Every step works on whole sparse blocks: each summand
+type contributes one matrix per bidegree, holding the vectors of all its
+copies, and the adapted basis at a bidegree is these blocks side by side
+in canonical part order.
 """
 
-import functools
 import random
 from dataclasses import dataclass, replace
 from typing import ClassVar, NamedTuple
@@ -397,6 +407,106 @@ def verify_decomposition(d, k):
         return False
 
 
+def _strip_zigzags(res):
+    """Multiplicity of every zigzag of two or more dots in ``res``.
+
+    ``res`` is a valid complex whose two-step composites all vanish.  Each
+    strip is walked in canonical dot order (p, k+1-p), (p, k-p),
+    (p+1, k-p), ... and cut into runs at zero spaces and zero arrows,
+    which no bar crosses; a zigzag outside the strip meets it only in
+    lone dots.  ``_sweep_run`` counts the bars of each run.
+    """
+    by_degree = {}
+    for (p, q) in res.support():
+        by_degree.setdefault(p + q, []).append((p, q))
+    dels, delbars = res.del_blocks(), res.delbar_blocks()
+    counts = {}
+    for k in sorted(by_degree):
+        if k + 1 not in by_degree:
+            continue
+        # The sink (p, k+1-p) sits at position 2p and is entered by del from
+        # the source before it; the source (p, k-p) sits at 2p + 1 and
+        # maps back to the sink before it by delbar.  A stored block is
+        # never zero, so the node it joins is the one just walked.
+        nodes = sorted([(2 * p, (p, q)) for p, q in by_degree[k + 1]]
+                       + [(2 * p + 1, (p, q)) for p, q in by_degree[k]])
+        run, arrows = [], []
+        for pos, (p, q) in nodes:
+            forward = not pos % 2
+            arrow = dels.get((p - 1, q)) if forward else delbars.get((p, q))
+            if arrow is not None:
+                run.append((p, q))
+                arrows.append((arrow, forward))
+                continue
+            if arrows:
+                _sweep_run(res, run, arrows, counts)
+            run, arrows = [(p, q)], []
+        if arrows:
+            _sweep_run(res, run, arrows, counts)
+    return {Zigzag(dots): m for dots, m in counts.items()}
+
+
+def _sweep_run(res, nodes, arrows, counts):
+    """One left-to-right zigzag-persistence pass over a run of a strip.
+
+    ``arrows[i]`` joins ``nodes[i]`` and ``nodes[i + 1]`` as ``(matrix,
+    forward)``: forward maps node i to node i + 1, backward the reverse.
+    The live bars at node i carry a birth node and one vector each,
+    together a basis of the node.  They are kept in ascending key (the
+    module docstring's (0, -b) and (1, b)): births after a forward arrow
+    go first, births in a kernel last.  A canonical kernel basis vector
+    is zero before its lead, so it changes only the lead bar's vector,
+    by bars of larger key.  Each bar that dies after two or more nodes
+    adds one to ``counts[dots]``.
+    """
+    bars = [(0, {j: SC_ONE}) for j in range(res.dimension(*nodes[0]))]
+    last = len(arrows) - 1
+    for i, (arrow, forward) in enumerate(arrows):
+        here = Matrix._from_sparse(res.dimension(*nodes[i]), len(bars),
+                                   [v for _, v in bars])
+        if forward:
+            # The lead of each kernel vector of f B dies here; the others
+            # carry their images on, and a complement of the image is born
+            # with the least key of all.
+            image = arrow @ here
+            ends = {min(c) for c in kernel_basis(image).basis._data}
+            live = [(b, image._data[j]) for j, (b, _) in enumerate(bars)
+                    if j not in ends]
+            born = []
+            if i < last and len(live) < image.rows:
+                born = [(i + 1, c) for c in complete_basis(
+                    image_basis(image), Subspace.full(image.rows))._data]
+            survivors = born + live
+        else:
+            # A kernel vector (x, y) of [B | g] has B x = g(-y).  Leading in
+            # B, it marks a bar that survives with the lift y (up to sign);
+            # leading in g, it is a vector of ker g, born with the greatest
+            # key of all.  The bars at the other columns of B die here.
+            n = len(bars)
+            ends = set(range(n))
+            live, born = [], []
+            for c in kernel_basis(here.hstack(arrow)).basis._data:
+                lead = min(c)
+                lift = {j - n: x for j, x in c.items() if j >= n}
+                if lead < n:
+                    ends.discard(lead)
+                    live.append((bars[lead][0], lift))
+                else:
+                    born.append((i + 1, lift))
+            survivors = live + born
+        for j in ends:
+            _count_bar(counts, nodes, bars[j][0], i)
+        bars = survivors
+    for b, _ in bars:
+        _count_bar(counts, nodes, b, last + 1)
+
+
+def _count_bar(counts, nodes, birth, death):
+    if birth < death:
+        dots = tuple(nodes[birth:death + 1])
+        counts[dots] = counts.get(dots, 0) + 1
+
+
 def decompose(k):
     """Split a valid bounded complex into squares and zigzags.
 
@@ -405,11 +515,15 @@ def decompose(k):
     ker(del delbar), taken from the complex's cohomology store, and the
     residual is the common kernel of the functionals reading the square
     corners back, wrapped as a Bicomplex.  Phase two counts the zigzags
-    of the residual, phase three picks their adapted basis.  Each square
-    anchor and each zigzag type yields one block per bidegree it touches
-    (anchors, their del, delbar and delbar-del images; source rows of the
-    split maps, their sink images), and ``basis_change`` stacks these
-    blocks side by side in canonical part order.
+    of the residual with one zigzag-persistence sweep per anti-diagonal
+    strip (``_strip_zigzags``), reducing a bar's vector only by bars of
+    larger key, and phase three picks their adapted basis, checking each
+    multiplicity again on its own as the dimension of a Hom space modulo
+    its radical.  Each square anchor and each zigzag type yields one block
+    per bidegree it touches (anchors, their del, delbar and delbar-del
+    images; source rows of the split maps, their sink images), and
+    ``basis_change`` stacks these blocks side by side in canonical part
+    order.
 
     Deterministic: the adapted basis is a function of the input alone, with
     no random draws and no retries.  The result is verified
@@ -479,139 +593,8 @@ def decompose(k):
             raise DecompositionError(
                 "square splitting left a nonzero two-step composite")
 
-    # ---- Phase two: zigzag multiplicities on the residual complex. ----
-    def offsets(dots, roles, skip):
-        """Stacked slot offsets of the dots whose role is not ``skip``."""
-        off = {}
-        total = 0
-        for i, d in enumerate(dots):
-            if roles[i] != skip:
-                off[i] = total
-                total += res.dimension(*d)
-        return off, total
-
-    def sink_relations(dots, roles, kill_ends=False):
-        """Maps from the model zigzag on ``dots``, over its source slots.
-
-        Such a map is fixed by one vector per source dot (a lone dot is its
-        own source), stacked at ``offsets(dots, roles, "sink")``.  It
-        respects both differentials when, at every interior sink, del of
-        the left source equals delbar of the right one; with ``kill_ends``
-        the arrows that leave the zigzag at a source end must vanish too.
-        Returns a kernel basis of these relations.
-        """
-        n = len(dots)
-        s_off, total = offsets(dots, roles, "sink")
-        blocks = []
-        at = 0
-        for i in range(1, n - 1):
-            if roles[i] == "sink":
-                blocks += [(at, s_off[i - 1], res.del_map(*dots[i - 1])),
-                           (at, s_off[i + 1],
-                            res.delbar_map(*dots[i + 1]).negate())]
-                at += res.dimension(*dots[i])
-        if kill_ends:
-            for i, kill in ((0, res.delbar_map(*dots[0])),
-                            (n - 1, res.del_map(*dots[-1]))):
-                if roles[i] != "sink":
-                    blocks.append((at, s_off[i], kill))
-                    at += kill.rows
-        if not at:
-            return Matrix.identity(total)
-        return kernel_basis(place_blocks(at, total, blocks)).basis
-
-    def colimit(dots, roles, sink_ends=False):
-        """The window colimit, stacked over the sink slots.
-
-        Returns the map from the source slots into the sink slots through
-        the arrow that enters the first sink (the identity for a lone dot),
-        and the relations the colimit takes modulo: at each interior source
-        the difference of its two arrows, and with ``sink_ends`` also the
-        arrows that enter a sink end from outside the window.
-        """
-        n = len(dots)
-        s_off, s_total = offsets(dots, roles, "sink")
-        t_off, t_total = offsets(dots, roles, "source")
-        first = min(t_off)
-        if roles[first] == "lone":
-            source = first
-            arrow = Matrix.identity(res.dimension(*dots[first]))
-        elif first == 0:
-            source, arrow = 1, res.delbar_map(*dots[1])
-        else:
-            source, arrow = first - 1, res.del_map(*dots[first - 1])
-        to_sinks = place_blocks(t_total, s_total, [
-            (t_off[first], s_off[source], arrow)])
-        blocks = []
-        at = 0
-        for i in range(1, n - 1):
-            if roles[i] == "source":
-                blocks += [(t_off[i - 1], at, res.delbar_map(*dots[i])),
-                           (t_off[i + 1], at, res.del_map(*dots[i]).negate())]
-                at += res.dimension(*dots[i])
-        for i in sorted({0, n - 1}) if sink_ends else ():
-            if roles[i] == "source":
-                continue
-            p, q = dots[i]
-            near = dots[max(i - 1, 0): i + 2]
-            for src, into in (((p - 1, q), res.del_map(p - 1, q)),
-                              ((p, q - 1), res.delbar_map(p, q - 1))):
-                if src not in near:
-                    blocks.append((t_off[i], at, into))
-                    at += into.cols
-        return to_sinks, place_blocks(t_total, at, blocks)
-
-    @functools.cache
-    def window_rank(dots):
-        """Number of residual zigzag summands containing this window.
-
-        Computed as the rank of the canonical map from the limit to the
-        colimit of the window diagram; both functors are additive, each
-        zigzag containing the whole window contributes exactly 1, and
-        every other summand contributes 0.
-        """
-        if any(res.dimension(*d) == 0 for d in dots):
-            return 0
-        roles = Zigzag(dots).roles()
-        to_sinks, rel = colimit(dots, roles)
-        img = to_sinks @ sink_relations(dots, roles)
-        return rank(img.hstack(rel)) - rank(rel)
-
-    def extend_left(dots):
-        first, second = dots[0], dots[1]
-        if second == (first[0] + 1, first[1]):
-            return ((first[0], first[1] + 1),) + dots
-        return ((first[0] - 1, first[1]),) + dots
-
-    def extend_right(dots):
-        last, before = dots[-1], dots[-2]
-        if last == (before[0] + 1, before[1]):
-            return dots + ((last[0], last[1] - 1),)
-        return dots + ((last[0] + 1, last[1]),)
-
-    multiplicity = {}
-    for first in res.support():
-        for first_step in ((1, 0), (0, -1)):
-            dots = [first]
-            step = first_step
-            while True:
-                nxt = (dots[-1][0] + step[0], dots[-1][1] + step[1])
-                if res.dimension(*nxt) == 0:
-                    break
-                dots.append(nxt)
-                step = (0, -1) if step == (1, 0) else (1, 0)
-                window = tuple(dots)
-                r = window_rank(window)
-                if r == 0:
-                    break
-                m = (r - window_rank(extend_left(window))
-                     - window_rank(extend_right(window))
-                     + window_rank(extend_left(extend_right(window))))
-                if m < 0:
-                    raise DecompositionError(
-                        "negative zigzag multiplicity computed")
-                if m:
-                    multiplicity[Zigzag(window)] = m
+    # ---- Phase two: zigzag multiplicities, one sweep per strip. ----
+    multiplicity = _strip_zigzags(res)
     leftover = {bid: res.dimension(*bid) for bid in res.support()}
     for z, m in multiplicity.items():
         for d in z.dots:
@@ -633,11 +616,91 @@ def decompose(k):
     # family that is a basis of every quotient is an isomorphism modulo
     # the radicals, hence an isomorphism (Nakayama); the canonical
     # complement of each radical is one.
+    def offsets(dots, roles, skip):
+        """Stacked slot offsets of the dots whose role is not ``skip``."""
+        off = {}
+        total = 0
+        for i, d in enumerate(dots):
+            if roles[i] != skip:
+                off[i] = total
+                total += res.dimension(*d)
+        return off, total
+
+    def sink_relations(dots, roles):
+        """Maps from the model zigzag on ``dots``, over its source slots.
+
+        Such a map is fixed by one vector per source dot (a lone dot is its
+        own source), stacked at ``offsets(dots, roles, "sink")``.  It
+        respects both differentials when, at every interior sink, del of
+        the left source equals delbar of the right one, and the arrows that
+        leave the zigzag at a source end vanish.  Returns a kernel basis of
+        these relations.
+        """
+        n = len(dots)
+        s_off, total = offsets(dots, roles, "sink")
+        blocks = []
+        at = 0
+        for i in range(1, n - 1):
+            if roles[i] == "sink":
+                blocks += [(at, s_off[i - 1], res.del_map(*dots[i - 1])),
+                           (at, s_off[i + 1],
+                            res.delbar_map(*dots[i + 1]).negate())]
+                at += res.dimension(*dots[i])
+        for i, kill in ((0, res.delbar_map(*dots[0])),
+                        (n - 1, res.del_map(*dots[-1]))):
+            if roles[i] != "sink":
+                blocks.append((at, s_off[i], kill))
+                at += kill.rows
+        if not at:
+            return Matrix.identity(total)
+        return kernel_basis(place_blocks(at, total, blocks)).basis
+
+    def colimit(dots, roles):
+        """The window colimit, stacked over the sink slots.
+
+        Returns the map from the source slots into the sink slots through
+        the arrow that enters the first sink (the identity for a lone dot),
+        and the relations the colimit takes modulo: at each interior source
+        the difference of its two arrows, and the arrows that enter a sink
+        end from outside the window.
+        """
+        n = len(dots)
+        s_off, s_total = offsets(dots, roles, "sink")
+        t_off, t_total = offsets(dots, roles, "source")
+        first = min(t_off)
+        if roles[first] == "lone":
+            source = first
+            arrow = Matrix.identity(res.dimension(*dots[first]))
+        elif first == 0:
+            source, arrow = 1, res.delbar_map(*dots[1])
+        else:
+            source, arrow = first - 1, res.del_map(*dots[first - 1])
+        to_sinks = place_blocks(t_total, s_total, [
+            (t_off[first], s_off[source], arrow)])
+        blocks = []
+        at = 0
+        for i in range(1, n - 1):
+            if roles[i] == "source":
+                blocks += [(t_off[i - 1], at, res.delbar_map(*dots[i])),
+                           (t_off[i + 1], at, res.del_map(*dots[i]).negate())]
+                at += res.dimension(*dots[i])
+        for i in sorted({0, n - 1}):
+            if roles[i] == "source":
+                continue
+            p, q = dots[i]
+            near = dots[max(i - 1, 0): i + 2]
+            for src, into in (((p - 1, q), res.del_map(p - 1, q)),
+                              ((p, q - 1), res.delbar_map(p, q - 1))):
+                if src not in near:
+                    blocks.append((t_off[i], at, into))
+                    at += into.cols
+        return to_sinks, place_blocks(t_total, at, blocks)
+
     for z, m in zig_types:
         dots = z.dots
         roles = z.roles()
-        hom = sink_relations(dots, roles, kill_ends=True)
-        to_sinks, rel = colimit(dots, roles, sink_ends=True)
+        hom = sink_relations(dots, roles)
+        to_sinks, rel = colimit(dots, roles)
         rad = preimage(to_sinks @ hom, image_basis(rel))
         top = complete_basis(rad, Subspace.full(hom.cols))
         if top.cols != m:

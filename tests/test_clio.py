@@ -11,8 +11,10 @@ inputs; the theorem-failure exit (3) is unreachable with valid inputs
 check runner.
 """
 
+import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import re
@@ -20,6 +22,7 @@ import runpy
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bicomplex_lab import clio, models
 from bicomplex_lab.bicomplex import to_json_dict
@@ -138,6 +141,173 @@ class TestParseBicomplexFile:
         path.write_text(json.dumps({"n": 1, "spaces": {"0,0": True}}))
         assert clio.main(["cohomology", "--in", str(path)]) == EXIT_INPUT
         assert "spaces['0,0']" in capsys.readouterr().err
+
+
+class TestStrictReader:
+    """The reader takes no silent choice between two readings of a file."""
+
+    @staticmethod
+    def _validate(tmp_path, name, text, capsys):
+        path = tmp_path / name
+        path.write_bytes(text.encode() if isinstance(text, str) else text)
+        rc = clio.main(["validate", "--in", str(path)])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"spaces": {"0,0": 1}, "spaces": {"0,0": 2}}', "'spaces'"),
+        ('{"spaces": {"0,0": 1, "0,0": 2}}', "'0,0'"),
+        ('{"spaces": {"0,0": 1, "1,0": 1}, '
+         '"del": {"0,0": [["1"]], "0,0": [["0"]]}}', "'0,0'"),
+    ])
+    def test_repeated_json_key(self, tmp_path, capsys, text, key):
+        rc, err = self._validate(tmp_path, "dup.json", text, capsys)
+        assert rc == EXIT_INPUT
+        assert f"repeated key {key}" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, first, second, section", [
+        ('{"spaces": {"0,0": 1, " 0,0": 2}}', "'0,0'", "' 0,0'", "spaces"),
+        ('{"spaces": {"0,0": 1, "1,0": 1}, '
+         '"del": {"0,0": [["1"]], "0, 0": [["0"]]}}',
+         "'0,0'", "'0, 0'", "del"),
+    ])
+    def test_two_spellings_of_one_bidegree(self, tmp_path, capsys, text,
+                                           first, second, section):
+        rc, err = self._validate(tmp_path, "two.json", text, capsys)
+        assert rc == EXIT_INPUT
+        assert (f"{section}: keys {first} and {second} both name the "
+                f"bidegree (0,0)") in err
+
+    @pytest.mark.parametrize("name, text", [
+        ("arabic.bba", "n = ٣\n"),
+        ("arabic.bba", "n = 3\nd w٣ = 0\n"),
+        ("arabic.bba", "n = 3\nd w3 = w1^w٢\n"),
+        ("arabic.json", '{"spaces": {"٠,١": 1}}'),
+        ("arabic.json", '{"spaces": {"0,0": 1, "1,0": 1}, '
+                        '"del": {"0,0": [["٣"]]}}'),
+    ])
+    def test_digits_are_ascii(self, tmp_path, capsys, name, text):
+        rc, err = self._validate(tmp_path, name, text, capsys)
+        assert rc == EXIT_INPUT and err.count("\n") == 1
+
+    def test_bytes_that_are_not_utf8(self, tmp_path, capsys):
+        rc, err = self._validate(tmp_path, "bytes.json",
+                                 b'{"spaces": {"0,0": 1}}\xff', capsys)
+        assert rc == EXIT_INPUT
+        assert "not UTF-8 text at byte 22" in err
+
+    def test_repeated_key_check_never_walks_rows(self, tmp_path):
+        """The hook runs once per JSON object; the nil5 file has four."""
+        calls = []
+
+        def hook(pairs):
+            calls.append(len(pairs))
+            return unique(pairs)
+
+        unique = clio._unique_keys
+        k = models.from_structure_equations(models.parse_structure_text(
+            "n = 5\nd w3 = -1* w1^w2\nd w4 = w1^cw1\nd w5 = w1^w3\n"))
+        path = tmp_path / "nil5.json"
+        path.write_text(json.dumps(to_json_dict(k)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clio, "_unique_keys", hook)
+            assert parse_bicomplex_file(path) == k
+        assert len(calls) == 4
+
+
+@functools.cache
+def _preset_texts():
+    texts = [(f"{name}.json", json.dumps(to_json_dict(make()), indent=1))
+             for name, make in sorted(clio.PRESETS.items())
+             if name != "torus3"]
+    texts.append(("iwasawa.bba", DATA_BBA.read_text()))
+    texts.append(("kodaira.bba", "n = 2\nd w2 = w1^cw1\n"))
+    return texts
+
+
+class _Pairs(list):
+    """A JSON object kept as its list of pairs, so a key can repeat."""
+
+
+def _dump(value):
+    if isinstance(value, _Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}"
+                               for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_dump(v) for v in value) + "]"
+    return json.dumps(value)
+
+
+def _objects(value):
+    if isinstance(value, _Pairs):
+        yield value
+    if isinstance(value, list):
+        for item in value:
+            yield from _objects(item[1] if isinstance(value, _Pairs)
+                                else item)
+
+
+_RESPELLINGS = (" {}", "{} ", "{}x", "٠{}", "")
+_RETYPED = (None, True, -1, 2.5, "1", [], {}, [[]], [["x"]])
+
+
+@st.composite
+def _mutated_input(draw):
+    name, text = draw(st.sampled_from(_preset_texts()))
+    kind = draw(st.sampled_from(("drop", "repeat", "retype", "number",
+                                 "bytes")))
+    if kind in ("drop", "repeat", "retype") and name.endswith(".json"):
+        root = json.loads(text, object_pairs_hook=_Pairs)
+        objects = [obj for obj in _objects(root) if obj]
+        obj = draw(st.sampled_from(objects))
+        at = draw(st.integers(0, len(obj) - 1))
+        key, value = obj[at]
+        if kind == "drop":
+            del obj[at]
+        elif kind == "repeat":
+            spelling = draw(st.sampled_from(_RESPELLINGS + ("{}",)))
+            obj.insert(draw(st.integers(0, len(obj))),
+                       (spelling.format(key), value))
+        elif draw(st.booleans()):
+            obj[at] = (draw(st.sampled_from(_RESPELLINGS)).format(key), value)
+        else:
+            obj[at] = (key, draw(st.sampled_from(_RETYPED)))
+        return name, _dump(root).encode()
+    if kind in ("drop", "repeat", "retype"):
+        lines = text.splitlines(keepends=True)
+        at = draw(st.integers(0, len(lines) - 1))
+        if kind == "drop":
+            del lines[at]
+        elif kind == "repeat":
+            lines.insert(at, lines[at])
+        else:
+            lines[at] = lines[at].replace("w", draw(st.sampled_from(
+                ("cw", "W", "w٣", ""))), 1)
+        return name, "".join(lines).encode()
+    if kind == "number":
+        numbers = list(re.finditer(r"\d+", text))
+        m = draw(st.sampled_from(numbers))
+        value = int(m.group()) + draw(st.integers(-3, 3))
+        return name, (text[:m.start()] + str(value)
+                      + text[m.end():]).encode()
+    data = text.encode()
+    at = draw(st.integers(0, len(data)))
+    return name, data[:at] + draw(st.binary(min_size=1, max_size=4)) \
+        + data[at:]
+
+
+class TestReaderFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(_mutated_input())
+    def test_mutated_presets_fail_cleanly(self, tmp_path_factory, case):
+        name, data = case
+        path = tmp_path_factory.mktemp("fuzz") / name
+        path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = clio.main(["validate", "--in", str(path)])
+        assert rc in (EXIT_OK, EXIT_INPUT)
+        assert err.getvalue().count("\n") <= 1
 
 
 class TestEmitTables:
@@ -352,6 +522,23 @@ class TestCorpusCommand:
         monkeypatch.setenv("BICOMPLEX_LAB_THREADS", "2")
         two = run_corpus(config)
         assert one == two
+
+    def test_out_at_an_existing_file_fails_before_the_corpus(
+            self, tmp_path, monkeypatch, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+
+        def no_corpus(config):
+            raise AssertionError("run_corpus called")
+
+        monkeypatch.setattr(clio, "run_corpus", no_corpus)
+        for out in (taken, taken / "sub"):
+            assert clio.main(["corpus", "--n-corpus", "200",
+                              "--out", str(out)]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage error: cannot write {taken}")
+            assert err.count("\n") == 1
+        assert taken.read_text() == "keep\n"
 
     def test_bad_thread_env_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("BICOMPLEX_LAB_THREADS", "many")

@@ -19,8 +19,14 @@ Expected values and how they were obtained:
 * Round-trip properties (decompose after synthesize+scramble recovers
   the multiset) need no external values: the input multiset is the
   expectation.
+* The zigzag multiplicities of the strip sweep are held against a
+  window-rank inclusion-exclusion on the input complex
+  (``reference_zigzag_multiplicities``), which shares no code with
+  ``decompose``.  The nil4 elimination count is pinned from the sweep as
+  written; the window ranks it replaced made 512.
 """
 
+import functools
 import hashlib
 import json
 import random
@@ -31,7 +37,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import test_cohomology as tc
-from bicomplex_lab import cohomology, models
+from bicomplex_lab import cohomology, exactla, models
 from bicomplex_lab import zigzag as zz
 from bicomplex_lab.bicomplex import (
     Bicomplex,
@@ -44,6 +50,7 @@ from bicomplex_lab.exactla import (
     Subspace,
     complete_basis,
     kernel_basis,
+    place_blocks,
     rank,
     scalar,
 )
@@ -418,6 +425,168 @@ class TestDecompose:
                        del_entries={(0, 0): [[1]], (1, 0): [[1]]})
         with pytest.raises(ValueError):
             zz.decompose(bad)
+
+
+# --------------------------------------------------------------------------
+# Reference zigzag count: window ranks, inclusion-exclusion.
+# --------------------------------------------------------------------------
+
+def reference_zigzag_multiplicities(k):
+    """Zigzags of two or more dots, counted from window ranks of ``k``.
+
+    The rank of the map from the limit to the colimit of a staircase
+    window counts the summands containing the whole window, so the
+    summands that are exactly the window are an inclusion-exclusion over
+    the window and its one-step extensions.  It works on ``k`` itself, not
+    on a residual: a square also fills its two three-dot staircases, and
+    the number of squares at an anchor, the rank of del delbar there, is
+    taken off both.  Shares no code with ``decompose``.
+    """
+    def offsets(dots, roles, skip):
+        off, total = {}, 0
+        for i, d in enumerate(dots):
+            if roles[i] != skip:
+                off[i] = total
+                total += k.dimension(*d)
+        return off, total
+
+    @functools.cache
+    def window_rank(dots):
+        if any(k.dimension(*d) == 0 for d in dots):
+            return 0
+        roles = zz.Zigzag(dots).roles()
+        n = len(dots)
+        s_off, s_total = offsets(dots, roles, "sink")
+        t_off, t_total = offsets(dots, roles, "source")
+        # Maps from the model window: a vector per source dot, such that
+        # del of the left source equals delbar of the right one at every
+        # interior sink.
+        blocks, at = [], 0
+        for i in range(1, n - 1):
+            if roles[i] == "sink":
+                blocks += [(at, s_off[i - 1], k.del_map(*dots[i - 1])),
+                           (at, s_off[i + 1],
+                            k.delbar_map(*dots[i + 1]).negate())]
+                at += k.dimension(*dots[i])
+        maps = (kernel_basis(place_blocks(at, s_total, blocks)).basis
+                if at else Matrix.identity(s_total))
+        # The colimit over the sink slots: the two arrows out of each
+        # interior source are identified.
+        first = min(t_off)
+        source, arrow = ((1, k.delbar_map(*dots[1])) if first == 0 else
+                         (first - 1, k.del_map(*dots[first - 1])))
+        to_sinks = place_blocks(t_total, s_total,
+                                [(t_off[first], s_off[source], arrow)])
+        blocks, at = [], 0
+        for i in range(1, n - 1):
+            if roles[i] == "source":
+                blocks += [(t_off[i - 1], at, k.delbar_map(*dots[i])),
+                           (t_off[i + 1], at, k.del_map(*dots[i]).negate())]
+                at += k.dimension(*dots[i])
+        rel = place_blocks(t_total, at, blocks)
+        return rank((to_sinks @ maps).hstack(rel)) - rank(rel)
+
+    def extend_left(dots):
+        (p, q), second = dots[0], dots[1]
+        return (((p, q + 1) if second == (p + 1, q) else (p - 1, q)),) + dots
+
+    def extend_right(dots):
+        (p, q), before = dots[-1], dots[-2]
+        return dots + (((p, q - 1) if before == (p - 1, q) else (p + 1, q)),)
+
+    counts = Counter()
+    for first in k.support():
+        for step in ((1, 0), (0, -1)):
+            dots = [first]
+            while True:
+                nxt = (dots[-1][0] + step[0], dots[-1][1] + step[1])
+                if k.dimension(*nxt) == 0:
+                    break
+                dots.append(nxt)
+                step = (0, -1) if step == (1, 0) else (1, 0)
+                window = tuple(dots)
+                r = window_rank(window)
+                if r == 0:
+                    break
+                counts[window] += (
+                    r - window_rank(extend_left(window))
+                    - window_rank(extend_right(window))
+                    + window_rank(extend_left(extend_right(window))))
+    for (p, q) in k.support():
+        squares = rank(k.del_map(p, q + 1) @ k.delbar_map(p, q))
+        counts[((p, q + 1), (p, q), (p + 1, q))] -= squares
+        counts[((p, q + 1), (p + 1, q + 1), (p + 1, q))] -= squares
+    assert min(counts.values(), default=0) >= 0
+    return {zz.Zigzag(dots): m for dots, m in counts.items() if m}
+
+
+def _long_zigzags(d):
+    return Counter(p for p in d.parts if p.kind == "zigzag" and not p.is_dot)
+
+
+def _count_echelons(monkeypatch):
+    calls = Counter()
+    echelon = exactla._echelon
+
+    def counted(work):
+        calls["echelon"] += 1
+        return echelon(work)
+
+    monkeypatch.setattr(exactla, "_echelon", counted)
+    return calls
+
+
+class TestStripSweep:
+    """Phase two counts zigzags with one zigzag-persistence sweep per
+    anti-diagonal strip; the window-rank count above is the reference."""
+
+    def test_matches_window_ranks_on_examples_and_nil_models(self):
+        nil5 = models.from_structure_equations(models.parse_structure_text(
+            "n = 5\nd w3 = -1* w1^w2\nd w4 = w1^cw1\nd w5 = w1^w3\n"))
+        for k in [*tc.EXAMPLES, tc.nil4(), nil5]:
+            assert _long_zigzags(zz.decompose(k)) \
+                == reference_zigzag_multiplicities(k), k.label
+
+    def test_matches_window_ranks_on_random_complexes(self):
+        complexes = [models.random_bicomplex(s).bicomplex
+                     for s in range(300)]
+        complexes += [models.random_bicomplex(s, symmetric=True).bicomplex
+                      for s in range(100)]
+        found = 0
+        for k in complexes:
+            expected = reference_zigzag_multiplicities(k)
+            assert _long_zigzags(zz.decompose(k)) == expected, k.label
+            found += sum(expected.values())
+        assert found > 300
+
+    def test_nil4_echelon_count_is_pinned(self, monkeypatch):
+        """After all_tables, decompose on nil4 runs 276 eliminations; the
+        window ranks needed 512."""
+        k = tc.nil4()
+        cohomology.all_tables(k)
+        calls = _count_echelons(monkeypatch)
+        zz.decompose(k)
+        assert calls["echelon"] == 276
+
+    def test_zero_arrows_end_runs(self, monkeypatch):
+        """torus4 has zero differentials: every run is one node, so the
+        sweep eliminates nothing and finds no zigzag."""
+        k = models.torus(4)
+        calls = _count_echelons(monkeypatch)
+        assert zz._strip_zigzags(k) == {}
+        assert calls["echelon"] == 0
+
+    def test_runs_split_inside_a_strip(self, monkeypatch):
+        """Three zigzags in strip 0: a zero del arrow joins the first two,
+        and zero spaces lie between the last two, so each is a run of its
+        own.  A run makes one elimination per arrow."""
+        parts = [zz.Zigzag(((0, 1), (0, 0))),
+                 zz.Zigzag(((1, 0), (1, -1), (2, -1))),
+                 zz.Zigzag(((4, -3), (4, -4)))]
+        k = zz.synthesize(parts, scramble_seed=3)
+        calls = _count_echelons(monkeypatch)
+        assert zz._strip_zigzags(k) == {part: 1 for part in parts}
+        assert calls["echelon"] == 4
 
 
 def _zigzag_from(start, first_step, length):
