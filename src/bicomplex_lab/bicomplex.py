@@ -216,20 +216,32 @@ def validate(k):
                     f"{name} block at ({p},{q}) is {m.rows}x{m.cols}, "
                     f"expected {want[0]}x{want[1]}"))
     if shape_ok:
+        # An absent block is the zero map, so only composites of stored
+        # blocks can be nonzero.
+        hor, ver = k._del, k._delbar
+
+        def nonzero(left, right):
+            return (left is not None and right is not None
+                    and not (left @ right).is_zero())
+
         for (p, q) in k.support():
-            if not (k.del_map(p + 1, q) @ k.del_map(p, q)).is_zero():
+            if nonzero(hor.get((p + 1, q)), hor.get((p, q))):
                 found.append(Violation(
                     "del-squared", (p, q),
                     f"horizontal differential does not square to zero "
                     f"starting at ({p},{q})"))
-            if not (k.delbar_map(p, q + 1) @ k.delbar_map(p, q)).is_zero():
+            if nonzero(ver.get((p, q + 1)), ver.get((p, q))):
                 found.append(Violation(
                     "delbar-squared", (p, q),
                     f"vertical differential does not square to zero "
                     f"starting at ({p},{q})"))
-            anti = (k.delbar_map(p + 1, q) @ k.del_map(p, q)
-                    + k.del_map(p, q + 1) @ k.delbar_map(p, q))
-            if not anti.is_zero():
+            right = (ver.get((p + 1, q)), hor.get((p, q)))
+            up = (hor.get((p, q + 1)), ver.get((p, q)))
+            if None in right or None in up:
+                anti = nonzero(*right) or nonzero(*up)
+            else:
+                anti = not (right[0] @ right[1] + up[0] @ up[1]).is_zero()
+            if anti:
                 found.append(Violation(
                     "anticommute", (p, q),
                     f"differentials do not anticommute starting at "

@@ -304,7 +304,13 @@ def duality_check(k, *, tables=None):
 
 
 def run_all_checks(k):
-    """All checks on one complex, computing shared tables once."""
+    """All checks on one complex, sharing one lazy :func:`all_tables`
+    bundle and one decomposition.
+
+    The checks read the five tables and the Bott-Chern to Aeppli natural
+    map, so those are all the bundle computes: never the Frolicher pages
+    or the other six maps.
+    """
     ensure_valid(k)
     tables = all_tables(k)
     d = decompose(k)

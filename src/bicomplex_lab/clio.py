@@ -15,10 +15,11 @@ internal engine error (a ``DecompositionError`` or ``LinAlgError`` that a
 valid input should never raise; the message goes to stderr).
 
 All emissions are deterministic byte-for-byte for identical inputs and
-flags; corpus workers (capped by ``BICOMPLEX_LAB_THREADS``) never affect
-output order.  Dimension reports are model cohomology: exact invariants
-of the given finite complex, with no claim attached about any geometric
-object the complex may have been derived from.
+flags; corpus workers (at most ``BICOMPLEX_LAB_THREADS``, the number of
+complexes and the CPU count) never affect output order.  Dimension
+reports are model cohomology: exact invariants of the given finite
+complex, with no claim attached about any geometric object the complex
+may have been derived from.
 """
 
 import argparse
@@ -448,8 +449,10 @@ def run_corpus(config):
     """
     seeds = range(config.seed, config.seed + config.n_corpus)
     jobs = [(seed, config.kinds) for seed in seeds]
-    workers = _thread_cap()
-    if workers > 1 and len(jobs) > 1:
+    # The pool starts all of its workers at once, so never ask it for
+    # more than there are jobs or CPUs.
+    workers = min(_thread_cap(), len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_corpus_row, jobs))
     else:

@@ -24,6 +24,13 @@ use; this module and the Schweitzer pairing check read from it.  The
 store also seeds the Frolicher page chase, whose first step reads
 im delbar and the Dolbeault cocycles from it; later steps recompute only
 the bidegrees whose chain entries moved.
+
+``all_tables`` bundles the five tables, the pages and the natural-map
+ranks, and ``natural_maps`` bundles the seven maps.  Neither computes
+anything up front: each member is computed the first time it is read and
+then kept on the bundle, so a caller pays only for what it reads.  The
+checks read the five tables and the Bott-Chern to Aeppli map, never the
+pages or the other six maps.
 """
 
 from dataclasses import dataclass
@@ -84,34 +91,73 @@ class FrolicherPages:
     e_infinity: dict
 
 
-@dataclass(frozen=True)
-class NaturalMapRanks:
-    """Ranks of the identity-induced maps between the five theories.
+class _Lazy:
+    """Members of one complex, each computed the first time it is read.
 
-    Bigraded maps are keyed by bidegree; maps into or out of de Rham are
-    keyed by total degree (their bigraded ends summed over anti-diagonals).
+    ``_MEMBERS`` maps every member name to the function of the complex
+    that computes it; the value is then kept in the instance dict, so a
+    second read finds it there.  Equality reads every member of both.
     """
 
-    bott_chern_to_dolbeault: dict
-    bott_chern_to_conj_dolbeault: dict
-    bott_chern_to_de_rham: dict
-    bott_chern_to_aeppli: dict
-    dolbeault_to_aeppli: dict
-    conj_dolbeault_to_aeppli: dict
-    de_rham_to_aeppli: dict
+    _MEMBERS = {}
+
+    def __init__(self, k):
+        self._k = k
+
+    def __getattr__(self, name):
+        # Reached only for names not (yet) in the instance dict.
+        make = type(self)._MEMBERS.get(name)
+        if make is None:
+            raise AttributeError(name)
+        value = self.__dict__[name] = make(self._k)
+        return value
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self._MEMBERS)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._k!r})"
 
 
-@dataclass(frozen=True)
-class AllTables:
-    """One-shot bundle of every table this module can produce."""
+# The seven identity-induced maps, as (source, target) theories.
+_MAPS = (("bott_chern", "dolbeault"), ("bott_chern", "conj_dolbeault"),
+         ("bott_chern", "de_rham"), ("bott_chern", "aeppli"),
+         ("dolbeault", "aeppli"), ("conj_dolbeault", "aeppli"),
+         ("de_rham", "aeppli"))
 
-    de_rham: CohomologyTable
-    dolbeault: CohomologyTable
-    conj_dolbeault: CohomologyTable
-    bott_chern: CohomologyTable
-    aeppli: CohomologyTable
-    frolicher: FrolicherPages
-    natural_ranks: NaturalMapRanks
+
+class NaturalMapRanks(_Lazy):
+    """Ranks of the identity-induced maps between the five theories.
+
+    Members are named ``<source>_to_<target>`` after ``_MAPS``; reading one
+    computes that map alone.  Bigraded maps are keyed by bidegree; maps
+    into or out of de Rham are keyed by total degree (their bigraded ends
+    summed over anti-diagonals).
+    """
+
+    _MEMBERS = {f"{source}_to_{target}":
+                lambda k, source=source, target=target:
+                _map_ranks(k, source, target)
+                for source, target in _MAPS}
+
+
+class AllTables(_Lazy):
+    """Every table, the Frolicher pages and the natural-map ranks of one
+    complex, each computed the first time it is read and then kept."""
+
+    # Wrapped so that the module's functions are looked up when called.
+    _MEMBERS = {
+        "de_rham": lambda k: de_rham(k),
+        "dolbeault": lambda k: dolbeault(k),
+        "conj_dolbeault": lambda k: conj_dolbeault(k),
+        "bott_chern": lambda k: bott_chern(k),
+        "aeppli": lambda k: aeppli(k),
+        "frolicher": lambda k: frolicher_pages(k),
+        "natural_ranks": lambda k: natural_maps(k),
+    }
 
 
 # The per-complex store.  Every theory is a quotient of these subspaces:
@@ -287,58 +333,57 @@ def frolicher_pages(k, r_max=None):
     return FrolicherPages(pages=pages, r_stab=r_stab, e_infinity=e_infinity)
 
 
-def natural_maps(k):
-    """Ranks of the seven identity-induced maps between the theories.
+def _map_ranks(k, source, target):
+    """Ranks of the map from ``source`` to ``target`` induced by the identity.
 
     Each of the theories is a quotient of a cocycle space and the identity
     on the underlying complex carries one into another whenever the
     cocycles shrink and the coboundaries grow; the rank of the induced map
     is dim((source cocycles + target coboundaries) / target coboundaries),
-    which ``rank_modulo`` takes without echeloning the sum.  Maps through
-    de Rham first re-express bigraded subspaces in total-space coordinates.
+    which ``rank_modulo`` takes without echeloning the sum.  A map through
+    de Rham first re-expresses its bigraded end in total-space coordinates.
     """
-    bc, dol, conj, aep, dr = (_pairs(k, theory) for theory in (
-        "bott_chern", "dolbeault", "conj_dolbeault", "aeppli", "de_rham"))
+    src, tgt = _pairs(k, source), _pairs(k, target)
+    if "de_rham" not in (source, target):
+        return {bid: rank_modulo(src[bid][0], tgt[bid][1])
+                for bid in k.support()}
     t = _total(k)
 
-    def bigraded(source, target):
-        return {bid: rank_modulo(source[bid][0], target[bid][1])
-                for bid in k.support()}
-
-    def embedded(deg, pairs, side):
-        """One side of the pairs in degree ``deg``, in total coordinates."""
+    def side(theory, pairs, deg, i):
+        """Side ``i`` of the theory's pairs in degree ``deg``."""
+        if theory == "de_rham":
+            return pairs[deg][i]
         blocks = []
         cols = 0
         for bid, offset in sorted(t.offsets[deg].items()):
-            basis = pairs[bid][side].basis
+            basis = pairs[bid][i].basis
             blocks.append((offset, cols, basis))
             cols += basis.cols
         # Reduced echelon blocks at ascending row offsets: canonical as is.
         return Subspace(t.dims[deg], place_blocks(t.dims[deg], cols, blocks))
 
-    return NaturalMapRanks(
-        bott_chern_to_dolbeault=bigraded(bc, dol),
-        bott_chern_to_conj_dolbeault=bigraded(bc, conj),
-        bott_chern_to_de_rham={
-            deg: rank_modulo(embedded(deg, bc, 0), dr[deg][1])
-            for deg in t.degrees()},
-        bott_chern_to_aeppli=bigraded(bc, aep),
-        dolbeault_to_aeppli=bigraded(dol, aep),
-        conj_dolbeault_to_aeppli=bigraded(conj, aep),
-        de_rham_to_aeppli={
-            deg: rank_modulo(dr[deg][0], embedded(deg, aep, 1))
-            for deg in t.degrees()},
-    )
+    return {deg: rank_modulo(side(source, src, deg, 0),
+                             side(target, tgt, deg, 1))
+            for deg in t.degrees()}
+
+
+def natural_maps(k):
+    """Ranks of the seven identity-induced maps between the theories.
+
+    Returns a :class:`NaturalMapRanks` that computes each map the first
+    time it is read.  Raises ValueError for an invalid complex.
+    """
+    ensure_valid(k)
+    return NaturalMapRanks(k)
 
 
 def all_tables(k):
-    """Every table, page family, and natural-map rank in one bundle."""
-    return AllTables(
-        de_rham=de_rham(k),
-        dolbeault=dolbeault(k),
-        conj_dolbeault=conj_dolbeault(k),
-        bott_chern=bott_chern(k),
-        aeppli=aeppli(k),
-        frolicher=frolicher_pages(k),
-        natural_ranks=natural_maps(k),
-    )
+    """The five tables, the Frolicher pages and the natural-map ranks.
+
+    Returns an :class:`AllTables` bundle that computes each member the
+    first time it is read and then keeps it; reading every member costs
+    what computing each one by itself costs.  Raises ValueError for an
+    invalid complex.
+    """
+    ensure_valid(k)
+    return AllTables(k)

@@ -50,6 +50,17 @@ class TestValidate:
         assert bad[0].kind == "anticommute"
         assert bad[0].bidegree == (0, 0)
 
+    def test_anticommute_violation_with_one_path_stored(self):
+        """Without the del block at (0,1), delbar del is the only stored
+        path out of (0,0), and it is not zero."""
+        square = square_complex()
+        k = Bicomplex({b: square.dimension(*b) for b in square.support()},
+                      {(0, 0): square.del_map(0, 0)},
+                      square.delbar_blocks())
+        bad = validate(k)
+        assert [(v.kind, v.bidegree) for v in bad] \
+            == [("anticommute", (0, 0))]
+
     def test_shape_violation_names_bidegree(self):
         k = Bicomplex({(0, 0): 2, (1, 0): 1},
                       {(0, 0): one_by_one(1)}, {})

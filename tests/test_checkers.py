@@ -27,7 +27,7 @@ import json
 
 import pytest
 
-from bicomplex_lab import checkers, models
+from bicomplex_lab import checkers, clio, cohomology, models
 from bicomplex_lab.bicomplex import (Bicomplex, ConjugationStructure,
                                      ProductStructure)
 from bicomplex_lab.checkers import (ALL_CHECK_NAMES, THEOREM_CHECK_NAMES,
@@ -42,6 +42,7 @@ from bicomplex_lab.models import (iwasawa, kodaira_surface,
                                   random_bicomplex, torus)
 from bicomplex_lab.zigzag import (Square, Zigzag, standard_conjugation,
                                   synthesize)
+from test_cohomology import read_every_member
 
 SC1 = ExactScalar(1)
 
@@ -551,3 +552,65 @@ class TestTheoremChecksOnCorpus:
             for name in ("bc_aeppli_characterization", "ddbar_lemma"):
                 assert by_name(reports, name).verdict == "holds", \
                     (label, name)
+
+
+def _pin_inputs():
+    """(label, maker) for every preset and the corpus seeds 0-49."""
+    inputs = sorted(clio.PRESETS.items())
+    for seed in range(50):
+        for symmetric in (False, True):
+            inputs.append((
+                f"{'symmetric' if symmetric else 'plain'}-{seed}",
+                lambda seed=seed, symmetric=symmetric:
+                random_bicomplex(seed, symmetric=symmetric)[0]))
+    return inputs
+
+
+class TestChecksReadOnlyWhatTheyNeed:
+    """The checks read the five tables and the Bott-Chern to Aeppli map,
+    so the lazy bundle never computes the Frolicher pages or the other
+    six natural maps for them."""
+
+    @staticmethod
+    def _forbid_unread(monkeypatch):
+        """Make the page chase and the six unread maps raise; returns the
+        list of maps computed."""
+        maps = []
+        map_ranks = cohomology._map_ranks
+
+        def no_pages(*args, **kwargs):
+            raise AssertionError("the Frolicher pages were computed")
+
+        def one_map(k, source, target):
+            maps.append((source, target))
+            if (source, target) != ("bott_chern", "aeppli"):
+                raise AssertionError(f"map {source} -> {target} computed")
+            return map_ranks(k, source, target)
+
+        monkeypatch.setattr(cohomology, "frolicher_pages", no_pages)
+        monkeypatch.setattr(cohomology, "_map_ranks", one_map)
+        return maps
+
+    def test_run_all_checks_skips_pages_and_six_maps(self, monkeypatch):
+        inputs = _pin_inputs()
+        with monkeypatch.context() as forced:
+            forced.setattr(checkers, "all_tables", lambda k: read_every_member(
+                cohomology.all_tables(k)))
+            expected = [run_all_checks(make()) for _, make in inputs]
+        maps = self._forbid_unread(monkeypatch)
+        for (label, make), want in zip(inputs, expected):
+            maps.clear()
+            assert run_all_checks(make()) == want, label
+            assert maps == [("bott_chern", "aeppli")], label
+
+    @pytest.mark.parametrize("check", [
+        frolicher_check, non_ddbar_degrees, upper_bound_check,
+        char_minus_check, ddbar_lemma_check, schweitzer_pairing_check,
+        duality_check])
+    def test_each_check_alone_skips_pages_and_six_maps(self, monkeypatch,
+                                                        check):
+        maps = self._forbid_unread(monkeypatch)
+        for make in (iwasawa, kodaira_surface, lambda: torus(2)):
+            check(make())
+        assert set(maps) <= {("bott_chern", "aeppli")}
+

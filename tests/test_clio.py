@@ -523,6 +523,42 @@ class TestCorpusCommand:
         two = run_corpus(config)
         assert one == two
 
+    @pytest.mark.parametrize("threads, n_corpus, cpus, expected", [
+        ("100000", 2, 4, [2]),
+        ("100000", 6, 4, [4]),
+        ("3", 6, 4, [3]),
+        ("100000", 6, None, []),
+        ("1", 6, 4, []),
+    ])
+    def test_worker_count_is_clamped(self, monkeypatch, threads, n_corpus,
+                                     cpus, expected):
+        """The pool is asked for at most one worker per job and per CPU,
+        and not made for a single worker.  The recording pool runs the
+        jobs in this process, so the test starts no process."""
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        config = RunConfig(command="corpus", n_corpus=n_corpus)
+        monkeypatch.setenv("BICOMPLEX_LAB_THREADS", "1")
+        serial = run_corpus(config)
+        monkeypatch.setattr(clio, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(clio.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("BICOMPLEX_LAB_THREADS", threads)
+        assert run_corpus(config) == serial
+        assert asked == expected
+
     def test_out_at_an_existing_file_fails_before_the_corpus(
             self, tmp_path, monkeypatch, capsys):
         taken = tmp_path / "taken"

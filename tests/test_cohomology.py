@@ -27,6 +27,7 @@ Hand-derived frozen values used below:
 """
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -35,7 +36,9 @@ from bicomplex_lab.bicomplex import Bicomplex, totalize
 from bicomplex_lab.checkers import run_all_checks
 from bicomplex_lab.cohomology import (
     BIGRADED_THEORIES,
+    AllTables,
     FrolicherPages,
+    NaturalMapRanks,
     aeppli,
     all_tables,
     bott_chern,
@@ -590,7 +593,49 @@ class TestNaturalMaps:
                     <= min(dol[bid], aep[bid])
 
 
+def read_every_member(bundle):
+    """Read every member of an ``all_tables`` bundle, the seven natural
+    maps included, so that all of them are computed; returns the bundle."""
+    for name in AllTables._MEMBERS:
+        getattr(bundle, name)
+    for name in NaturalMapRanks._MEMBERS:
+        getattr(bundle.natural_ranks, name)
+    return bundle
+
+
 class TestAllTables:
+    def test_members_are_computed_on_first_read_and_kept(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(cohomology, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in ("bott_chern", "frolicher_pages", "_map_ranks"):
+            monkeypatch.setattr(cohomology, name, counted(name))
+        k = kodaira_surface()
+        bundle = all_tables(k)
+        assert calls == Counter()
+        assert bundle.bott_chern is bundle.bott_chern
+        assert bundle.natural_ranks.bott_chern_to_aeppli \
+            is bundle.natural_ranks.bott_chern_to_aeppli
+        assert calls == Counter({"bott_chern": 1, "_map_ranks": 1})
+        read_every_member(bundle)
+        read_every_member(bundle)
+        assert calls == Counter({"bott_chern": 1, "frolicher_pages": 1,
+                                 "_map_ranks": 7})
+
+    def test_invalid_complex_is_rejected_at_the_call(self):
+        bad = build({(0, 0): 1, (1, 0): 1, (2, 0): 1},
+                    del_entries={(0, 0): [[1]], (1, 0): [[1]]})
+        for make in (all_tables, natural_maps):
+            with pytest.raises(ValueError, match="square to zero"):
+                make(bad)
+
     def test_bundle_matches_individual_calls(self):
         k = kodaira_surface()
         bundle = all_tables(k)
@@ -626,7 +671,7 @@ class TestStore:
                 _seen.append(m)  # kept alive, so no id is reused
                 return _original(m)
             monkeypatch.setattr(cohomology, name, counted)
-        all_tables(k)
+        read_every_member(all_tables(k))
         run_all_checks(k)
         for name, seen in calls.items():
             assert seen, name

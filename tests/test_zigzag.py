@@ -61,6 +61,13 @@ BASIS_DIGEST = ("2b684a7620067ca59c07c4a945325b6a"
                 "5cbe541092182cb5103854e2937fbcf4")
 
 
+def read_tables(k):
+    """Read the five tables of ``k``, which fills its cohomology store."""
+    tables = cohomology.all_tables(k)
+    for name in THEORIES:
+        getattr(tables, name)
+
+
 def assert_counts_match_tables(k, decomposition=None):
     d = decomposition if decomposition is not None else zz.decompose(k)
     counted = zz.count_cohomology_from_zigzags(d)
@@ -402,7 +409,7 @@ class TestDecompose:
         assert h.hexdigest() == BASIS_DIGEST
 
     def test_reads_ker_del_delbar_from_the_store(self, monkeypatch):
-        """After all_tables, decompose computes no ker(del delbar) of its
+        """After the tables, decompose computes no ker(del delbar) of its
         own: the store's builder runs once per bidegree in total, and on a
         fresh complex decompose fills the store itself."""
         make = cohomology._SUBSPACES["ker_ddbar"]
@@ -414,7 +421,7 @@ class TestDecompose:
 
         monkeypatch.setitem(cohomology._SUBSPACES, "ker_ddbar", counted)
         k = models.iwasawa()
-        cohomology.all_tables(k)
+        read_tables(k)
         zz.decompose(k)
         assert calls == Counter(dict.fromkeys(k.support(), 1))
         zz.decompose(models.iwasawa())
@@ -560,10 +567,10 @@ class TestStripSweep:
         assert found > 300
 
     def test_nil4_echelon_count_is_pinned(self, monkeypatch):
-        """After all_tables, decompose on nil4 runs 276 eliminations; the
+        """After the tables, decompose on nil4 runs 276 eliminations; the
         window ranks needed 512."""
         k = tc.nil4()
-        cohomology.all_tables(k)
+        read_tables(k)
         calls = _count_echelons(monkeypatch)
         zz.decompose(k)
         assert calls["echelon"] == 276
