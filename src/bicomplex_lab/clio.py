@@ -16,7 +16,7 @@ valid input should never raise; the message goes to stderr).
 
 All emissions are deterministic byte-for-byte for identical inputs and
 flags; corpus workers (at most ``BICOMPLEX_LAB_THREADS``, the number of
-complexes and the CPU count) never affect output order.  Dimension
+complexes and the usable CPUs) never affect output order.  Dimension
 reports are model cohomology: exact invariants of the given finite
 complex, with no claim attached about any geometric object the complex
 may have been derived from.
@@ -441,6 +441,14 @@ def _thread_cap():
     return value
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on (its affinity mask where
+    the platform has one, else the machine's CPU count)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_corpus(config):
     """Generate seeded complexes, run every check, summarize as CSV.
 
@@ -451,7 +459,7 @@ def run_corpus(config):
     jobs = [(seed, config.kinds) for seed in seeds]
     # The pool starts all of its workers at once, so never ask it for
     # more than there are jobs or CPUs.
-    workers = min(_thread_cap(), len(jobs), os.cpu_count() or 1)
+    workers = min(_thread_cap(), len(jobs), _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_corpus_row, jobs))

@@ -527,14 +527,15 @@ class TestCorpusCommand:
         ("100000", 2, 4, [2]),
         ("100000", 6, 4, [4]),
         ("3", 6, 4, [3]),
-        ("100000", 6, None, []),
+        ("100000", 6, 1, []),
         ("1", 6, 4, []),
     ])
     def test_worker_count_is_clamped(self, monkeypatch, threads, n_corpus,
                                      cpus, expected):
-        """The pool is asked for at most one worker per job and per CPU,
-        and not made for a single worker.  The recording pool runs the
-        jobs in this process, so the test starts no process."""
+        """The pool is asked for at most one worker per job and per CPU
+        this process may run on (``cpus`` of a 192-CPU host), and not made
+        for a single worker.  The recording pool runs the jobs in this
+        process, so the test starts no process."""
         asked = []
 
         class RecordingPool:
@@ -554,10 +555,19 @@ class TestCorpusCommand:
         monkeypatch.setenv("BICOMPLEX_LAB_THREADS", "1")
         serial = run_corpus(config)
         monkeypatch.setattr(clio, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(clio.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(clio.os, "cpu_count", lambda: 192)
+        monkeypatch.setattr(clio.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setenv("BICOMPLEX_LAB_THREADS", threads)
         assert run_corpus(config) == serial
         assert asked == expected
+
+    @pytest.mark.parametrize("count, expected", [(192, 192), (None, 1)])
+    def test_usable_cpus_without_an_affinity_mask(self, monkeypatch, count,
+                                                  expected):
+        monkeypatch.delattr(clio.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(clio.os, "cpu_count", lambda: count)
+        assert clio._usable_cpus() == expected
 
     def test_out_at_an_existing_file_fails_before_the_corpus(
             self, tmp_path, monkeypatch, capsys):
