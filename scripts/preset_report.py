@@ -14,7 +14,6 @@ from pathlib import Path
 
 from bicomplex_lab.checkers import run_all_checks
 from bicomplex_lab.clio import PRESETS, emit_tables, render_diagram
-from bicomplex_lab.cohomology import all_tables
 from bicomplex_lab.zigzag import decompose
 
 
@@ -25,14 +24,13 @@ def main(argv=None):
 
     for name in sorted(PRESETS):
         k = PRESETS[name]()
-        tables = all_tables(k)
         d = decompose(k)
         reports = run_all_checks(k)
 
         print("=" * 68)
         print(f"preset {name}: label={k.label}, n={k.n}, "
               f"total dim {k.total_dim}")
-        print(emit_tables(tables, "text", label=k.label)["tables.txt"],
+        print(emit_tables(k, "text", label=k.label)["tables.txt"],
               end="")
         kinds = {"squares": 0, "zigzags": 0, "dots": 0}
         for part in d.parts:
@@ -51,8 +49,7 @@ def main(argv=None):
         if args.out is not None:
             out = args.out / name
             out.mkdir(parents=True, exist_ok=True)
-            for fname, text in emit_tables(tables, "csv",
-                                           label=k.label).items():
+            for fname, text in emit_tables(k, "csv", label=k.label).items():
                 (out / fname).write_text(text)
             (out / "diagram.dot").write_text(
                 render_diagram(d, "dot", label=k.label))

@@ -4,6 +4,9 @@ Each check inspects one complex and returns a :class:`CheckReport` with a
 verdict of ``"holds"``, ``"fails"``, or ``"notApplicable"`` plus exact
 integer witnesses, so reports are reproducible and diffable.  A ``fails``
 verdict always carries the concrete numbers that violate the statement.
+Every check takes the complex alone and reads the tables and the
+Bott-Chern to Aeppli map from its store (see :mod:`.cohomology`), so the
+checks run on one complex compute each of them once between them.
 
 The checks, roughly in logical order:
 
@@ -34,8 +37,9 @@ The checks, roughly in logical order:
 
 from dataclasses import dataclass
 
-from .bicomplex import check_real_structure, ensure_valid
-from .cohomology import _subspace, all_tables
+from .bicomplex import check_real_structure
+from .cohomology import (_natural_map, _subspace, aeppli, bott_chern,
+                         conj_dolbeault, de_rham, dolbeault)
 from .exactla import Matrix, rank
 from .zigzag import decompose
 
@@ -60,10 +64,6 @@ class CheckReport:
                 "witnesses": self.witnesses}
 
 
-def _tables(k, tables):
-    return tables if tables is not None else all_tables(k)
-
-
 def _degree_range(*dicts):
     keys = set()
     for d in dicts:
@@ -75,17 +75,16 @@ def _support_inside(k, n):
     return all(0 <= p <= n and 0 <= q <= n for (p, q) in k.support())
 
 
-def _bc_to_a_injective(tables):
-    ranks = tables.natural_ranks.bott_chern_to_aeppli
-    dims = tables.bott_chern.dims
+def _bc_to_a_injective(k):
+    ranks = _natural_map(k, "bott_chern", "aeppli")
+    dims = bott_chern(k).dims
     return all(ranks[bid] == dims[bid] for bid in dims)
 
 
-def frolicher_check(k, *, tables=None):
+def frolicher_check(k):
     """Dolbeault anti-diagonal totals are at least the Betti numbers."""
-    tables = _tables(k, tables)
-    betti = tables.de_rham.dims
-    hodge = tables.dolbeault.totals()
+    betti = de_rham(k).dims
+    hodge = dolbeault(k).totals()
     gaps = {deg: hodge.get(deg, 0) - betti.get(deg, 0)
             for deg in _degree_range(betti, hodge)}
     verdict = "holds" if all(g >= 0 for g in gaps.values()) else "fails"
@@ -94,12 +93,11 @@ def frolicher_check(k, *, tables=None):
         witnesses={"Gap": {str(deg): gap for deg, gap in gaps.items()}})
 
 
-def non_ddbar_degrees(k, *, tables=None):
+def non_ddbar_degrees(k):
     """Per-degree defect h_BC + h_A - 2b, its non-negativity and total."""
-    tables = _tables(k, tables)
-    betti = tables.de_rham.dims
-    h_bc = tables.bott_chern.totals()
-    h_a = tables.aeppli.totals()
+    betti = de_rham(k).dims
+    h_bc = bott_chern(k).totals()
+    h_a = aeppli(k).totals()
     degrees = _degree_range(betti, h_bc, h_a)
     delta = {deg: h_bc.get(deg, 0) + h_a.get(deg, 0) - 2 * betti.get(deg, 0)
              for deg in degrees}
@@ -111,7 +109,7 @@ def non_ddbar_degrees(k, *, tables=None):
                    "DeltaSum": total, "DeltaSumZero": total == 0})
 
 
-def upper_bound_check(k, *, tables=None):
+def upper_bound_check(k):
     """Aeppli/Bott-Chern totals vs. scaled neighboring Dolbeault totals.
 
     Applicable only to complexes with a declared n, support inside
@@ -133,10 +131,9 @@ def upper_bound_check(k, *, tables=None):
         return skip("no conjugation structure")
     if not check_real_structure(k):
         return skip("conjugation structure does not validate")
-    tables = _tables(k, tables)
-    hodge = tables.dolbeault.totals()
-    h_a = tables.aeppli.totals()
-    h_bc = tables.bott_chern.totals()
+    hodge = dolbeault(k).totals()
+    h_a = aeppli(k).totals()
+    h_bc = bott_chern(k).totals()
     aeppli_slack = {}
     bc_slack = {}
     for deg in range(0, 2 * k.n + 1):
@@ -155,15 +152,14 @@ def upper_bound_check(k, *, tables=None):
             "BottChernSlack": {str(d): v for d, v in bc_slack.items()}})
 
 
-def char_minus_check(k, *, tables=None):
+def char_minus_check(k):
     """|h_BC - h_A| summed over degrees vanishes iff the lemma holds."""
-    tables = _tables(k, tables)
-    h_bc = tables.bott_chern.totals()
-    h_a = tables.aeppli.totals()
+    h_bc = bott_chern(k).totals()
+    h_a = aeppli(k).totals()
     degrees = _degree_range(h_bc, h_a)
     diff = {deg: h_bc.get(deg, 0) - h_a.get(deg, 0) for deg in degrees}
     total = sum(abs(v) for v in diff.values())
-    direct = _bc_to_a_injective(tables)
+    direct = _bc_to_a_injective(k)
     verdict = "holds" if (total == 0) == direct else "fails"
     return CheckReport(
         check_name="bc_aeppli_characterization", verdict=verdict,
@@ -172,7 +168,7 @@ def char_minus_check(k, *, tables=None):
                    "LemmaDirect": direct})
 
 
-def ddbar_lemma_check(k, *, tables=None, decomposition=None):
+def ddbar_lemma_check(k):
     """Three formulations of the lemma, which must agree.
 
     (a) the comparison map from Bott-Chern to Aeppli is injective at
@@ -181,13 +177,10 @@ def ddbar_lemma_check(k, *, tables=None, decomposition=None):
     verdict is ``holds`` when the three predicates agree (whatever the
     common value - that common value is the lemma status).
     """
-    tables = _tables(k, tables)
-    injective = _bc_to_a_injective(tables)
-    d = decomposition if decomposition is not None else decompose(k)
+    injective = _bc_to_a_injective(k)
     only_squares_and_dots = all(
-        part.kind == "square" or part.is_dot for part in d.parts)
-    delta_sum_zero = non_ddbar_degrees(k, tables=tables) \
-        .witnesses["DeltaSumZero"]
+        part.kind == "square" or part.is_dot for part in decompose(k).parts)
+    delta_sum_zero = non_ddbar_degrees(k).witnesses["DeltaSumZero"]
     agree = injective == only_squares_and_dots == delta_sum_zero
     witnesses = {"InjectiveEverywhere": injective,
                  "OnlySquaresAndDots": only_squares_and_dots,
@@ -199,7 +192,7 @@ def ddbar_lemma_check(k, *, tables=None, decomposition=None):
                        witnesses=witnesses)
 
 
-def schweitzer_pairing_check(k, *, tables=None):
+def schweitzer_pairing_check(k):
     """Top-form pairing on Bott-Chern representatives, one matrix product
     per complementary bidegree pair.
 
@@ -222,10 +215,9 @@ def schweitzer_pairing_check(k, *, tables=None):
         return skip("no product structure")
     if k.n is None:
         return skip("no declared n")
-    tables = _tables(k, tables)
     n = k.n
-    reps = tables.bott_chern.representatives
-    dims = tables.bott_chern.dims
+    reps = bott_chern(k).representatives
+    dims = bott_chern(k).dims
 
     def basis(bid):
         return reps[bid].basis if bid in reps else Matrix.zero(0, 0)
@@ -245,7 +237,7 @@ def schweitzer_pairing_check(k, *, tables=None):
             if not (r == dims.get(bid, 0) == dims.get(comp, 0)):
                 degenerate.append(str(bid))
     non_degenerate = not degenerate
-    lemma = _bc_to_a_injective(tables)
+    lemma = _bc_to_a_injective(k)
     implication = (not non_degenerate) or lemma
     verdict = "holds" if implication and not ill_defined else "fails"
     return CheckReport(
@@ -256,7 +248,7 @@ def schweitzer_pairing_check(k, *, tables=None):
                    "NonDegenerate": non_degenerate, "LemmaHolds": lemma})
 
 
-def duality_check(k, *, tables=None):
+def duality_check(k):
     """Betti, Serre, and Bott-Chern/Aeppli dualities plus conjugation
     symmetries, each gated on the structure that makes it meaningful."""
     has_product = (k.product is not None and k.n is not None
@@ -266,18 +258,17 @@ def duality_check(k, *, tables=None):
         return CheckReport(check_name="dualities", verdict="notApplicable",
                            witnesses={"Reason": "no usable product or "
                                                 "conjugation structure"})
-    tables = _tables(k, tables)
     witnesses = {"ProductRows": has_product, "ConjugationRows": conj_valid}
     problems = []
     if has_product:
         n = k.n
-        betti = tables.de_rham.dims
+        betti = de_rham(k).dims
         for deg in range(0, 2 * n + 1):
             if betti.get(deg, 0) != betti.get(2 * n - deg, 0):
                 problems.append(f"betti {deg} vs {2 * n - deg}")
-        hodge = tables.dolbeault.dims
-        h_bc = tables.bott_chern.dims
-        h_a = tables.aeppli.dims
+        hodge = dolbeault(k).dims
+        h_bc = bott_chern(k).dims
+        h_a = aeppli(k).dims
         for p in range(n + 1):
             for q in range(n + 1):
                 bid, comp = (p, q), (n - p, n - q)
@@ -286,10 +277,10 @@ def duality_check(k, *, tables=None):
                 if h_bc.get(bid, 0) != h_a.get(comp, 0):
                     problems.append(f"bc-aeppli {bid} vs {comp}")
     if conj_valid:
-        hodge = tables.dolbeault.dims
-        conj = tables.conj_dolbeault.dims
-        h_bc = tables.bott_chern.dims
-        h_a = tables.aeppli.dims
+        hodge = dolbeault(k).dims
+        conj = conj_dolbeault(k).dims
+        h_bc = bott_chern(k).dims
+        h_a = aeppli(k).dims
         for (p, q), value in hodge.items():
             if value != conj.get((q, p), 0):
                 problems.append(f"conjugation dolbeault ({p},{q})")
@@ -304,22 +295,12 @@ def duality_check(k, *, tables=None):
 
 
 def run_all_checks(k):
-    """All checks on one complex, sharing one lazy :func:`all_tables`
-    bundle and one decomposition.
+    """All checks on one complex, in ``ALL_CHECK_NAMES`` order.
 
-    The checks read the five tables and the Bott-Chern to Aeppli natural
-    map, so those are all the bundle computes: never the Frolicher pages
-    or the other six maps.
+    They share the complex's store, so the five tables and the Bott-Chern
+    to Aeppli map are computed once for all of them, and the Frolicher
+    pages and the other six maps not at all.
     """
-    ensure_valid(k)
-    tables = all_tables(k)
-    d = decompose(k)
-    return (
-        frolicher_check(k, tables=tables),
-        non_ddbar_degrees(k, tables=tables),
-        upper_bound_check(k, tables=tables),
-        char_minus_check(k, tables=tables),
-        ddbar_lemma_check(k, tables=tables, decomposition=d),
-        schweitzer_pairing_check(k, tables=tables),
-        duality_check(k, tables=tables),
-    )
+    return (frolicher_check(k), non_ddbar_degrees(k), upper_bound_check(k),
+            char_minus_check(k), ddbar_lemma_check(k),
+            schweitzer_pairing_check(k), duality_check(k))

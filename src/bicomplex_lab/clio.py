@@ -26,6 +26,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -36,7 +37,7 @@ from pathlib import Path
 from .bicomplex import (BicomplexFormatError, from_json_dict, to_json_dict,
                         validate)
 from .checkers import ALL_CHECK_NAMES, THEOREM_CHECK_NAMES, run_all_checks
-from .cohomology import all_tables
+from . import cohomology
 from .exactla import LinAlgError
 from .models import (StructureEquationError, from_structure_equations,
                      iwasawa, kodaira_surface, parse_structure_text,
@@ -196,17 +197,24 @@ _THEORY_FIELDS = (("dolbeault", "Dolbeault"),
                   ("aeppli", "Aeppli"))
 
 
-def emit_tables(tables, fmt, *, label=""):
-    """Render an :class:`AllTables` bundle as {filename: text}.
+def emit_tables(k, fmt, *, label=""):
+    """Render the cohomology tables of the complex ``k`` as
+    {filename: text}.
 
     ``text`` gives one aligned grid per theory in a single file, ``csv``
     one file per theory, ``json`` a single lossless integer report that
-    also carries the Frolicher pages and natural-map ranks.
+    also carries the Frolicher pages and natural-map ranks; only ``json``
+    computes those.  The tables come from the complex's store, so they
+    are computed once however often the complex is emitted.
     """
+    if fmt not in _FORMATS["cohomology"]:
+        raise UsageError(f"unknown table format {fmt!r}")
+    dims = {theory: getattr(cohomology, theory)(k).dims
+            for theory in cohomology.THEORIES}
     if fmt == "text":
         lines = [f"# model cohomology tables: {label}", f"# {GRID_CONVENTION}"]
         lines.append("== de Rham (by total degree) ==")
-        betti = tables.de_rham.dims
+        betti = dims["de_rham"]
         if betti:
             degs = list(range(min(betti), max(betti) + 1))
             lines.append("degree  " + "  ".join(str(d) for d in degs))
@@ -216,65 +224,60 @@ def emit_tables(tables, fmt, *, label=""):
             lines.append("(empty)")
         for field, title in _THEORY_FIELDS:
             lines.append(f"== {title} ==")
-            lines.extend(_grid_lines(getattr(tables, field).dims))
+            lines.extend(_grid_lines(dims[field]))
         return {"tables.txt": "\n".join(lines) + "\n"}
     if fmt == "csv":
         out = {}
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["degree", "dim"])
-        for deg in sorted(tables.de_rham.dims):
-            writer.writerow([deg, tables.de_rham.dims[deg]])
+        for deg in sorted(dims["de_rham"]):
+            writer.writerow([deg, dims["de_rham"][deg]])
         out["de_rham.csv"] = buf.getvalue()
         for field, _ in _THEORY_FIELDS:
-            dims = getattr(tables, field).dims
+            grid = dims[field]
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
-            if dims:
-                qs = list(range(min(q for _, q in dims),
-                                max(q for _, q in dims) + 1))
-                ps = list(range(min(p for p, _ in dims),
-                                max(p for p, _ in dims) + 1))
+            if grid:
+                qs = list(range(min(q for _, q in grid),
+                                max(q for _, q in grid) + 1))
+                ps = list(range(min(p for p, _ in grid),
+                                max(p for p, _ in grid) + 1))
                 writer.writerow(["p\\q"] + qs)
                 for p in ps:
-                    writer.writerow([p] + [dims.get((p, q), 0) for q in qs])
+                    writer.writerow([p] + [grid.get((p, q), 0) for q in qs])
             out[f"{field}.csv"] = buf.getvalue()
         return out
-    if fmt == "json":
-        frol = tables.frolicher
-        ranks = tables.natural_ranks
-        obj = {
-            "label": label,
-            "convention": GRID_CONVENTION,
-            "deRham": _deg_key_dict(tables.de_rham.dims),
-            "dolbeault": _bid_key_dict(tables.dolbeault.dims),
-            "conjDolbeault": _bid_key_dict(tables.conj_dolbeault.dims),
-            "bottChern": _bid_key_dict(tables.bott_chern.dims),
-            "aeppli": _bid_key_dict(tables.aeppli.dims),
-            "frolicher": {
-                "rStabilizes": frol.r_stab,
-                "pages": {str(r): _bid_key_dict(frol.pages[r])
-                          for r in sorted(frol.pages)},
-                "eInfinity": _bid_key_dict(frol.e_infinity),
-            },
-            "naturalMapRanks": {
-                "bottChernToDolbeault":
-                    _bid_key_dict(ranks.bott_chern_to_dolbeault),
-                "bottChernToConjDolbeault":
-                    _bid_key_dict(ranks.bott_chern_to_conj_dolbeault),
-                "bottChernToDeRham":
-                    _deg_key_dict(ranks.bott_chern_to_de_rham),
-                "bottChernToAeppli":
-                    _bid_key_dict(ranks.bott_chern_to_aeppli),
-                "dolbeaultToAeppli":
-                    _bid_key_dict(ranks.dolbeault_to_aeppli),
-                "conjDolbeaultToAeppli":
-                    _bid_key_dict(ranks.conj_dolbeault_to_aeppli),
-                "deRhamToAeppli": _deg_key_dict(ranks.de_rham_to_aeppli),
-            },
-        }
-        return {"tables.json": json.dumps(obj, indent=2) + "\n"}
-    raise UsageError(f"unknown table format {fmt!r}")
+    frol = cohomology.frolicher_pages(k)
+    ranks = cohomology.natural_maps(k)
+    obj = {
+        "label": label,
+        "convention": GRID_CONVENTION,
+        "deRham": _deg_key_dict(dims["de_rham"]),
+        "dolbeault": _bid_key_dict(dims["dolbeault"]),
+        "conjDolbeault": _bid_key_dict(dims["conj_dolbeault"]),
+        "bottChern": _bid_key_dict(dims["bott_chern"]),
+        "aeppli": _bid_key_dict(dims["aeppli"]),
+        "frolicher": {
+            "rStabilizes": frol.r_stab,
+            "pages": {str(r): _bid_key_dict(frol.pages[r])
+                      for r in sorted(frol.pages)},
+            "eInfinity": _bid_key_dict(frol.e_infinity),
+        },
+        "naturalMapRanks": {
+            "bottChernToDolbeault":
+                _bid_key_dict(ranks.bott_chern_to_dolbeault),
+            "bottChernToConjDolbeault":
+                _bid_key_dict(ranks.bott_chern_to_conj_dolbeault),
+            "bottChernToDeRham": _deg_key_dict(ranks.bott_chern_to_de_rham),
+            "bottChernToAeppli": _bid_key_dict(ranks.bott_chern_to_aeppli),
+            "dolbeaultToAeppli": _bid_key_dict(ranks.dolbeault_to_aeppli),
+            "conjDolbeaultToAeppli":
+                _bid_key_dict(ranks.conj_dolbeault_to_aeppli),
+            "deRhamToAeppli": _deg_key_dict(ranks.de_rham_to_aeppli),
+        },
+    }
+    return {"tables.json": json.dumps(obj, indent=2) + "\n"}
 
 
 # --------------------------------------------------------------------------
@@ -462,7 +465,10 @@ def run_corpus(config):
     workers = min(_thread_cap(), len(jobs), _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_corpus_row, jobs))
+            # One chunk per worker: a job takes a few milliseconds, about
+            # what handing one job to a worker costs.
+            results = list(pool.map(_corpus_row, jobs,
+                                    chunksize=math.ceil(len(jobs) / workers)))
     else:
         results = [_corpus_row(job) for job in jobs]
     columns = ["seed", "label", "totalDim", *ALL_CHECK_NAMES,
@@ -530,7 +536,7 @@ def _cmd_validate(config):
 
 def _cmd_cohomology(config):
     k = _load(config)
-    files = emit_tables(all_tables(k), config.fmt or "text", label=k.label)
+    files = emit_tables(k, config.fmt or "text", label=k.label)
     _deliver(files, config.out_dir)
     return EXIT_OK
 

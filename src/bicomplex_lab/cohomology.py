@@ -18,22 +18,23 @@ projects to a basis of the quotient.
 
 All of it is built from the kernels and images of del, delbar and
 del delbar per bidegree and of the total differential.  A private store
-in the complex's ``_store`` slot computes each of these, the totalization
-and every theory's (cocycles, coboundaries) pair at most once, on first
-use; this module and the Schweitzer pairing check read from it.  The
-store also seeds the Frolicher page chase, whose first step reads
+in the complex's ``_store`` slot is the one cache of a complex: it
+computes each of these subspaces, the del delbar composites, the
+totalization, every theory's (cocycles, coboundaries) pair, every table
+and every natural map's ranks at most once, on first use.  This module,
+the checks and the square splitting of the decomposition read from it.
+The store also seeds the Frolicher page chase, whose first step reads
 im delbar and the Dolbeault cocycles from it; later steps recompute only
 the bidegrees whose chain entries moved.
 
-``all_tables`` bundles the five tables, the pages and the natural-map
-ranks, and ``natural_maps`` bundles the seven maps.  Neither computes
-anything up front: each member is computed the first time it is read and
-then kept on the bundle, so a caller pays only for what it reads.  The
-checks read the five tables and the Bott-Chern to Aeppli map, never the
-pages or the other six maps.
+Every caller gets the stored table or rank dict itself, so none may
+change it.  ``all_tables`` and ``natural_maps`` are plain bundles built
+from the store, so a caller that reads one table or one map should ask
+for it alone: the checks read the five tables and the Bott-Chern to
+Aeppli map, never the pages or the other six maps.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .bicomplex import ensure_valid, totalize
 from .exactla import (
@@ -91,73 +92,36 @@ class FrolicherPages:
     e_infinity: dict
 
 
-class _Lazy:
-    """Members of one complex, each computed the first time it is read.
-
-    ``_MEMBERS`` maps every member name to the function of the complex
-    that computes it; the value is then kept in the instance dict, so a
-    second read finds it there.  Equality reads every member of both.
-    """
-
-    _MEMBERS = {}
-
-    def __init__(self, k):
-        self._k = k
-
-    def __getattr__(self, name):
-        # Reached only for names not (yet) in the instance dict.
-        make = type(self)._MEMBERS.get(name)
-        if make is None:
-            raise AttributeError(name)
-        value = self.__dict__[name] = make(self._k)
-        return value
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name)
-                   for name in self._MEMBERS)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self._k!r})"
-
-
-# The seven identity-induced maps, as (source, target) theories.
-_MAPS = (("bott_chern", "dolbeault"), ("bott_chern", "conj_dolbeault"),
-         ("bott_chern", "de_rham"), ("bott_chern", "aeppli"),
-         ("dolbeault", "aeppli"), ("conj_dolbeault", "aeppli"),
-         ("de_rham", "aeppli"))
-
-
-class NaturalMapRanks(_Lazy):
+@dataclass(frozen=True)
+class NaturalMapRanks:
     """Ranks of the identity-induced maps between the five theories.
 
-    Members are named ``<source>_to_<target>`` after ``_MAPS``; reading one
-    computes that map alone.  Bigraded maps are keyed by bidegree; maps
-    into or out of de Rham are keyed by total degree (their bigraded ends
-    summed over anti-diagonals).
+    Fields are named ``<source>_to_<target>``.  Bigraded maps are keyed by
+    bidegree; maps into or out of de Rham are keyed by total degree (their
+    bigraded ends summed over anti-diagonals).
     """
 
-    _MEMBERS = {f"{source}_to_{target}":
-                lambda k, source=source, target=target:
-                _map_ranks(k, source, target)
-                for source, target in _MAPS}
+    bott_chern_to_dolbeault: dict
+    bott_chern_to_conj_dolbeault: dict
+    bott_chern_to_de_rham: dict
+    bott_chern_to_aeppli: dict
+    dolbeault_to_aeppli: dict
+    conj_dolbeault_to_aeppli: dict
+    de_rham_to_aeppli: dict
 
 
-class AllTables(_Lazy):
+@dataclass(frozen=True)
+class AllTables:
     """Every table, the Frolicher pages and the natural-map ranks of one
-    complex, each computed the first time it is read and then kept."""
+    complex."""
 
-    # Wrapped so that the module's functions are looked up when called.
-    _MEMBERS = {
-        "de_rham": lambda k: de_rham(k),
-        "dolbeault": lambda k: dolbeault(k),
-        "conj_dolbeault": lambda k: conj_dolbeault(k),
-        "bott_chern": lambda k: bott_chern(k),
-        "aeppli": lambda k: aeppli(k),
-        "frolicher": lambda k: frolicher_pages(k),
-        "natural_ranks": lambda k: natural_maps(k),
-    }
+    de_rham: CohomologyTable
+    dolbeault: CohomologyTable
+    conj_dolbeault: CohomologyTable
+    bott_chern: CohomologyTable
+    aeppli: CohomologyTable
+    frolicher: FrolicherPages
+    natural_ranks: NaturalMapRanks
 
 
 # The per-complex store.  Every theory is a quotient of these subspaces:
@@ -165,12 +129,10 @@ class AllTables(_Lazy):
 _SUBSPACES = {
     "ker_del": lambda k, p, q: kernel_basis(k.del_map(p, q)),
     "ker_delbar": lambda k, p, q: kernel_basis(k.delbar_map(p, q)),
-    "ker_ddbar": lambda k, p, q: kernel_basis(
-        k.del_map(p, q + 1) @ k.delbar_map(p, q)),
+    "ker_ddbar": lambda k, p, q: kernel_basis(_ddbar(k, (p, q))),
     "im_del": lambda k, p, q: image_basis(k.del_map(p - 1, q)),
     "im_delbar": lambda k, p, q: image_basis(k.delbar_map(p, q - 1)),
-    "im_ddbar": lambda k, p, q: image_basis(
-        k.del_map(p - 1, q) @ k.delbar_map(p - 1, q - 1)),
+    "im_ddbar": lambda k, p, q: image_basis(_ddbar(k, (p - 1, q - 1))),
 }
 
 # Each bigraded theory's (cocycles, coboundaries), given a lookup ``s`` of
@@ -198,6 +160,13 @@ def _once(k, key, make):
     return store[key]
 
 
+def _ddbar(k, bid):
+    """The composite del delbar out of bidegree ``bid`` of ``k``."""
+    p, q = bid
+    return _once(k, ("ddbar", bid),
+                 lambda: k.del_map(p, q + 1) @ k.delbar_map(p, q))
+
+
 def _subspace(k, name, bid):
     """One of the ``_SUBSPACES`` of ``k`` at bidegree ``bid``."""
     return _once(k, (name, bid), lambda: _SUBSPACES[name](k, *bid))
@@ -223,13 +192,16 @@ def _pairs(k, theory):
 
 
 def _table(k, theory):
-    dims = {}
-    reps = {}
-    for key, (z, b) in _pairs(k, theory).items():
-        # Columns of z's reduced echelon basis: already canonical.
-        reps[key] = Subspace(z.ambient_dim, complete_basis(b, z))
-        dims[key] = reps[key].dim
-    return CohomologyTable(theory=theory, dims=dims, representatives=reps)
+    def make():
+        dims = {}
+        reps = {}
+        for key, (z, b) in _pairs(k, theory).items():
+            # Columns of z's reduced echelon basis: already canonical.
+            reps[key] = Subspace(z.ambient_dim, complete_basis(b, z))
+            dims[key] = reps[key].dim
+        return CohomologyTable(theory=theory, dims=dims,
+                               representatives=reps)
+    return _once(k, ("table", theory), make)
 
 
 def dolbeault(k):
@@ -367,23 +339,33 @@ def _map_ranks(k, source, target):
             for deg in t.degrees()}
 
 
+def _natural_map(k, source, target):
+    """The ranks of one natural map of ``k``, as :func:`_map_ranks`."""
+    return _once(k, ("map", source, target),
+                 lambda: _map_ranks(k, source, target))
+
+
 def natural_maps(k):
     """Ranks of the seven identity-induced maps between the theories.
 
-    Returns a :class:`NaturalMapRanks` that computes each map the first
-    time it is read.  Raises ValueError for an invalid complex.
+    Raises ValueError for an invalid complex.
     """
-    ensure_valid(k)
-    return NaturalMapRanks(k)
+    return NaturalMapRanks(**{
+        field.name: _natural_map(k, *field.name.split("_to_"))
+        for field in fields(NaturalMapRanks)})
 
 
 def all_tables(k):
     """The five tables, the Frolicher pages and the natural-map ranks.
 
-    Returns an :class:`AllTables` bundle that computes each member the
-    first time it is read and then keeps it; reading every member costs
-    what computing each one by itself costs.  Raises ValueError for an
-    invalid complex.
+    Raises ValueError for an invalid complex.
     """
-    ensure_valid(k)
-    return AllTables(k)
+    return AllTables(
+        de_rham=de_rham(k),
+        dolbeault=dolbeault(k),
+        conj_dolbeault=conj_dolbeault(k),
+        bott_chern=bott_chern(k),
+        aeppli=aeppli(k),
+        frolicher=frolicher_pages(k),
+        natural_ranks=natural_maps(k),
+    )

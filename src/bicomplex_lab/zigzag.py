@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 from typing import ClassVar, NamedTuple
 
 from .bicomplex import Bicomplex, ensure_valid
-from .cohomology import CohomologyTable, _subspace
+from .cohomology import CohomologyTable, _ddbar, _subspace
 from .exactla import (
     LinAlgError,
     Matrix,
@@ -548,7 +548,7 @@ def decompose(k):
             ker = _subspace(k, "ker_ddbar", (p, q))
             if ker.dim == k.dimension(p, q):
                 continue
-            composed = k.del_map(p, q + 1) @ k.delbar_map(p, q)
+            composed = _ddbar(k, (p, q))
             anchors = complete_basis(ker, Subspace.full(k.dimension(p, q)))
             lam = solve((composed @ anchors).transpose(),
                         Matrix.identity(anchors.cols)).transpose()

@@ -31,7 +31,6 @@ from bicomplex_lab.cohomology import all_tables
 from bicomplex_lab.models import random_bicomplex
 from bicomplex_lab.zigzag import (Zigzag, count_cohomology_from_zigzags,
                                   decompose, synthesize)
-from test_cohomology import read_every_member
 
 N_PLAIN = 400
 N_SYMMETRIC = 100
@@ -68,9 +67,9 @@ def corpus():
 
 
 def _analyze(label, k, truth):
-    # The bundle computes a member when it is first read: read them all
-    # here so that the timed fixture covers the exact tables.
-    tables = read_every_member(all_tables(k))
+    # Every table, page and map, kept in the complex's store for the
+    # checks below; computed here so that the timed fixture covers them.
+    tables = all_tables(k)
     d = decompose(k)
     return Analyzed(label=label, k=k, truth=truth, tables=tables,
                     decomposition=d,
@@ -110,10 +109,10 @@ def test_criterion_03_frolicher_inequality(corpus):
     model shows the strict gap 1 in degree 1."""
     rows, _ = corpus
     for row in rows:
-        rep = frolicher_check(row.k, tables=row.tables)
+        rep = frolicher_check(row.k)
         assert rep.verdict == "holds", row.label
     iwasawa = next(r for r in rows if r.label == "preset-iwasawa")
-    rep = frolicher_check(iwasawa.k, tables=iwasawa.tables)
+    rep = frolicher_check(iwasawa.k)
     assert rep.witnesses["Gap"]["1"] == 1
 
 
@@ -123,11 +122,11 @@ def test_criterion_04_defect_nonnegative(corpus):
     degrees (1, 2)."""
     rows, _ = corpus
     for row in rows:
-        rep = non_ddbar_degrees(row.k, tables=row.tables)
+        rep = non_ddbar_degrees(row.k)
         assert rep.verdict == "holds", row.label
     def delta(label):
         row = next(r for r in rows if r.label == f"preset-{label}")
-        return non_ddbar_degrees(row.k, tables=row.tables).witnesses["Delta"]
+        return non_ddbar_degrees(row.k).witnesses["Delta"]
     assert set(delta("torus2").values()) == {0}
     assert delta("iwasawa")["1"] == 2
     assert delta("kodaira")["1"] == 0 and delta("kodaira")["2"] == 2
@@ -141,7 +140,7 @@ def test_criterion_05_upper_bounds_and_witness(corpus):
     rows, _ = corpus
     applicable = 0
     for row in rows:
-        rep = upper_bound_check(row.k, tables=row.tables)
+        rep = upper_bound_check(row.k)
         assert rep.verdict != "fails", row.label
         if rep.verdict == "holds":
             applicable += 1
@@ -169,7 +168,7 @@ def test_criterion_06_bc_aeppli_characterization(corpus):
     rows, _ = corpus
     seen = set()
     for row in rows:
-        rep = char_minus_check(row.k, tables=row.tables)
+        rep = char_minus_check(row.k)
         assert rep.verdict == "holds", row.label
         seen.add(rep.witnesses["LemmaDirect"])
     assert seen == {True, False}
@@ -180,8 +179,7 @@ def test_criterion_07_lemma_equivalences(corpus):
     decomposition, zero defect sum) agree on 100% of the corpus."""
     rows, _ = corpus
     for row in rows:
-        rep = ddbar_lemma_check(row.k, tables=row.tables,
-                                decomposition=row.decomposition)
+        rep = ddbar_lemma_check(row.k)
         assert rep.verdict == "holds", row.label
         assert "LemmaHolds" in rep.witnesses, row.label
 
@@ -192,14 +190,14 @@ def test_criterion_08_pairing_criterion(corpus):
     and Kodaira degenerate."""
     rows, _ = corpus
     for row in rows:
-        rep = schweitzer_pairing_check(row.k, tables=row.tables)
+        rep = schweitzer_pairing_check(row.k)
         assert rep.verdict != "fails", row.label
         if rep.verdict == "holds":
             assert not (rep.witnesses["NonDegenerate"]
                         and not rep.witnesses["LemmaHolds"]), row.label
     def pairing(label):
         row = next(r for r in rows if r.label == f"preset-{label}")
-        return schweitzer_pairing_check(row.k, tables=row.tables).witnesses
+        return schweitzer_pairing_check(row.k).witnesses
     for name in ("torus1", "torus2", "torus3"):
         assert pairing(name)["NonDegenerate"] is True
     assert pairing("iwasawa")["NonDegenerate"] is False
@@ -214,7 +212,7 @@ def test_criterion_09_dualities(corpus):
     models = [r for r in rows if r.label.startswith("preset-")]
     assert models
     for row in models:
-        rep = duality_check(row.k, tables=row.tables)
+        rep = duality_check(row.k)
         assert rep.verdict == "holds", row.label
         assert rep.witnesses["ProductRows"] is True
         assert rep.witnesses["ConjugationRows"] is True
@@ -235,8 +233,8 @@ def test_criterion_10_determinism(corpus):
     rows, _ = corpus
     kodaira = next(r for r in rows if r.label == "preset-kodaira")
     for fmt in ("text", "csv", "json"):
-        assert emit_tables(kodaira.tables, fmt, label="x") \
-            == emit_tables(all_tables(kodaira.k), fmt, label="x")
+        assert emit_tables(kodaira.k, fmt, label="x") \
+            == emit_tables(PRESETS["kodaira"](), fmt, label="x")
     d2 = decompose(kodaira.k)
     assert d2.parts == kodaira.decomposition.parts
     assert d2.basis_change == kodaira.decomposition.basis_change

@@ -42,7 +42,6 @@ from bicomplex_lab.models import (iwasawa, kodaira_surface,
                                   random_bicomplex, torus)
 from bicomplex_lab.zigzag import (Square, Zigzag, standard_conjugation,
                                   synthesize)
-from test_cohomology import read_every_member
 
 SC1 = ExactScalar(1)
 
@@ -567,9 +566,9 @@ def _pin_inputs():
 
 
 class TestChecksReadOnlyWhatTheyNeed:
-    """The checks read the five tables and the Bott-Chern to Aeppli map,
-    so the lazy bundle never computes the Frolicher pages or the other
-    six natural maps for them."""
+    """The checks read the five tables and the Bott-Chern to Aeppli map
+    from the complex's store, so neither run_all_checks nor a check alone
+    computes the Frolicher pages or the other six natural maps."""
 
     @staticmethod
     def _forbid_unread(monkeypatch):
@@ -593,10 +592,11 @@ class TestChecksReadOnlyWhatTheyNeed:
 
     def test_run_all_checks_skips_pages_and_six_maps(self, monkeypatch):
         inputs = _pin_inputs()
-        with monkeypatch.context() as forced:
-            forced.setattr(checkers, "all_tables", lambda k: read_every_member(
-                cohomology.all_tables(k)))
-            expected = [run_all_checks(make()) for _, make in inputs]
+        expected = []
+        for _, make in inputs:
+            k = make()
+            cohomology.all_tables(k)  # every page and map in the store
+            expected.append(run_all_checks(k))
         maps = self._forbid_unread(monkeypatch)
         for (label, make), want in zip(inputs, expected):
             maps.clear()

@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import re
 import runpy
 from pathlib import Path
@@ -24,7 +25,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bicomplex_lab import clio, models
+from bicomplex_lab import clio, cohomology, models
 from bicomplex_lab.bicomplex import to_json_dict
 from bicomplex_lab.checkers import CheckReport
 from bicomplex_lab.clio import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK,
@@ -312,8 +313,7 @@ class TestReaderFuzz:
 
 class TestEmitTables:
     def test_torus1_text_frozen(self):
-        files = emit_tables(all_tables(models.torus(1)), "text",
-                            label="torus-1")
+        files = emit_tables(models.torus(1), "text", label="torus-1")
         expected = "\n".join([
             "# model cohomology tables: torus-1",
             "# grid convention: rows are the first index p (top row p = 0),"
@@ -341,7 +341,7 @@ class TestEmitTables:
         assert files == {"tables.txt": expected}
 
     def test_torus2_dolbeault_csv_binomials(self):
-        files = emit_tables(all_tables(models.torus(2)), "csv")
+        files = emit_tables(models.torus(2), "csv")
         assert files["dolbeault.csv"] == \
             "p\\q,0,1,2\n0,1,2,1\n1,2,4,2\n2,1,2,1\n"
         assert set(files) == {"de_rham.csv", "dolbeault.csv",
@@ -351,7 +351,7 @@ class TestEmitTables:
     def test_json_lossless(self):
         k = models.iwasawa()
         tables = all_tables(k)
-        files = emit_tables(tables, "json", label=k.label)
+        files = emit_tables(k, "json", label=k.label)
         obj = json.loads(files["tables.json"])
         assert obj["deRham"] == {str(d): v
                                  for d, v in tables.de_rham.dims.items()}
@@ -366,23 +366,39 @@ class TestEmitTables:
         assert obj["frolicher"]["rStabilizes"] == tables.frolicher.r_stab
 
     def test_empty_complex_valid_files(self):
-        tables = all_tables(synthesize([]))
+        k = synthesize([])
         for fmt in ("text", "csv", "json"):
-            files = emit_tables(tables, fmt, label="empty")
+            files = emit_tables(k, fmt, label="empty")
             for text in files.values():
                 assert isinstance(text, str)
-        assert "(empty)" in emit_tables(tables, "text")["tables.txt"]
-        json.loads(emit_tables(tables, "json")["tables.json"])
+        assert "(empty)" in emit_tables(k, "text")["tables.txt"]
+        json.loads(emit_tables(k, "json")["tables.json"])
 
     def test_deterministic(self):
+        # A second complex, so that the second emission recomputes
+        # everything its store would otherwise hand back.
         k = models.random_bicomplex(3).bicomplex
         for fmt in ("text", "csv", "json"):
-            assert emit_tables(all_tables(k), fmt, label=k.label) \
-                == emit_tables(all_tables(k), fmt, label=k.label)
+            assert emit_tables(k, fmt, label=k.label) == emit_tables(
+                models.random_bicomplex(3).bicomplex, fmt, label=k.label)
 
     def test_unknown_format(self):
         with pytest.raises(UsageError):
-            emit_tables(all_tables(models.torus(1)), "xml")
+            emit_tables(models.torus(1), "xml")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_text_and_csv_compute_no_pages_or_maps(self, monkeypatch,
+                                                    capsys, fmt):
+        """Only the json report carries the Frolicher pages and the
+        natural-map ranks, so only it computes them."""
+        def unread(*args, **kwargs):
+            raise AssertionError("Frolicher pages or a natural map computed")
+
+        monkeypatch.setattr(cohomology, "frolicher_pages", unread)
+        monkeypatch.setattr(cohomology, "_map_ranks", unread)
+        assert clio.main(["cohomology", "--preset", "iwasawa",
+                          "--format", fmt]) == EXIT_OK
+        assert capsys.readouterr().out
 
 
 class TestRenderDiagram:
@@ -537,6 +553,7 @@ class TestCorpusCommand:
         for a single worker.  The recording pool runs the jobs in this
         process, so the test starts no process."""
         asked = []
+        chunks = []
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -548,7 +565,8 @@ class TestCorpusCommand:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def map(self, fn, jobs, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, jobs)
 
         config = RunConfig(command="corpus", n_corpus=n_corpus)
@@ -561,6 +579,8 @@ class TestCorpusCommand:
         monkeypatch.setenv("BICOMPLEX_LAB_THREADS", threads)
         assert run_corpus(config) == serial
         assert asked == expected
+        # One chunk of jobs per worker.
+        assert chunks == [math.ceil(n_corpus / w) for w in expected]
 
     @pytest.mark.parametrize("count, expected", [(192, 192), (None, 1)])
     def test_usable_cpus_without_an_affinity_mask(self, monkeypatch, count,

@@ -31,14 +31,13 @@ from collections import Counter
 
 import pytest
 
-from bicomplex_lab import cohomology
-from bicomplex_lab.bicomplex import Bicomplex, totalize
+from bicomplex_lab import checkers, cohomology
+from bicomplex_lab.bicomplex import Bicomplex, ensure_valid, totalize
 from bicomplex_lab.checkers import run_all_checks
 from bicomplex_lab.cohomology import (
     BIGRADED_THEORIES,
-    AllTables,
+    THEORIES,
     FrolicherPages,
-    NaturalMapRanks,
     aeppli,
     all_tables,
     bott_chern,
@@ -68,6 +67,7 @@ from bicomplex_lab.models import (
     random_bicomplex,
     torus,
 )
+from bicomplex_lab.zigzag import decompose
 
 
 # --------------------------------------------------------------------------
@@ -593,41 +593,40 @@ class TestNaturalMaps:
                     <= min(dol[bid], aep[bid])
 
 
-def read_every_member(bundle):
-    """Read every member of an ``all_tables`` bundle, the seven natural
-    maps included, so that all of them are computed; returns the bundle."""
-    for name in AllTables._MEMBERS:
-        getattr(bundle, name)
-    for name in NaturalMapRanks._MEMBERS:
-        getattr(bundle.natural_ranks, name)
-    return bundle
-
-
 class TestAllTables:
-    def test_members_are_computed_on_first_read_and_kept(self, monkeypatch):
-        calls = Counter()
+    def test_each_table_and_map_is_computed_once(self, monkeypatch):
+        """Every check alone, run_all_checks, natural_maps and all_tables
+        on one complex compute each table and each map once between them:
+        the complex's store keeps them."""
+        tables = Counter()
+        maps = Counter()
+        make_table = cohomology.CohomologyTable
+        map_ranks = cohomology._map_ranks
 
-        def counted(name):
-            original = getattr(cohomology, name)
+        def counted_table(*, theory, **fields):
+            tables[theory] += 1
+            return make_table(theory=theory, **fields)
 
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
-            return wrapper
+        def counted_map(k, source, target):
+            maps[(source, target)] += 1
+            return map_ranks(k, source, target)
 
-        for name in ("bott_chern", "frolicher_pages", "_map_ranks"):
-            monkeypatch.setattr(cohomology, name, counted(name))
-        k = kodaira_surface()
+        monkeypatch.setattr(cohomology, "CohomologyTable", counted_table)
+        monkeypatch.setattr(cohomology, "_map_ranks", counted_map)
+        k = iwasawa()
+        for check in (checkers.frolicher_check, checkers.non_ddbar_degrees,
+                      checkers.upper_bound_check, checkers.char_minus_check,
+                      checkers.ddbar_lemma_check,
+                      checkers.schweitzer_pairing_check,
+                      checkers.duality_check):
+            check(k)
+        run_all_checks(k)
+        ranks = natural_maps(k)
         bundle = all_tables(k)
-        assert calls == Counter()
-        assert bundle.bott_chern is bundle.bott_chern
-        assert bundle.natural_ranks.bott_chern_to_aeppli \
-            is bundle.natural_ranks.bott_chern_to_aeppli
-        assert calls == Counter({"bott_chern": 1, "_map_ranks": 1})
-        read_every_member(bundle)
-        read_every_member(bundle)
-        assert calls == Counter({"bott_chern": 1, "frolicher_pages": 1,
-                                 "_map_ranks": 7})
+        assert tables == Counter(THEORIES)
+        assert len(maps) == 7 and set(maps.values()) == {1}
+        assert bundle.bott_chern is bott_chern(k)
+        assert bundle.natural_ranks == ranks
 
     def test_invalid_complex_is_rejected_at_the_call(self):
         bad = build({(0, 0): 1, (1, 0): 1, (2, 0): 1},
@@ -671,10 +670,33 @@ class TestStore:
                 _seen.append(m)  # kept alive, so no id is reused
                 return _original(m)
             monkeypatch.setattr(cohomology, name, counted)
-        read_every_member(all_tables(k))
+        all_tables(k)
         run_all_checks(k)
         for name, seen in calls.items():
             assert seen, name
             assert len({id(m) for m in seen}) == len(seen), name
         assert len(calls["kernel_basis"]) \
             <= 3 * len(k.support()) + len(totalize(k).degrees())
+
+    def test_ddbar_is_built_once_per_bidegree(self, monkeypatch):
+        """ker ddbar at (p, q), im ddbar at (p + 1, q + 1) and the square
+        splitting in decompose all read one del delbar product out of
+        (p, q), built once."""
+        k = iwasawa()
+        ensure_valid(k)  # validation multiplies the blocks on its own
+        composites = {(id(k.del_map(p, q + 1)), id(k.delbar_map(p, q))):
+                      (p, q) for (p, q) in k.support()}
+        built = Counter()
+        matmul = Matrix.__matmul__
+
+        def counted(left, right):
+            bid = composites.get((id(left), id(right)))
+            if bid is not None:
+                built[bid] += 1
+            return matmul(left, right)
+
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
+        all_tables(k)
+        assert any(part.kind == "square" for part in decompose(k).parts)
+        run_all_checks(k)
+        assert built == Counter(k.support())
