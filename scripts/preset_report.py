@@ -30,8 +30,7 @@ def main(argv=None):
         print("=" * 68)
         print(f"preset {name}: label={k.label}, n={k.n}, "
               f"total dim {k.total_dim}")
-        print(emit_tables(k, "text", label=k.label)["tables.txt"],
-              end="")
+        print(emit_tables(k, "text")["tables.txt"], end="")
         kinds = {"squares": 0, "zigzags": 0, "dots": 0}
         for part in d.parts:
             if part.kind == "square":
@@ -49,7 +48,7 @@ def main(argv=None):
         if args.out is not None:
             out = args.out / name
             out.mkdir(parents=True, exist_ok=True)
-            for fname, text in emit_tables(k, "csv", label=k.label).items():
+            for fname, text in emit_tables(k, "csv").items():
                 (out / fname).write_text(text)
             (out / "diagram.dot").write_text(
                 render_diagram(d, "dot", label=k.label))

@@ -4,9 +4,10 @@ Each check inspects one complex and returns a :class:`CheckReport` with a
 verdict of ``"holds"``, ``"fails"``, or ``"notApplicable"`` plus exact
 integer witnesses, so reports are reproducible and diffable.  A ``fails``
 verdict always carries the concrete numbers that violate the statement.
-Every check takes the complex alone and reads the tables and the
-Bott-Chern to Aeppli map from its store (see :mod:`.cohomology`), so the
-checks run on one complex compute each of them once between them.
+Every check takes the complex alone and reads the tables, the
+Bott-Chern to Aeppli map and the real-structure verdict from its store
+(see :mod:`.cohomology`), so the checks run on one complex compute each
+of them once between them.
 
 The checks, roughly in logical order:
 
@@ -38,8 +39,8 @@ The checks, roughly in logical order:
 from dataclasses import dataclass
 
 from .bicomplex import check_real_structure
-from .cohomology import (_natural_map, _subspace, aeppli, bott_chern,
-                         conj_dolbeault, de_rham, dolbeault)
+from .cohomology import (_natural_map, _once, _subspace, aeppli,
+                         bott_chern, conj_dolbeault, de_rham, dolbeault)
 from .exactla import Matrix, rank
 from .zigzag import decompose
 
@@ -73,6 +74,12 @@ def _degree_range(*dicts):
 
 def _support_inside(k, n):
     return all(0 <= p <= n and 0 <= q <= n for (p, q) in k.support())
+
+
+def _real_structure(k):
+    """Whether the carried conjugation validates, decided once per
+    complex (the caller has checked that there is one)."""
+    return _once(k, "real_structure", lambda: check_real_structure(k))
 
 
 def _bc_to_a_injective(k):
@@ -129,7 +136,7 @@ def upper_bound_check(k):
         return skip("support outside the declared [0, n]^2 range")
     if k.conj is None:
         return skip("no conjugation structure")
-    if not check_real_structure(k):
+    if not _real_structure(k):
         return skip("conjugation structure does not validate")
     hodge = dolbeault(k).totals()
     h_a = aeppli(k).totals()
@@ -253,7 +260,7 @@ def duality_check(k):
     symmetries, each gated on the structure that makes it meaningful."""
     has_product = (k.product is not None and k.n is not None
                    and _support_inside(k, k.n))
-    conj_valid = k.conj is not None and check_real_structure(k)
+    conj_valid = k.conj is not None and _real_structure(k)
     if not has_product and not conj_valid:
         return CheckReport(check_name="dualities", verdict="notApplicable",
                            witnesses={"Reason": "no usable product or "
@@ -297,9 +304,10 @@ def duality_check(k):
 def run_all_checks(k):
     """All checks on one complex, in ``ALL_CHECK_NAMES`` order.
 
-    They share the complex's store, so the five tables and the Bott-Chern
-    to Aeppli map are computed once for all of them, and the Frolicher
-    pages and the other six maps not at all.
+    They share the complex's store, so the five tables, the Bott-Chern
+    to Aeppli map and the real-structure verdict are computed once for
+    all of them, and the Frolicher pages and the other six maps not at
+    all.
     """
     return (frolicher_check(k), non_ddbar_degrees(k), upper_bound_check(k),
             char_minus_check(k), ddbar_lemma_check(k),

@@ -197,9 +197,9 @@ _THEORY_FIELDS = (("dolbeault", "Dolbeault"),
                   ("aeppli", "Aeppli"))
 
 
-def emit_tables(k, fmt, *, label=""):
+def emit_tables(k, fmt):
     """Render the cohomology tables of the complex ``k`` as
-    {filename: text}.
+    {filename: text}, headed by ``k.label``.
 
     ``text`` gives one aligned grid per theory in a single file, ``csv``
     one file per theory, ``json`` a single lossless integer report that
@@ -212,7 +212,8 @@ def emit_tables(k, fmt, *, label=""):
     dims = {theory: getattr(cohomology, theory)(k).dims
             for theory in cohomology.THEORIES}
     if fmt == "text":
-        lines = [f"# model cohomology tables: {label}", f"# {GRID_CONVENTION}"]
+        lines = [f"# model cohomology tables: {k.label}",
+                 f"# {GRID_CONVENTION}"]
         lines.append("== de Rham (by total degree) ==")
         betti = dims["de_rham"]
         if betti:
@@ -251,7 +252,7 @@ def emit_tables(k, fmt, *, label=""):
     frol = cohomology.frolicher_pages(k)
     ranks = cohomology.natural_maps(k)
     obj = {
-        "label": label,
+        "label": k.label,
         "convention": GRID_CONVENTION,
         "deRham": _deg_key_dict(dims["de_rham"]),
         "dolbeault": _bid_key_dict(dims["dolbeault"]),
@@ -536,7 +537,7 @@ def _cmd_validate(config):
 
 def _cmd_cohomology(config):
     k = _load(config)
-    files = emit_tables(k, config.fmt or "text", label=k.label)
+    files = emit_tables(k, config.fmt)
     _deliver(files, config.out_dir)
     return EXIT_OK
 
@@ -557,17 +558,14 @@ def _summarize_parts(parts):
 def _cmd_decompose(config):
     k = _load(config)
     d = decompose(k)
-    fmt = config.fmt or "json"
-    if fmt == "json":
+    if config.fmt == "json":
         files = {"decomposition.json":
                  json.dumps(decomposition_to_json_dict(d), indent=2) + "\n"}
-    elif fmt == "text":
+    else:
         lines = [f"# decomposition of {k.label or 'complex'}: "
                  f"{len(d.parts)} indecomposable summands (verified)"]
         lines.extend(_summarize_parts(d.parts))
         files = {"decomposition.txt": "\n".join(lines) + "\n"}
-    else:
-        raise UsageError(f"unknown decomposition format {fmt!r}")
     _deliver(files, config.out_dir)
     return EXIT_OK
 
@@ -575,17 +573,14 @@ def _cmd_decompose(config):
 def _cmd_check(config):
     k = _load(config)
     reports = run_all_checks(k)
-    fmt = config.fmt or "text"
-    if fmt == "json":
+    if config.fmt == "json":
         payload = [rep.to_json_dict() for rep in reports]
         files = {"checks.json": json.dumps(payload, indent=2) + "\n"}
-    elif fmt == "text":
+    else:
         lines = [f"# checks for {k.label or 'complex'}"]
         for rep in reports:
             lines.append(f"{rep.check_name}: {rep.verdict}")
         files = {"checks.txt": "\n".join(lines) + "\n"}
-    else:
-        raise UsageError(f"unknown check format {fmt!r}")
     _deliver(files, config.out_dir)
     theorem_failure = any(
         rep.check_name in THEOREM_CHECK_NAMES and rep.verdict == "fails"
@@ -600,12 +595,9 @@ _RENDER_SUFFIX = {"tikz": "diagram.tex", "dot": "diagram.dot",
 def _cmd_render(config):
     k = _load(config)
     d = decompose(k)
-    fmt = config.fmt or "dot"
-    if fmt not in _RENDER_SUFFIX:
-        raise UsageError(f"unknown diagram format {fmt!r}")
-    text = render_diagram(d, fmt, hide_squares=config.hide_squares,
+    text = render_diagram(d, config.fmt, hide_squares=config.hide_squares,
                           label=k.label)
-    _deliver({_RENDER_SUFFIX[fmt]: text}, config.out_dir)
+    _deliver({_RENDER_SUFFIX[config.fmt]: text}, config.out_dir)
     return EXIT_OK
 
 
@@ -676,25 +668,16 @@ def build_parser():
 
 def parse_args(argv=None):
     ns = build_parser().parse_args(argv)
-    kinds = tuple(s for s in getattr(ns, "kinds",
-                                     "dot,square,zigzag").split(",") if s)
-    if not kinds:
-        raise UsageError("--kinds must name at least one part kind")
-    for kind in kinds:
-        if kind not in ("dot", "square", "zigzag"):
-            raise UsageError(f"unknown part kind {kind!r}")
-    n_corpus = getattr(ns, "n_corpus", 100)
-    if n_corpus < 0:
-        raise UsageError("--n-corpus must be >= 0")
-    return RunConfig(command=ns.command,
-                     preset=getattr(ns, "preset", None),
-                     input_path=getattr(ns, "input_path", None),
-                     out_dir=ns.out_dir,
-                     fmt=getattr(ns, "fmt", None),
-                     seed=getattr(ns, "seed", 0),
-                     n_corpus=n_corpus,
-                     kinds=kinds,
-                     hide_squares=getattr(ns, "hide_squares", True))
+    if ns.command == "corpus":
+        ns.kinds = tuple(s for s in ns.kinds.split(",") if s)
+        if not ns.kinds:
+            raise UsageError("--kinds must name at least one part kind")
+        for kind in ns.kinds:
+            if kind not in ("dot", "square", "zigzag"):
+                raise UsageError(f"unknown part kind {kind!r}")
+        if ns.n_corpus < 0:
+            raise UsageError("--n-corpus must be >= 0")
+    return RunConfig(**vars(ns))
 
 
 def main(argv=None):

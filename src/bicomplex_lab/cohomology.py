@@ -82,9 +82,8 @@ class FrolicherPages:
     """Pages of the column-filtration spectral sequence.
 
     ``pages[r]`` maps bidegrees to the page-r dimensions, for r = 1 up to
-    the stabilization page (or up to the requested cap, if smaller);
-    ``r_stab`` is the first page equal to the limit; ``e_infinity`` holds
-    the limit dimensions regardless of any cap.
+    the stabilization page ``r_stab``, the first page equal to the limit;
+    ``e_infinity`` holds the limit dimensions.
     """
 
     pages: dict
@@ -229,7 +228,7 @@ def de_rham(k):
     return _table(k, "de_rham")
 
 
-def frolicher_pages(k, r_max=None):
+def frolicher_pages(k):
     """Spectral-sequence pages for the filtration by horizontal degree.
 
     Page 1 is the Dolbeault table; the limit page refines de Rham
@@ -243,13 +242,8 @@ def frolicher_pages(k, r_max=None):
     cocycles.  After that, a step recomputes a chain entry only where its
     neighbour moved in the last step, and a page entry only where one of
     the chain entries it reads moved; the others repeat the last page.
-
-    ``r_max`` caps how many pages are reported (it never affects
-    ``r_stab`` or ``e_infinity``); pages past stabilization are omitted
-    since they repeat the last one.  Raises ValueError for ``r_max`` < 1.
+    Pages past ``r_stab`` are omitted, since they repeat it.
     """
-    if r_max is not None and r_max < 1:
-        raise ValueError("r_max must be at least 1")
     dol = _pairs(k, "dolbeault")
     support = k.support()
     if not support:
@@ -300,8 +294,7 @@ def frolicher_pages(k, r_max=None):
     e_infinity = dims_per_page[-1]
     r_stab = next(r for r, dims in enumerate(dims_per_page, start=1)
                   if dims == e_infinity)
-    last = r_stab if r_max is None else min(r_stab, r_max)
-    pages = {r: dims_per_page[r - 1] for r in range(1, last + 1)}
+    pages = {r: dims_per_page[r - 1] for r in range(1, r_stab + 1)}
     return FrolicherPages(pages=pages, r_stab=r_stab, e_infinity=e_infinity)
 
 

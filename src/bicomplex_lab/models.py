@@ -12,7 +12,7 @@ threefold, and the primary Kodaira surface.
 
 The module also exposes a small line-based text format for structure
 equations and a seeded generator of random abstract complexes assembled
-from prescribed indecomposable parts.
+from at most six indecomposable parts inside [0, 5]^2.
 """
 
 import random
@@ -37,6 +37,7 @@ from .exactla import (
     inverse,
     scalar,
 )
+from . import zigzag as zz
 
 
 class StructureEquationError(ValueError):
@@ -410,36 +411,25 @@ class RandomBicomplex(NamedTuple):
 
 
 _KIND_WEIGHTS = {"dot": 0.3, "square": 0.2, "zigzag": 0.5}
+_MAX_PARTS = 6
+_MAX_LENGTH = 5
+_TOP = 5   # parts lie in [0, _TOP]^2
 
 
-def random_bicomplex(seed, max_parts=6, max_length=5,
-                     region=((0, 5), (0, 5)), *,
-                     kinds=("dot", "square", "zigzag"), symmetric=False):
+def random_bicomplex(seed, *, kinds=("dot", "square", "zigzag"),
+                     symmetric=False):
     """Seeded random complex assembled from indecomposable parts.
 
-    Draws up to ``max_parts`` parts (dots, squares, zigzags with 2 to
-    ``max_length`` dots) inside ``region = ((p_lo, p_hi), (q_lo, q_hi))``,
-    stacks them, and scrambles the bases with seeded invertible matrices.
-    Returns the complex together with the ground-truth multiset of parts
-    (canonically sorted) for round-trip testing.  Identical arguments give
-    bit-identical results.
+    Draws 1 to 6 parts (dots, squares, zigzags with 2 to 5 dots) inside
+    [0, 5]^2, stacks them, and scrambles the bases with seeded invertible
+    matrices.  Returns the complex together with the ground-truth
+    multiset of parts (canonically sorted) for round-trip testing.
+    Identical arguments give bit-identical results.
 
     With ``symmetric=True`` the part multiset is closed under mirroring
-    across the diagonal, the region must be diagonal-symmetric with
-    non-negative bounds, and the result declares n = the upper bound and
-    carries a verified conjugation structure.
+    across the diagonal, and the result declares n = 5 and carries a
+    verified conjugation structure.
     """
-    from . import zigzag as zz
-
-    (p_lo, p_hi), (q_lo, q_hi) = region
-    if p_hi < p_lo or q_hi < q_lo:
-        raise ValueError("empty region")
-    if symmetric:
-        if (p_lo, p_hi) != (q_lo, q_hi):
-            raise ValueError("symmetric mode needs a diagonal-symmetric "
-                             "region")
-        if p_lo < 0:
-            raise ValueError("symmetric mode needs non-negative bounds")
     rng = random.Random(seed)
     kinds = tuple(kinds)
     if not kinds or not set(kinds) <= _KIND_WEIGHTS.keys():
@@ -447,27 +437,20 @@ def random_bicomplex(seed, max_parts=6, max_length=5,
                          f"{sorted(_KIND_WEIGHTS)}, got {kinds!r}")
     weights = [_KIND_WEIGHTS[k] for k in kinds]
     parts = []
-    n_parts = rng.randint(1, max_parts)
+    n_parts = rng.randint(1, _MAX_PARTS)
     while len(parts) < n_parts:
         kind = rng.choices(kinds, weights)[0]
-        if kind == "square" and (p_hi - p_lo < 1 or q_hi - q_lo < 1):
-            kind = "dot"
-        if kind == "zigzag" and max_length < 2:
-            kind = "dot"
         if kind == "dot":
-            part = zz.Zigzag(
-                ((rng.randint(p_lo, p_hi), rng.randint(q_lo, q_hi)),))
+            part = zz.Zigzag(((rng.randint(0, _TOP), rng.randint(0, _TOP)),))
         elif kind == "square":
-            part = zz.Square(anchor=(rng.randint(p_lo, p_hi - 1),
-                                     rng.randint(q_lo, q_hi - 1)))
+            part = zz.Square(anchor=(rng.randint(0, _TOP - 1),
+                                     rng.randint(0, _TOP - 1)))
         else:
-            length = rng.randint(2, max_length)
+            length = rng.randint(2, _MAX_LENGTH)
             first_role = rng.choice(("source", "sink"))
-            length = _fit_length(length, first_role,
-                                 p_hi - p_lo, q_hi - q_lo)
             p_steps, q_steps = _zigzag_extent(length, first_role)
-            start = (rng.randint(p_lo, p_hi - p_steps),
-                     rng.randint(q_lo + q_steps, q_hi))
+            start = (rng.randint(0, _TOP - p_steps),
+                     rng.randint(q_steps, _TOP))
             part = zz.Zigzag(_zigzag_dots(start, first_role, length))
         parts.append(part)
         if symmetric:
@@ -475,26 +458,20 @@ def random_bicomplex(seed, max_parts=6, max_length=5,
             if mirrored != part:
                 parts.append(mirrored)
     base = zz.synthesize(parts)
-    conj_maps = zz.standard_conjugation(parts) if symmetric else None
     scramble = zz.scramble_matrices(base, rng.randint(0, 2 ** 31))
     scrambled = zz.apply_basis_change(base, scramble)
-    n = p_hi if symmetric else None
     conj = None
     if symmetric:
-        maps = {}
-        for (p, q), c0 in conj_maps.items():
-            s_here = scramble.get((p, q))
-            s_mirror = scramble.get((q, p))
-            if s_here is None or s_mirror is None:
-                maps[(p, q)] = c0
-            else:
-                maps[(p, q)] = (inverse(s_mirror) @ c0
-                                @ s_here.conjugate_entries())
-        conj = ConjugationStructure(maps=maps)
+        # The scramble has a matrix at every support bidegree, so every
+        # conjugation block is rewritten in the scrambled bases.
+        conj = ConjugationStructure(maps={
+            (p, q): (inverse(scramble[(q, p)]) @ c0
+                     @ scramble[(p, q)].conjugate_entries())
+            for (p, q), c0 in zz.standard_conjugation(parts).items()})
     out = Bicomplex(
         {(p, q): scrambled.dimension(p, q) for (p, q) in scrambled.support()},
         scrambled.del_blocks(), scrambled.delbar_blocks(),
-        n=n, label=f"random-{seed}", conj=conj)
+        n=_TOP if symmetric else None, label=f"random-{seed}", conj=conj)
     ensure_valid(out)
     return RandomBicomplex(out, zz.sort_parts(parts))
 
@@ -506,15 +483,6 @@ def _zigzag_extent(length, first_role):
     else:
         p_steps = steps // 2
     return p_steps, steps - p_steps
-
-
-def _fit_length(length, first_role, p_room, q_room):
-    while length > 1:
-        p_steps, q_steps = _zigzag_extent(length, first_role)
-        if p_steps <= p_room and q_steps <= q_room:
-            return length
-        length -= 1
-    return 1
 
 
 def _zigzag_dots(start, first_role, length):

@@ -233,8 +233,8 @@ def test_criterion_10_determinism(corpus):
     rows, _ = corpus
     kodaira = next(r for r in rows if r.label == "preset-kodaira")
     for fmt in ("text", "csv", "json"):
-        assert emit_tables(kodaira.k, fmt, label="x") \
-            == emit_tables(PRESETS["kodaira"](), fmt, label="x")
+        assert emit_tables(kodaira.k, fmt) \
+            == emit_tables(PRESETS["kodaira"](), fmt)
     d2 = decompose(kodaira.k)
     assert d2.parts == kodaira.decomposition.parts
     assert d2.basis_change == kodaira.decomposition.basis_change

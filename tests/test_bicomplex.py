@@ -190,6 +190,22 @@ class TestRealStructure:
         # C sends v to i * conj(v); applying twice gives i * conj(i) * v = v.
         assert check_real_structure(k) is True
 
+    @pytest.mark.parametrize("bid, block", [
+        ((0, 1), None),                  # a map is missing
+        ((0, 0), Matrix.zero(2, 1)),     # a map has the wrong shape
+        ((1, 0), None),                  # the lift at (0, 0) is missing
+        ((1, 0), Matrix.zero(2, 1)),     # the lift has the wrong shape
+    ], ids=["missing-map", "map-shape", "missing-lift", "lift-shape"])
+    def test_missing_or_misshapen_block_fails(self, bid, block):
+        spaces, d, db = self.table_complex()
+        conj = self.identity_conj()
+        if block is None:
+            del conj.maps[bid]
+        else:
+            conj.maps[bid] = block
+        k = Bicomplex(spaces, d, db, conj=conj)
+        assert check_real_structure(k) is False
+
     def test_asymmetric_dimensions_fail(self):
         k = Bicomplex({(1, 0): 1}, {}, {}, conj=ConjugationStructure(maps={}))
         assert check_real_structure(k) is False

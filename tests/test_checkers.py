@@ -517,6 +517,18 @@ class TestDualities:
         assert rep.witnesses["ConjugationRows"] is True
         assert rep.witnesses["Mismatches"] == []
 
+    def test_betti_and_serre_mismatches_fail(self):
+        # A lone dot at (0, 0) with n = 1: nothing at degree 2 or at
+        # (1, 1) answers it.
+        k = Bicomplex({(0, 0): 1}, n=1,
+                      product=ProductStructure(pairings={}))
+        rep = duality_check(k)
+        assert rep.verdict == "fails"
+        assert rep.witnesses["ProductRows"] is True
+        assert rep.witnesses["ConjugationRows"] is False
+        assert "betti 0 vs 2" in rep.witnesses["Mismatches"]
+        assert "serre (0, 0) vs (1, 1)" in rep.witnesses["Mismatches"]
+
     def test_not_applicable_without_structures(self):
         rep = duality_check(synthesize([VERT_DOMINO]))
         assert rep.verdict == "notApplicable"
@@ -602,6 +614,24 @@ class TestChecksReadOnlyWhatTheyNeed:
             maps.clear()
             assert run_all_checks(make()) == want, label
             assert maps == [("bott_chern", "aeppli")], label
+
+    def test_real_structure_is_decided_once(self, monkeypatch):
+        calls = []
+        decide = checkers.check_real_structure
+
+        def counted(k):
+            calls.append(k.label)
+            return decide(k)
+
+        monkeypatch.setattr(checkers, "check_real_structure", counted)
+        for k in (iwasawa(), torus(2),
+                  random_bicomplex(3, symmetric=True).bicomplex):
+            calls.clear()
+            run_all_checks(k)
+            assert calls == [k.label]
+        calls.clear()
+        run_all_checks(random_bicomplex(3).bicomplex)  # no conjugation
+        assert calls == []
 
     @pytest.mark.parametrize("check", [
         frolicher_check, non_ddbar_degrees, upper_bound_check,

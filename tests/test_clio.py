@@ -15,6 +15,7 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import math
@@ -313,7 +314,7 @@ class TestReaderFuzz:
 
 class TestEmitTables:
     def test_torus1_text_frozen(self):
-        files = emit_tables(models.torus(1), "text", label="torus-1")
+        files = emit_tables(models.torus(1), "text")
         expected = "\n".join([
             "# model cohomology tables: torus-1",
             "# grid convention: rows are the first index p (top row p = 0),"
@@ -351,7 +352,7 @@ class TestEmitTables:
     def test_json_lossless(self):
         k = models.iwasawa()
         tables = all_tables(k)
-        files = emit_tables(k, "json", label=k.label)
+        files = emit_tables(k, "json")
         obj = json.loads(files["tables.json"])
         assert obj["deRham"] == {str(d): v
                                  for d, v in tables.de_rham.dims.items()}
@@ -368,7 +369,7 @@ class TestEmitTables:
     def test_empty_complex_valid_files(self):
         k = synthesize([])
         for fmt in ("text", "csv", "json"):
-            files = emit_tables(k, fmt, label="empty")
+            files = emit_tables(k, fmt)
             for text in files.values():
                 assert isinstance(text, str)
         assert "(empty)" in emit_tables(k, "text")["tables.txt"]
@@ -379,8 +380,8 @@ class TestEmitTables:
         # everything its store would otherwise hand back.
         k = models.random_bicomplex(3).bicomplex
         for fmt in ("text", "csv", "json"):
-            assert emit_tables(k, fmt, label=k.label) == emit_tables(
-                models.random_bicomplex(3).bicomplex, fmt, label=k.label)
+            assert emit_tables(k, fmt) == emit_tables(
+                models.random_bicomplex(3).bicomplex, fmt)
 
     def test_unknown_format(self):
         with pytest.raises(UsageError):
@@ -761,3 +762,43 @@ class TestCliPlumbing:
                         "--out", str(tmp_path)])
         assert rc == EXIT_OK
         assert stdout_text == (tmp_path / "tables.txt").read_text()
+
+
+# Every command in every format on every preset, plus one corpus run, each
+# as an ``argv -> exit code`` header followed by stdout.  The digest is
+# recorded, not derived, so any change to these bytes has to update it on
+# purpose.  decompose --format text on iwasawa is the run that emits the
+# square and zigzag summary lines.
+_CLI_RUNS = [
+    [command, "--preset", preset, *(["--format", fmt] if fmt else [])]
+    for preset in sorted(clio.PRESETS)
+    for command, fmts in (("validate", [None]),
+                          ("cohomology", ["text", "csv", "json"]),
+                          ("decompose", ["json", "text"]),
+                          ("check", ["text", "json"]),
+                          ("render", ["dot", "tikz", "svg"]),
+                          ("convert", [None]))
+    for fmt in fmts] + [["corpus", "--n-corpus", "60"]]
+
+CLI_DIGEST = ("3fa3856f31896eb52571adaea71db55d2555ba16"
+              "18a8e2713fd93d7696d4cbd2")
+
+
+def test_cli_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in _CLI_RUNS:
+        code = clio.main(argv)
+        digest.update(f"{' '.join(argv)} -> {code}\n".encode())
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == CLI_DIGEST
+
+
+@pytest.mark.parametrize("command", ["cohomology", "check", "decompose",
+                                     "render"])
+def test_default_format_is_the_first_choice(command, capsys):
+    argv = [command, "--preset", "kodaira"]
+    assert clio.main(argv) == EXIT_OK
+    default = capsys.readouterr().out
+    assert clio.main(argv + ["--format", clio._FORMATS[command][0]]) \
+        == EXIT_OK
+    assert capsys.readouterr().out == default

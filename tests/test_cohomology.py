@@ -208,10 +208,8 @@ def _map_image(m, sub):
     return image_basis(m @ sub.basis)
 
 
-def reference_frolicher_pages(k, r_max=None):
+def reference_frolicher_pages(k):
     """The full-recompute page loop, with Dolbeault pairs of its own."""
-    if r_max is not None and r_max < 1:
-        raise ValueError("r_max must be at least 1")
     support = k.support()
     if not support:
         return FrolicherPages(pages={1: {}}, r_stab=1, e_infinity={})
@@ -254,8 +252,7 @@ def reference_frolicher_pages(k, r_max=None):
     e_infinity = dims_per_page[-1]
     r_stab = next(r for r, dims in enumerate(dims_per_page, start=1)
                   if dims == e_infinity)
-    last = r_stab if r_max is None else min(r_stab, r_max)
-    pages = {r: dims_per_page[r - 1] for r in range(1, last + 1)}
+    pages = {r: dims_per_page[r - 1] for r in range(1, r_stab + 1)}
     return FrolicherPages(pages=pages, r_stab=r_stab, e_infinity=e_infinity)
 
 
@@ -476,27 +473,10 @@ class TestFrolicherPages:
         limit = pages.e_infinity
         assert sum(d for (p, q), d in limit.items() if p + q == 1) == 4
 
-    def test_r_max_caps_reported_pages_only(self):
-        k = iwasawa()
-        capped = frolicher_pages(k, r_max=1)
-        full = frolicher_pages(k)
-        assert set(capped.pages) == {1}
-        assert capped.r_stab == full.r_stab
-        assert capped.e_infinity == full.e_infinity
-        with pytest.raises(ValueError):
-            frolicher_pages(k, r_max=0)
-
-    def test_r_max_is_checked_before_any_work(self):
-        k = iwasawa()
-        with pytest.raises(ValueError):
-            frolicher_pages(k, r_max=0)
-        assert k._store is None
-
-    @pytest.mark.parametrize("r_max", [None, 1, 2])
-    def test_matches_the_full_recompute_loop(self, page_inputs, r_max):
+    def test_matches_the_full_recompute_loop(self, page_inputs):
         for k in page_inputs:
-            assert frolicher_pages(k, r_max=r_max) \
-                == reference_frolicher_pages(k, r_max=r_max), k.label
+            assert frolicher_pages(k) == reference_frolicher_pages(k), \
+                k.label
 
     def test_page_loop_stops_once_both_chains_are_stable(self, monkeypatch):
         """On nil4 (support p-width 5) the page chains settle after three

@@ -800,9 +800,12 @@ class TestRandomComplexes:
                 == Counter(rb.parts)
 
     def test_kind_filter_and_region(self):
-        rb = models.random_bicomplex(2, kinds=("dot",), max_parts=5)
+        rb = models.random_bicomplex(2, kinds=("dot",))
         assert all(p.is_dot for p in rb.parts)
-        region = ((1, 3), (0, 2))
-        rb = models.random_bicomplex(9, region=region)
-        for (p, q) in rb.bicomplex.support():
-            assert 1 <= p <= 3 and 0 <= q <= 2
+        for seed in range(200):
+            for symmetric in (False, True):
+                rb = models.random_bicomplex(seed, symmetric=symmetric)
+                # A mirrored pair may take the last part past six.
+                assert 1 <= len(rb.parts) <= (7 if symmetric else 6)
+                for (p, q) in rb.bicomplex.support():
+                    assert 0 <= p <= 5 and 0 <= q <= 5
