@@ -431,6 +431,20 @@ def from_json_dict(obj, *, default_label=""):
         raise BicomplexFormatError(
             f"spaces: total dimension {total} exceeds the maximum "
             f"{MAX_TOTAL_DIM}")
+    # Totalization, de Rham and the grids visit every cell of the support's
+    # bounding box, so its area is capped like the dimension.
+    support = [bid for bid, dim in spaces.items() if dim]
+    if support:
+        p_lo, p_hi = min(support), max(support)
+        q_lo = min(support, key=lambda bid: bid[1])
+        q_hi = max(support, key=lambda bid: bid[1])
+        area = (p_hi[0] - p_lo[0] + 1) * (q_hi[1] - q_lo[1] + 1)
+        if area > MAX_TOTAL_DIM:
+            raise BicomplexFormatError(
+                f"spaces: the support spans p from {spellings[p_lo]!r} to "
+                f"{spellings[p_hi]!r} and q from {spellings[q_lo]!r} to "
+                f"{spellings[q_hi]!r}, a bounding box of {area} bidegrees, "
+                f"more than the maximum {MAX_TOTAL_DIM}")
     sections = {}
     parsed_cells = {}  # literal -> ExactScalar, each parsed once per call
     for name in ("del", "delbar"):

@@ -28,6 +28,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -110,14 +111,20 @@ def _unique_keys(pairs):
     return obj
 
 
+# Unicode category Cc: the C0 controls, DEL and the C1 controls.
+_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
+
+
 def parse_bicomplex_file(path):
     """Parse a ``.json`` or ``.bba`` file into a Bicomplex.
 
     Raises :class:`InputError` with file/line context on unreadable
     files, text that is not UTF-8, parse errors (a key repeated in one
-    JSON object among them), and unknown extensions.  Validation is the
-    caller's concern (the ``validate`` command reports violations, every
-    other command aborts on them).
+    JSON object and JSON nested too deeply among them), a label (the JSON
+    ``label``, else the file stem) holding a control character, and
+    unknown extensions.  Validation is the caller's concern (the
+    ``validate`` command reports violations, every other command aborts
+    on them).
     """
     path = Path(path)
     try:
@@ -133,21 +140,31 @@ def parse_bicomplex_file(path):
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON at line {exc.lineno}, "
                              f"column {exc.colno}: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise InputError(f"{path}: invalid JSON: nested too deeply"
+                             ) from exc
         except _RepeatedKey as exc:
             raise InputError(f"{path}: repeated key {exc.args[0]!r} in a "
                              f"JSON object") from exc
         try:
-            return from_json_dict(obj, default_label=path.stem)
+            k = from_json_dict(obj, default_label=path.stem)
         except BicomplexFormatError as exc:
             raise InputError(f"{path}: {exc}") from exc
-    if path.suffix == ".bba":
+    elif path.suffix == ".bba":
         try:
             spec = parse_structure_text(text)
-            return from_structure_equations(spec, label=path.stem)
+            k = from_structure_equations(spec, label=path.stem)
         except StructureEquationError as exc:
             raise InputError(f"{path}: {exc}") from exc
-    raise InputError(f"{path}: unknown input extension {path.suffix!r} "
-                     f"(expected .json or .bba)")
+    else:
+        raise InputError(f"{path}: unknown input extension {path.suffix!r} "
+                         f"(expected .json or .bba)")
+    # Reports and diagrams print the label inside one line or comment.
+    bad = _CONTROL.search(k.label)
+    if bad:
+        raise InputError(f"{path}: label contains the control character "
+                         f"U+{ord(bad.group()):04X}")
+    return k
 
 
 def _load(config, *, require_valid=True):
@@ -167,34 +184,52 @@ def _load(config, *, require_valid=True):
 # Table emission.
 # --------------------------------------------------------------------------
 
+def _span(values):
+    return range(min(values), max(values) + 1)
+
+
+def _grid_rows(dims):
+    """The bounding box of a nonempty bidegree-keyed table as rows: a
+    header of q values, then each p with its row (0 where absent)."""
+    qs = _span([q for _, q in dims])
+    return [["p\\q", *qs]] + [[p, *(dims.get((p, q), 0) for q in qs)]
+                              for p in _span([p for p, _ in dims])]
+
+
 def _grid_lines(dims):
-    """Aligned text grid of a bidegree-indexed dimension table."""
+    """Aligned text grid of a bidegree-keyed table."""
     if not dims:
         return ["(empty)"]
-    ps = sorted({p for (p, q) in dims})
-    qs = sorted({q for (p, q) in dims})
-    ps = list(range(min(ps), max(ps) + 1))
-    qs = list(range(min(qs), max(qs) + 1))
-    rows = [["p\\q"] + [str(q) for q in qs]]
-    for p in ps:
-        rows.append([str(p)] + [str(dims.get((p, q), 0)) for q in qs])
-    widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
+    rows = [[str(cell) for cell in row] for row in _grid_rows(dims)]
+    widths = [max(len(cell) for cell in col) for col in zip(*rows)]
     return ["  ".join(cell.rjust(w) for cell, w in zip(row, widths))
             for row in rows]
 
 
-def _bid_key_dict(dims):
-    return {f"{p},{q}": dims[(p, q)] for (p, q) in sorted(dims)}
+def _csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
-def _deg_key_dict(dims):
-    return {str(deg): dims[deg] for deg in sorted(dims)}
+def _camel(name):
+    """A snake_case name in camelCase (``e_infinity`` -> ``eInfinity``)."""
+    head, *rest = name.split("_")
+    return head + "".join(word.title() for word in rest)
 
 
-_THEORY_FIELDS = (("dolbeault", "Dolbeault"),
-                  ("conj_dolbeault", "conjugate Dolbeault"),
-                  ("bott_chern", "Bott-Chern"),
-                  ("aeppli", "Aeppli"))
+def _keyed(dims):
+    """A dimension dict as a JSON object in key order: bidegrees as "p,q",
+    degrees as "k"."""
+    return {",".join(map(str, key)) if isinstance(key, tuple) else str(key):
+            dims[key] for key in sorted(dims)}
+
+
+_TITLES = {"de_rham": "de Rham (by total degree)",
+           "dolbeault": "Dolbeault",
+           "conj_dolbeault": "conjugate Dolbeault",
+           "bott_chern": "Bott-Chern",
+           "aeppli": "Aeppli"}
 
 
 def emit_tables(k, fmt):
@@ -204,79 +239,52 @@ def emit_tables(k, fmt):
     ``text`` gives one aligned grid per theory in a single file, ``csv``
     one file per theory, ``json`` a single lossless integer report that
     also carries the Frolicher pages and natural-map ranks; only ``json``
-    computes those.  The tables come from the complex's store, so they
+    computes those.  Theories come in the order of
+    ``cohomology.THEORIES`` and maps in the field order of
+    ``NaturalMapRanks``; file names are the theory names and JSON keys
+    their camelCase.  The tables come from the complex's store, so they
     are computed once however often the complex is emitted.
     """
     if fmt not in _FORMATS["cohomology"]:
         raise UsageError(f"unknown table format {fmt!r}")
     dims = {theory: getattr(cohomology, theory)(k).dims
             for theory in cohomology.THEORIES}
+    betti = dims["de_rham"]
     if fmt == "text":
         lines = [f"# model cohomology tables: {k.label}",
-                 f"# {GRID_CONVENTION}"]
-        lines.append("== de Rham (by total degree) ==")
-        betti = dims["de_rham"]
+                 f"# {GRID_CONVENTION}", f"== {_TITLES['de_rham']} =="]
         if betti:
-            degs = list(range(min(betti), max(betti) + 1))
+            degs = _span(betti)
             lines.append("degree  " + "  ".join(str(d) for d in degs))
             lines.append("dim     "
                          + "  ".join(str(betti.get(d, 0)) for d in degs))
         else:
             lines.append("(empty)")
-        for field, title in _THEORY_FIELDS:
-            lines.append(f"== {title} ==")
-            lines.extend(_grid_lines(dims[field]))
+        for theory in cohomology.BIGRADED_THEORIES:
+            lines.append(f"== {_TITLES[theory]} ==")
+            lines.extend(_grid_lines(dims[theory]))
         return {"tables.txt": "\n".join(lines) + "\n"}
     if fmt == "csv":
-        out = {}
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["degree", "dim"])
-        for deg in sorted(dims["de_rham"]):
-            writer.writerow([deg, dims["de_rham"][deg]])
-        out["de_rham.csv"] = buf.getvalue()
-        for field, _ in _THEORY_FIELDS:
-            grid = dims[field]
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            if grid:
-                qs = list(range(min(q for _, q in grid),
-                                max(q for _, q in grid) + 1))
-                ps = list(range(min(p for p, _ in grid),
-                                max(p for p, _ in grid) + 1))
-                writer.writerow(["p\\q"] + qs)
-                for p in ps:
-                    writer.writerow([p] + [grid.get((p, q), 0) for q in qs])
-            out[f"{field}.csv"] = buf.getvalue()
+        out = {"de_rham.csv": _csv_text([["degree", "dim"],
+                                         *sorted(betti.items())])}
+        for theory in cohomology.BIGRADED_THEORIES:
+            out[f"{theory}.csv"] = _csv_text(
+                _grid_rows(dims[theory]) if dims[theory] else [])
         return out
     frol = cohomology.frolicher_pages(k)
-    ranks = cohomology.natural_maps(k)
     obj = {
         "label": k.label,
         "convention": GRID_CONVENTION,
-        "deRham": _deg_key_dict(dims["de_rham"]),
-        "dolbeault": _bid_key_dict(dims["dolbeault"]),
-        "conjDolbeault": _bid_key_dict(dims["conj_dolbeault"]),
-        "bottChern": _bid_key_dict(dims["bott_chern"]),
-        "aeppli": _bid_key_dict(dims["aeppli"]),
+        **{_camel(theory): _keyed(d) for theory, d in dims.items()},
         "frolicher": {
             "rStabilizes": frol.r_stab,
-            "pages": {str(r): _bid_key_dict(frol.pages[r])
-                      for r in sorted(frol.pages)},
-            "eInfinity": _bid_key_dict(frol.e_infinity),
+            "pages": {str(r): _keyed(page)
+                      for r, page in sorted(frol.pages.items())},
+            "eInfinity": _keyed(frol.e_infinity),
         },
         "naturalMapRanks": {
-            "bottChernToDolbeault":
-                _bid_key_dict(ranks.bott_chern_to_dolbeault),
-            "bottChernToConjDolbeault":
-                _bid_key_dict(ranks.bott_chern_to_conj_dolbeault),
-            "bottChernToDeRham": _deg_key_dict(ranks.bott_chern_to_de_rham),
-            "bottChernToAeppli": _bid_key_dict(ranks.bott_chern_to_aeppli),
-            "dolbeaultToAeppli": _bid_key_dict(ranks.dolbeault_to_aeppli),
-            "conjDolbeaultToAeppli":
-                _bid_key_dict(ranks.conj_dolbeault_to_aeppli),
-            "deRhamToAeppli": _deg_key_dict(ranks.de_rham_to_aeppli),
-        },
+            _camel(name): _keyed(ranks)
+            for name, ranks in vars(cohomology.natural_maps(k)).items()},
     }
     return {"tables.json": json.dumps(obj, indent=2) + "\n"}
 
@@ -343,7 +351,9 @@ def render_diagram(d, fmt, *, hide_squares=True, label=""):
         raise ValueError("refusing to render an unverified decomposition")
     nodes, edges = _diagram_data(d, hide_squares)
     if fmt == "dot":
-        lines = [f'digraph "{label or "decomposition"}" {{',
+        name = ((label or "decomposition").replace("\\", "\\\\")
+                .replace('"', '\\"'))
+        lines = [f'digraph "{name}" {{',
                  "  layout=neato;"]
         for i, (x, y, _p, _q, role, text) in enumerate(nodes):
             lines.append(f'  n{i} [label="{text}", pos="{x:.2f},{y:.2f}!", '
@@ -376,6 +386,10 @@ def render_diagram(d, fmt, *, hide_squares=True, label=""):
         max_y = max((y for _, y, *_ in nodes), default=0.0)
         width = max_x * scale + 2 * margin
         height = max_y * scale + 2 * margin
+        # Escaped for XML, with no "--" to end the comment early.
+        comment = re.sub("-(?=-)", "- ", (label or "decomposition")
+                         .replace("&", "&amp;").replace("<", "&lt;")
+                         .replace(">", "&gt;"))
 
         def cx(x):
             return margin + x * scale
@@ -388,7 +402,7 @@ def render_diagram(d, fmt, *, hide_squares=True, label=""):
                  '  <defs><marker id="arr" viewBox="0 0 10 10" refX="9" '
                  'refY="5" markerWidth="6" markerHeight="6" orient="auto">'
                  '<path d="M 0 0 L 10 5 L 0 10 z"/></marker></defs>',
-                 f'  <!-- {label or "decomposition"}; first index '
+                 f'  <!-- {comment}; first index '
                  f'horizontal, second vertical, origin bottom-left -->']
         for a, b, kind in edges:
             xa, ya = cx(nodes[a][0]), cy(nodes[a][1])

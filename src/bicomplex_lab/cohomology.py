@@ -25,7 +25,10 @@ and every natural map's ranks at most once, on first use.  This module,
 the checks and the square splitting of the decomposition read from it.
 The store also seeds the Frolicher page chase, whose first step reads
 im delbar and the Dolbeault cocycles from it; later steps recompute only
-the bidegrees whose chain entries moved.
+the bidegrees whose chain entries moved.  ``THEORIES`` is the one list
+of theories and the fields of :class:`NaturalMapRanks` the one list of
+maps: the table bundles, the zigzag recount and the CLI's table reports
+take their names and order from them.
 
 Every caller gets the stored table or rank dict itself, so none may
 change it.  ``all_tables`` and ``natural_maps`` are plain bundles built
@@ -34,7 +37,7 @@ for it alone: the checks read the five tables and the Bott-Chern to
 Aeppli map, never the pages or the other six maps.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, make_dataclass
 
 from .bicomplex import ensure_valid, totalize
 from .exactla import (
@@ -83,21 +86,27 @@ class FrolicherPages:
 
     ``pages[r]`` maps bidegrees to the page-r dimensions, for r = 1 up to
     the stabilization page ``r_stab``, the first page equal to the limit;
-    ``e_infinity`` holds the limit dimensions.
+    both ``r_stab`` and the limit ``e_infinity`` are read off ``pages``.
     """
 
     pages: dict
-    r_stab: int
-    e_infinity: dict
+
+    @property
+    def r_stab(self):
+        return max(self.pages)
+
+    @property
+    def e_infinity(self):
+        return self.pages[self.r_stab]
 
 
 @dataclass(frozen=True)
 class NaturalMapRanks:
     """Ranks of the identity-induced maps between the five theories.
 
-    Fields are named ``<source>_to_<target>``.  Bigraded maps are keyed by
-    bidegree; maps into or out of de Rham are keyed by total degree (their
-    bigraded ends summed over anti-diagonals).
+    Fields, named ``<source>_to_<target>``, are the one list of the maps.
+    Bigraded maps are keyed by bidegree; maps into or out of de Rham are
+    keyed by total degree (their bigraded ends summed over anti-diagonals).
     """
 
     bott_chern_to_dolbeault: dict
@@ -109,18 +118,12 @@ class NaturalMapRanks:
     de_rham_to_aeppli: dict
 
 
-@dataclass(frozen=True)
-class AllTables:
-    """Every table, the Frolicher pages and the natural-map ranks of one
-    complex."""
-
-    de_rham: CohomologyTable
-    dolbeault: CohomologyTable
-    conj_dolbeault: CohomologyTable
-    bott_chern: CohomologyTable
-    aeppli: CohomologyTable
-    frolicher: FrolicherPages
-    natural_ranks: NaturalMapRanks
+AllTables = make_dataclass(
+    "AllTables", [*THEORIES, "frolicher", "natural_ranks"], frozen=True,
+    namespace={"__module__": __name__,
+               "__doc__": "Every table of one complex (one field per name "
+                          "in THEORIES), its Frolicher pages and its "
+                          "natural-map ranks."})
 
 
 # The per-complex store.  Every theory is a quotient of these subspaces:
@@ -247,7 +250,7 @@ def frolicher_pages(k):
     dol = _pairs(k, "dolbeault")
     support = k.support()
     if not support:
-        return FrolicherPages(pages={1: {}}, r_stab=1, e_infinity={})
+        return FrolicherPages(pages={1: {}})
     p_values = [p for p, _ in support]
     hard_stop = max(p_values) - min(p_values) + 1
     # extendable[(p,q)]: elements whose horizontal image can be chased
@@ -291,11 +294,9 @@ def frolicher_pages(k):
                     k.del_map(p - 1, q) @ boundary_src.basis))
             dims[(p, q)] = quotient_dim(z, b)
         dims_per_page.append(dims)
-    e_infinity = dims_per_page[-1]
-    r_stab = next(r for r, dims in enumerate(dims_per_page, start=1)
-                  if dims == e_infinity)
-    pages = {r: dims_per_page[r - 1] for r in range(1, r_stab + 1)}
-    return FrolicherPages(pages=pages, r_stab=r_stab, e_infinity=e_infinity)
+    r_stab = dims_per_page.index(dims_per_page[-1]) + 1  # first limit page
+    return FrolicherPages(pages=dict(enumerate(dims_per_page[:r_stab],
+                                               start=1)))
 
 
 def _map_ranks(k, source, target):
@@ -353,12 +354,6 @@ def all_tables(k):
 
     Raises ValueError for an invalid complex.
     """
-    return AllTables(
-        de_rham=de_rham(k),
-        dolbeault=dolbeault(k),
-        conj_dolbeault=conj_dolbeault(k),
-        bott_chern=bott_chern(k),
-        aeppli=aeppli(k),
-        frolicher=frolicher_pages(k),
-        natural_ranks=natural_maps(k),
-    )
+    return AllTables(**{theory: _table(k, theory) for theory in THEORIES},
+                     frolicher=frolicher_pages(k),
+                     natural_ranks=natural_maps(k))

@@ -45,11 +45,12 @@ in canonical part order.
 """
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, make_dataclass, replace
 from typing import ClassVar, NamedTuple
 
 from .bicomplex import Bicomplex, ensure_valid
-from .cohomology import CohomologyTable, _ddbar, _subspace
+from .cohomology import (BIGRADED_THEORIES, THEORIES, CohomologyTable,
+                         _ddbar, _subspace)
 from .exactla import (
     LinAlgError,
     Matrix,
@@ -248,22 +249,19 @@ def _pattern(parts):
     return _Pattern(spaces, del_blocks, delbar_blocks, index)
 
 
-def synthesize(parts, scramble_seed=None):
+def synthesize(parts):
     """A complex whose summands are exactly the given parts.
 
     Parts are stacked (one basis vector per dot, in canonical part
-    order), never overlapped.  With ``scramble_seed`` the differentials
-    are conjugated by seeded invertible matrices per bidegree, hiding the
-    block structure without changing the summand multiset.
+    order), never overlapped; :func:`apply_basis_change` with
+    :func:`scramble_matrices` hides the block structure without changing
+    the summand multiset.
     """
     parts = sort_parts(parts)
     pattern = _pattern(parts)
     k = Bicomplex(pattern.spaces, pattern.del_blocks, pattern.delbar_blocks,
                   label="synthesized")
     ensure_valid(k)
-    if scramble_seed is not None:
-        k = apply_basis_change(k, scramble_matrices(k, scramble_seed))
-        ensure_valid(k)
     return k
 
 
@@ -740,15 +738,12 @@ def decompose(k):
 # Counting rules.
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZigzagCohomology:
-    """The five tables recounted from a summand multiset alone."""
-
-    de_rham: CohomologyTable
-    dolbeault: CohomologyTable
-    conj_dolbeault: CohomologyTable
-    bott_chern: CohomologyTable
-    aeppli: CohomologyTable
+ZigzagCohomology = make_dataclass(
+    "ZigzagCohomology", THEORIES, frozen=True,
+    namespace={"__module__": __name__,
+               "__doc__": "The five tables recounted from a summand "
+                          "multiset alone, one field per name in "
+                          "cohomology.THEORIES."})
 
 
 def count_cohomology_from_zigzags(d):
@@ -769,8 +764,7 @@ def count_cohomology_from_zigzags(d):
         raise ValueError("decomposition must be verified before counting")
     bidegrees = sorted({dot for part in d.parts for dot in part.dots})
     bigraded = {name: {bid: 0 for bid in bidegrees}
-                for name in ("dolbeault", "conj_dolbeault",
-                             "bott_chern", "aeppli")}
+                for name in BIGRADED_THEORIES}
     if bidegrees:
         degrees = range(min(p + q for p, q in bidegrees),
                         max(p + q for p, q in bidegrees) + 1)
@@ -780,36 +774,21 @@ def count_cohomology_from_zigzags(d):
     for part in d.parts:
         if isinstance(part, Square):
             continue
-        arrows = part.arrows
         dots = part.dots
-        vertical_ends = set()
-        horizontal_ends = set()
-        for i, label in enumerate(arrows):
-            ends = (dots[i], dots[i + 1])
-            if label == "delbar":
-                vertical_ends.update(ends)
-            else:
-                horizontal_ends.update(ends)
-        roles = part.roles()
-        for i, dot in enumerate(dots):
-            if dot not in vertical_ends:
+        touching = {"del": set(), "delbar": set()}  # dots per arrow kind
+        for i, kind in enumerate(part.arrows):
+            touching[kind].update(dots[i:i + 2])
+        for dot, role in zip(dots, part.roles()):
+            if dot not in touching["delbar"]:
                 bigraded["dolbeault"][dot] += 1
-            if dot not in horizontal_ends:
+            if dot not in touching["del"]:
                 bigraded["conj_dolbeault"][dot] += 1
-            if roles[i] in ("sink", "lone"):
+            if role in ("sink", "lone"):
                 bigraded["bott_chern"][dot] += 1
-            if roles[i] in ("source", "lone"):
+            if role in ("source", "lone"):
                 bigraded["aeppli"][dot] += 1
         if len(dots) % 2:
             betti[sum(dots[0])] += 1
-
-    def table(name, dims):
-        return CohomologyTable(theory=name, dims=dims, representatives={})
-
-    return ZigzagCohomology(
-        de_rham=table("de_rham", betti),
-        dolbeault=table("dolbeault", bigraded["dolbeault"]),
-        conj_dolbeault=table("conj_dolbeault", bigraded["conj_dolbeault"]),
-        bott_chern=table("bott_chern", bigraded["bott_chern"]),
-        aeppli=table("aeppli", bigraded["aeppli"]),
-    )
+    return ZigzagCohomology(**{
+        name: CohomologyTable(theory=name, dims=dims, representatives={})
+        for name, dims in {"de_rham": betti, **bigraded}.items()})

@@ -10,6 +10,8 @@ Hand-computed facts used below:
 * Flipping the sign of one square arrow breaks anticommutation only.
 """
 
+import math
+
 import pytest
 
 from bicomplex_lab.bicomplex import (
@@ -297,6 +299,23 @@ class TestJson:
                            match=rf"spaces: total dimension "
                                  rf"{MAX_TOTAL_DIM + 1} exceeds"):
             from_json_dict({"spaces": {"0,0": MAX_TOTAL_DIM, "1,0": 1}})
+
+    def test_support_bounding_box_is_capped(self):
+        side = math.isqrt(MAX_TOTAL_DIM)
+        corner = f"{side - 1},{side - 1}"
+        at_cap = {"spaces": {"0,0": 1, corner: 1, "3,0": 0}}
+        assert from_json_dict(at_cap).support() == [(0, 0),
+                                                    (side - 1, side - 1)]
+        with pytest.raises(BicomplexFormatError,
+                           match=r"from '0,0' to '0,1000000'.* of 1000001 "
+                                 r"bidegrees"):
+            from_json_dict({"spaces": {"0,0": 1, "0,1000000": 1}})
+        # A zero dimension lies outside the support and is not counted.
+        far = {"spaces": {"0,0": 1, "-5,0": 1, "9999,9999": 0}}
+        assert from_json_dict(far).total_dim == 2
+        with pytest.raises(BicomplexFormatError,
+                           match="p from '-5,0' to '1,2730'"):
+            from_json_dict({"spaces": {"-5,0": 1, "1,2730": 1}})
 
     def test_shape_problems_surface_via_validate(self):
         k = from_json_dict({"spaces": {"0,0": 2, "1,0": 3},

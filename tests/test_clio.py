@@ -22,6 +22,7 @@ import math
 import re
 import runpy
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,6 +197,29 @@ class TestStrictReader:
                                  b'{"spaces": {"0,0": 1}}\xff', capsys)
         assert rc == EXIT_INPUT
         assert "not UTF-8 text at byte 22" in err
+
+    def test_deep_nesting(self, tmp_path, capsys):
+        rc, err = self._validate(tmp_path, "deep.json",
+                                 '{"label": ' + "[" * 100_000, capsys)
+        assert rc == EXIT_INPUT
+        assert "nested too deeply" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("label", ["a\n\\input{/etc/passwd}", "a\rb",
+                                       "tab\there", "del\x7f", "c1\x85"])
+    def test_control_character_in_label(self, tmp_path, capsys, label):
+        text = json.dumps({"label": label, "spaces": {"0,0": 1}})
+        for command in ("validate", "check", "cohomology"):
+            path = tmp_path / "ctl.json"
+            path.write_text(text)
+            rc = clio.main([command, "--in", str(path)])
+            out, err = capsys.readouterr()
+            assert rc == EXIT_INPUT and out == ""
+            assert "label" in err and err.count("\n") == 1
+
+    def test_control_character_in_file_stem(self, tmp_path, capsys):
+        rc, err = self._validate(tmp_path, "a\nb.bba", "n = 1\n", capsys)
+        assert rc == EXIT_INPUT
+        assert "label contains the control character U+000A" in err
 
     def test_repeated_key_check_never_walks_rows(self, tmp_path):
         """The hook runs once per JSON object; the nil5 file has four."""
@@ -445,6 +469,24 @@ class TestRenderDiagram:
         two = render_diagram(d, fmt, label="kodaira")
         assert one == two
         assert one.strip()
+
+    def test_hostile_label_adds_no_svg_element(self, tmp_path, capsys):
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps({
+            "label": "a --><script>alert(1)</script><!-- b",
+            "spaces": {"0,0": 1}}))
+        assert clio.main(["render", "--in", str(path), "--format",
+                          "svg"]) == EXIT_OK
+        root = ElementTree.fromstring(capsys.readouterr().out)
+        written = {"svg", "defs", "marker", "path", "line", "text", "circle"}
+        assert {el.tag.rpartition("}")[2] for el in root.iter()} <= written
+
+    def test_hostile_label_keeps_one_digraph_line(self):
+        d = decompose(synthesize([Zigzag(((0, 0),))]))
+        out = render_diagram(d, "dot", label='x" {} digraph "y\\')
+        assert [line for line in out.splitlines()
+                if "digraph" in line] == [
+            'digraph "x\\" {} digraph \\"y\\\\" {']
 
     def test_rejects_unverified(self):
         d = decompose(synthesize([Zigzag(((0, 0),))]))

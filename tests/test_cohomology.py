@@ -212,7 +212,7 @@ def reference_frolicher_pages(k):
     """The full-recompute page loop, with Dolbeault pairs of its own."""
     support = k.support()
     if not support:
-        return FrolicherPages(pages={1: {}}, r_stab=1, e_infinity={})
+        return FrolicherPages(pages={1: {}})
     dol = {(p, q): (kernel_basis(k.delbar_map(p, q)),
                     image_basis(k.delbar_map(p, q - 1)))
            for (p, q) in support}
@@ -253,7 +253,7 @@ def reference_frolicher_pages(k):
     r_stab = next(r for r, dims in enumerate(dims_per_page, start=1)
                   if dims == e_infinity)
     pages = {r: dims_per_page[r - 1] for r in range(1, r_stab + 1)}
-    return FrolicherPages(pages=pages, r_stab=r_stab, e_infinity=e_infinity)
+    return FrolicherPages(pages=pages)
 
 
 # --------------------------------------------------------------------------

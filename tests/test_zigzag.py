@@ -61,6 +61,12 @@ BASIS_DIGEST = ("2b684a7620067ca59c07c4a945325b6a"
                 "5cbe541092182cb5103854e2937fbcf4")
 
 
+def scrambled(parts, seed):
+    """The synthesized complex of ``parts`` in seeded scrambled bases."""
+    k = zz.synthesize(parts)
+    return zz.apply_basis_change(k, zz.scramble_matrices(k, seed))
+
+
 def read_tables(k):
     """Read the five tables of ``k``, which fills its cohomology store."""
     tables = cohomology.all_tables(k)
@@ -195,7 +201,7 @@ class TestSynthesize:
 
     def test_scrambled_still_valid(self):
         parts = random_parts(random.Random(3), 8)
-        k = zz.synthesize(parts, scramble_seed=9)
+        k = scrambled(parts, 9)
         assert validate(k) == []
 
     def test_malformed_part(self):
@@ -310,8 +316,7 @@ class TestDecompose:
         assert sum(1 for p in d.parts if p.is_dot) == 10
 
     def test_deterministic(self):
-        k = zz.synthesize(random_parts(random.Random(8), 9),
-                          scramble_seed=4)
+        k = scrambled(random_parts(random.Random(8), 9), 4)
         a = zz.decompose(k)
         b = zz.decompose(k)
         assert a.parts == b.parts
@@ -328,7 +333,7 @@ class TestDecompose:
             zz.Square(anchor=(1, 1)),
         ]
         for seed in (0, 1, 42):
-            k = zz.synthesize(parts, scramble_seed=seed)
+            k = scrambled(parts, seed)
             d = zz.decompose(k)
             assert d.parts == zz.sort_parts(parts), seed
 
@@ -336,8 +341,7 @@ class TestDecompose:
         parts = random_parts(random.Random(42), 30)
         plain = zz.synthesize(parts)
         assert zz.decompose(plain).parts == zz.sort_parts(parts)
-        scrambled = zz.synthesize(parts, scramble_seed=42)
-        d = zz.decompose(scrambled)
+        d = zz.decompose(scrambled(parts, 42))
         assert d.parts == zz.sort_parts(parts)
         assert d.verified
 
@@ -351,8 +355,7 @@ class TestDecompose:
             assert m == Matrix.identity(k.dimension(*b)), b
 
     def test_makes_no_random_draws(self, monkeypatch):
-        k = zz.synthesize(random_parts(random.Random(3), 12),
-                          scramble_seed=7)
+        k = scrambled(random_parts(random.Random(3), 12), 7)
 
         def no_draws(*args, **kwargs):
             raise AssertionError("decompose drew a random number")
@@ -590,7 +593,7 @@ class TestStripSweep:
         parts = [zz.Zigzag(((0, 1), (0, 0))),
                  zz.Zigzag(((1, 0), (1, -1), (2, -1))),
                  zz.Zigzag(((4, -3), (4, -4)))]
-        k = zz.synthesize(parts, scramble_seed=3)
+        k = scrambled(parts, 3)
         calls = _count_echelons(monkeypatch)
         assert zz._strip_zigzags(k) == {part: 1 for part in parts}
         assert calls["echelon"] == 4
@@ -618,15 +621,14 @@ class TestRoundTripProperty:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_PARTS, max_size=8), st.integers(0, 1000))
     def test_decompose_recovers_synthesized_parts(self, parts, seed):
-        d = zz.decompose(zz.synthesize(parts, scramble_seed=seed))
+        d = zz.decompose(scrambled(parts, seed))
         assert d.parts == zz.sort_parts(parts)
         assert d.verified
 
 
 class TestVerifyDecomposition:
     def test_accepts_own_output(self):
-        k = zz.synthesize(random_parts(random.Random(5), 6),
-                          scramble_seed=1)
+        k = scrambled(random_parts(random.Random(5), 6), 1)
         d = zz.decompose(k)
         assert zz.verify_decomposition(d, k)
 
