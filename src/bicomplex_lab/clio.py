@@ -115,6 +115,12 @@ def _unique_keys(pairs):
 _CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 
+def _escaped(path):
+    """``path`` with each control character written as ``\\xNN``, so that
+    a message naming it stays on one line."""
+    return _CONTROL.sub(lambda m: f"\\x{ord(m.group()):02x}", str(path))
+
+
 def parse_bicomplex_file(path):
     """Parse a ``.json`` or ``.bba`` file into a Bicomplex.
 
@@ -127,42 +133,43 @@ def parse_bicomplex_file(path):
     on them).
     """
     path = Path(path)
+    name = _escaped(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {name}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text at byte {exc.start}"
+        raise InputError(f"{name}: not UTF-8 text at byte {exc.start}"
                          ) from exc
     if path.suffix == ".json":
         try:
             obj = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON at line {exc.lineno}, "
+            raise InputError(f"{name}: invalid JSON at line {exc.lineno}, "
                              f"column {exc.colno}: {exc.msg}") from exc
         except RecursionError as exc:
-            raise InputError(f"{path}: invalid JSON: nested too deeply"
+            raise InputError(f"{name}: invalid JSON: nested too deeply"
                              ) from exc
         except _RepeatedKey as exc:
-            raise InputError(f"{path}: repeated key {exc.args[0]!r} in a "
+            raise InputError(f"{name}: repeated key {exc.args[0]!r} in a "
                              f"JSON object") from exc
         try:
             k = from_json_dict(obj, default_label=path.stem)
         except BicomplexFormatError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+            raise InputError(f"{name}: {exc}") from exc
     elif path.suffix == ".bba":
         try:
             spec = parse_structure_text(text)
             k = from_structure_equations(spec, label=path.stem)
         except StructureEquationError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+            raise InputError(f"{name}: {exc}") from exc
     else:
-        raise InputError(f"{path}: unknown input extension {path.suffix!r} "
+        raise InputError(f"{name}: unknown input extension {path.suffix!r} "
                          f"(expected .json or .bba)")
     # Reports and diagrams print the label inside one line or comment.
     bad = _CONTROL.search(k.label)
     if bad:
-        raise InputError(f"{path}: label contains the control character "
+        raise InputError(f"{name}: label contains the control character "
                          f"U+{ord(bad.group()):04X}")
     return k
 
@@ -522,7 +529,7 @@ def _deliver(files, out_dir):
             for name in sorted(files):
                 _write_atomic(out / name, files[name])
         except OSError as exc:
-            raise UsageError(f"cannot write {exc.filename or out}: "
+            raise UsageError(f"cannot write {_escaped(exc.filename or out)}: "
                              f"{exc.strerror or exc}") from exc
         return
     for i, name in enumerate(sorted(files)):

@@ -237,7 +237,8 @@ class Matrix:
 
     Column ``j`` is a dict ``{row: scalar}`` holding only the nonzero
     entries.  The constructor takes dense columns (lists of scalars) and
-    every public accessor returns dense lists filled with ``SC_ZERO``.
+    ``from_rows`` dense rows; the dense accessors ``entry``, ``columns``
+    and ``to_rows`` fill the absent entries with ``SC_ZERO``.
     Column dicts are never modified once they belong to a matrix, so
     matrices may share them.
     """
@@ -286,9 +287,6 @@ class Matrix:
     def entry(self, i, j):
         return self._data[j].get(i, SC_ZERO)
 
-    def column(self, j):
-        return _dense(self._data[j], self.rows)
-
     def columns(self):
         return [_dense(c, self.rows) for c in self._data]
 
@@ -326,24 +324,14 @@ class Matrix:
             self.rows, self.cols,
             [{i: -x for i, x in c.items()} for c in self._data])
 
-    def _apply(self, vec):
-        """Matrix times a sparse column vector, as a sparse column."""
-        out = {}
-        for j, f in vec.items():
-            _add_scaled(out, f, self._data[j])
-        return out
-
-    def apply(self, vec):
-        """Matrix times a column vector given as a list of scalars."""
-        if len(vec) != self.cols:
-            raise LinAlgError("vector length mismatch")
-        return _dense(self._apply(_sparse(vec)), self.rows)
-
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise LinAlgError("matmul dimension mismatch")
-        return Matrix._from_sparse(self.rows, other.cols,
-                                   [self._apply(c) for c in other._data])
+        out = [{} for _ in other._data]
+        for col, vec in zip(out, other._data):
+            for j, f in vec.items():
+                _add_scaled(col, f, self._data[j])
+        return Matrix._from_sparse(self.rows, other.cols, out)
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -503,9 +491,6 @@ class Subspace:
         if self._pivot_cols is None:
             self._pivot_cols = {min(c): c for c in self.basis._data}
         return self._pivot_cols
-
-    def contains_vector(self, vec):
-        return not _reduce(_sparse(vec), self._pivots())
 
     def contains(self, other):
         if other.ambient_dim != self.ambient_dim:

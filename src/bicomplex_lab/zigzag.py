@@ -183,19 +183,6 @@ def part_to_json_dict(part):
             "arrows": list(part.arrows)}
 
 
-def part_from_json_dict(obj):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("summand JSON must be an object with a 'kind'")
-    if obj["kind"] == "square":
-        return Square(anchor=tuple(obj["anchor"]))
-    if obj["kind"] == "zigzag":
-        part = Zigzag(tuple(tuple(d) for d in obj["dots"]))
-        if "arrows" in obj and tuple(obj["arrows"]) != part.arrows:
-            raise ValueError("zigzag arrow labels do not match the dots")
-        return part
-    raise ValueError(f"unknown summand kind {obj['kind']!r}")
-
-
 def decomposition_to_json_dict(d):
     return {"parts": [part_to_json_dict(p) for p in d.parts],
             "verified": d.verified}

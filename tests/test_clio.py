@@ -38,7 +38,7 @@ from bicomplex_lab.clio import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK,
 from bicomplex_lab.cohomology import all_tables
 from bicomplex_lab.exactla import LinAlgError, Matrix
 from bicomplex_lab.zigzag import (DecompositionError, Square, Zigzag,
-                                  decompose, part_from_json_dict, synthesize)
+                                  decompose, part_to_json_dict, synthesize)
 
 DATA_BBA = Path(__file__).resolve().parents[1] \
     / "src" / "bicomplex_lab" / "data" / "iwasawa.bba"
@@ -661,60 +661,18 @@ class TestCorpusCommand:
         assert clio.main(["corpus", "--kinds", kinds]) == EXIT_USAGE
         assert "--kinds" in capsys.readouterr().err
 
-
-class TestCorpusScript:
-    """``scripts/run_corpus.py`` reads its flags through ``parse_args``."""
-
-    @staticmethod
-    def _main(argv):
-        script = Path(__file__).parents[1] / "scripts" / "run_corpus.py"
-        return runpy.run_path(str(script))["main"](argv)
-
     def test_negative_size_is_usage_error(self, tmp_path, capsys):
-        assert self._main(["--n", "-3", "--out", str(tmp_path)]) \
-            == EXIT_USAGE
+        assert clio.main(["corpus", "--n-corpus", "-3",
+                          "--out", str(tmp_path)]) == EXIT_USAGE
         assert "--n-corpus must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "corpus.csv").exists()
 
-    def test_n_is_an_alias_of_the_flag_the_message_names(self, tmp_path,
-                                                         capsys):
-        assert self._main(["--n-corpus", "-3", "--out", str(tmp_path)]) \
-            == EXIT_USAGE
-        assert "--n-corpus must be >= 0" in capsys.readouterr().err
-        assert self._main(["--n-corpus", "3", "--out",
-                           str(tmp_path / "long")]) == EXIT_OK
-        assert self._main(["--n", "3", "--out",
-                           str(tmp_path / "short")]) == EXIT_OK
-        assert (tmp_path / "long" / "corpus.csv").read_text() \
-            == (tmp_path / "short" / "corpus.csv").read_text()
-
-    def test_out_at_an_existing_file_fails_before_the_corpus(
-            self, tmp_path, monkeypatch, capsys):
-        taken = tmp_path / "taken"
-        taken.write_text("keep\n")
-        computed = []
-        monkeypatch.setattr(clio, "run_corpus", computed.append)
-        for out in (taken, taken / "sub"):
-            assert self._main(["--n", "1", "--out", str(out)]) == EXIT_USAGE
-            err = capsys.readouterr().err
-            assert err.startswith(f"usage error: cannot write {taken}")
-            assert err.count("\n") == 1
-        assert computed == []
-        assert taken.read_text() == "keep\n"
-
-    def test_bad_kind_is_usage_error(self, tmp_path, capsys):
-        assert self._main(["--kinds", "triangle", "--out",
-                           str(tmp_path)]) == EXIT_USAGE
-        assert "unknown part kind 'triangle'" in capsys.readouterr().err
-
-    def test_empty_kind_entry_is_dropped_as_in_the_cli(self, tmp_path,
-                                                       capsys):
-        assert self._main(["--kinds", "dot,", "--n", "3",
-                           "--out", str(tmp_path / "script")]) == EXIT_OK
-        assert clio.main(["corpus", "--kinds", "dot", "--n-corpus", "3",
-                          "--out", str(tmp_path / "cli")]) == EXIT_OK
-        assert (tmp_path / "script" / "corpus.csv").read_text() \
-            == (tmp_path / "cli" / "corpus.csv").read_text()
+    def test_empty_kind_entry_is_dropped(self, tmp_path):
+        for kinds in ("dot,", "dot"):
+            assert clio.main(["corpus", "--kinds", kinds, "--n-corpus", "3",
+                              "--out", str(tmp_path / kinds)]) == EXIT_OK
+        assert (tmp_path / "dot," / "corpus.csv").read_bytes() \
+            == (tmp_path / "dot" / "corpus.csv").read_bytes()
 
 
 class TestCliPlumbing:
@@ -767,14 +725,30 @@ class TestCliPlumbing:
             assert err.count("\n") == 1
         assert taken.read_text() == "keep\n"
 
+    @pytest.mark.parametrize("argv, flag, name, content, code", [
+        (["validate"], "--in", "a\nb.bba", "n = 1\n", EXIT_INPUT),
+        (["validate"], "--in", "no\nfile.bba", None, EXIT_INPUT),
+        (["check", "--preset", "torus1"], "--out", "t\nf", "keep\n",
+         EXIT_USAGE),
+    ])
+    def test_a_path_cannot_split_the_message(self, tmp_path, capsys, argv,
+                                             flag, name, content, code):
+        path = tmp_path / name
+        if content is not None:
+            path.write_text(content)
+        assert clio.main(argv + [flag, str(path)]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(tmp_path / name).replace("\n", "\\x0a") in err
+
     def test_decompose_json_round_trips_parts(self, tmp_path):
         rc = clio.main(["decompose", "--preset", "kodaira",
                         "--out", str(tmp_path)])
         assert rc == EXIT_OK
         obj = json.loads((tmp_path / "decomposition.json").read_text())
         assert obj["verified"] is True
-        parts = tuple(part_from_json_dict(p) for p in obj["parts"])
-        assert parts == decompose(models.kodaira_surface()).parts
+        assert obj["parts"] == [part_to_json_dict(p) for p in
+                                decompose(models.kodaira_surface()).parts]
 
     def test_decompose_text_summary(self, capsys):
         rc = clio.main(["decompose", "--preset", "torus1",
@@ -844,3 +818,19 @@ def test_default_format_is_the_first_choice(command, capsys):
     assert clio.main(argv + ["--format", clio._FORMATS[command][0]]) \
         == EXIT_OK
     assert capsys.readouterr().out == default
+
+
+def test_scripts_run_to_completion(tmp_path):
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+
+    def run(script, *argv):
+        return runpy.run_path(str(scripts / script))["main"](list(argv))
+
+    assert run("preset_report.py", "--out", str(tmp_path)) == 0
+    expected = sorted([f"{theory}.csv" for theory in cohomology.THEORIES]
+                      + ["diagram.dot"])
+    for preset in clio.PRESETS:
+        assert sorted(p.name for p in (tmp_path / preset).iterdir()) \
+            == expected
+    # The witness asserts h^m_A = m+1 against b_m = 1 for each m.
+    assert run("zigzag_witness.py", "--max-m", "4") == 0

@@ -70,13 +70,13 @@ class TestIwasawa:
         k = iwasawa()
         # (1,0) basis: w1, w2, w3 -> (2,0) basis: w1w2, w1w3, w2w3.
         del10 = k.del_map(1, 0)
-        assert del10.column(0) == [scalar(0)] * 3
-        assert del10.column(1) == [scalar(0)] * 3
-        assert del10.column(2) == [scalar(-1), scalar(0), scalar(0)]
+        assert del10.columns()[0] == [scalar(0)] * 3
+        assert del10.columns()[1] == [scalar(0)] * 3
+        assert del10.columns()[2] == [scalar(-1), scalar(0), scalar(0)]
         assert k.delbar_map(1, 0).is_zero()
         # Conjugate equation: delbar at (0,1) sends cw3 to -cw1^cw2.
         delbar01 = k.delbar_map(0, 1)
-        assert delbar01.column(2) == [scalar(-1), scalar(0), scalar(0)]
+        assert delbar01.columns()[2] == [scalar(-1), scalar(0), scalar(0)]
         assert k.del_map(0, 1).is_zero()
 
     def test_totalization_dimensions(self):
@@ -108,13 +108,13 @@ class TestKodairaSurface:
         assert validate(k) == []
         # (1,0) basis: w1, w2 -> (1,1) basis: w1cw1, w1cw2, w2cw1, w2cw2.
         delbar10 = k.delbar_map(1, 0)
-        assert delbar10.column(0) == [scalar(0)] * 4
-        assert delbar10.column(1) == [scalar(1), scalar(0),
+        assert delbar10.columns()[0] == [scalar(0)] * 4
+        assert delbar10.columns()[1] == [scalar(1), scalar(0),
                                       scalar(0), scalar(0)]
         assert k.del_map(1, 0).is_zero()
         # Conjugate: del at (0,1) sends cw2 to -(w1^cw1).
         del01 = k.del_map(0, 1)
-        assert del01.column(1) == [scalar(-1), scalar(0),
+        assert del01.columns()[1] == [scalar(-1), scalar(0),
                                    scalar(0), scalar(0)]
 
     def test_totalization_dimensions(self):
