@@ -406,7 +406,8 @@ def from_json_dict(obj, *, default_label=""):
     unknown = set(obj) - _ALLOWED_KEYS
     if unknown:
         raise BicomplexFormatError(
-            f"unknown top-level keys: {', '.join(sorted(unknown))}")
+            f"unknown top-level keys: "
+            f"{', '.join(map(repr, sorted(unknown)))}")
     label = obj.get("label", default_label)
     if not isinstance(label, str):
         raise BicomplexFormatError("label must be a string")

@@ -7,7 +7,9 @@ verdict always carries the concrete numbers that violate the statement.
 Every check takes the complex alone and reads the tables, the
 Bott-Chern to Aeppli map and the real-structure verdict from its store
 (see :mod:`.cohomology`), so the checks run on one complex compute each
-of them once between them.
+of them once between them.  Validation owns the support rule: a
+complex with a declared n and support outside [0, n]^2 is invalid, so
+every check raises ``ValueError`` on it.
 
 The checks, roughly in logical order:
 
@@ -18,9 +20,9 @@ The checks, roughly in logical order:
   case.
 * ``upper_bound_check`` - Aeppli and Bott-Chern totals are bounded by
   min(k+1, 2n-k+1) times neighboring Dolbeault totals.  Requires a
-  declared n, support inside [0, n]^2, and a validated conjugation
-  (without the symmetry the bound genuinely fails on e.g. a lone
-  vertical domino, so the check gates rather than guesses).
+  declared n and a validated conjugation (without the symmetry the bound
+  genuinely fails on e.g. a lone vertical domino, so the check gates
+  rather than guesses).
 * ``char_minus_check`` - the absolute sum of h_BC - h_A vanishes iff the
   degree-wise comparison map from Bott-Chern to Aeppli is injective.
 * ``ddbar_lemma_check`` - three independent formulations of the lemma
@@ -72,10 +74,6 @@ def _degree_range(*dicts):
     return sorted(keys)
 
 
-def _support_inside(k, n):
-    return all(0 <= p <= n and 0 <= q <= n for (p, q) in k.support())
-
-
 def _real_structure(k):
     """Whether the carried conjugation validates, decided once per
     complex (the caller has checked that there is one)."""
@@ -119,10 +117,11 @@ def non_ddbar_degrees(k):
 def upper_bound_check(k):
     """Aeppli/Bott-Chern totals vs. scaled neighboring Dolbeault totals.
 
-    Applicable only to complexes with a declared n, support inside
-    [0, n]^2, and a validated conjugation; without the symmetry the
-    inequality can genuinely fail, so the check reports notApplicable
-    rather than a misleading verdict.
+    Applicable only to complexes with a declared n and a validated
+    conjugation; without the symmetry the inequality can genuinely fail,
+    so the check reports notApplicable rather than a misleading verdict.
+    Support inside [0, n]^2 is not checked here: validation rejects a
+    complex that breaks it.
     """
 
     def skip(reason):
@@ -132,8 +131,6 @@ def upper_bound_check(k):
 
     if k.n is None:
         return skip("no declared n")
-    if not _support_inside(k, k.n):
-        return skip("support outside the declared [0, n]^2 range")
     if k.conj is None:
         return skip("no conjugation structure")
     if not _real_structure(k):
@@ -258,8 +255,7 @@ def schweitzer_pairing_check(k):
 def duality_check(k):
     """Betti, Serre, and Bott-Chern/Aeppli dualities plus conjugation
     symmetries, each gated on the structure that makes it meaningful."""
-    has_product = (k.product is not None and k.n is not None
-                   and _support_inside(k, k.n))
+    has_product = k.product is not None and k.n is not None
     conj_valid = k.conj is not None and _real_structure(k)
     if not has_product and not conj_valid:
         return CheckReport(check_name="dualities", verdict="notApplicable",

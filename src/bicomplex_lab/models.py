@@ -129,16 +129,26 @@ def _monomial_basis(n, p, q):
             for j in combinations(range(1, n + 1), q)]
 
 
+def _conjugate(coeff, mono):
+    """Conjugate of ``coeff`` times a monomial: conj(w_I^cw_J) = cw_I^w_J
+    = (-1)^(|I||J|) w_J^cw_I."""
+    idx_i, idx_j = mono
+    c = coeff.conjugate()
+    return (-c if len(idx_i) * len(idx_j) % 2 else c), (idx_j, idx_i)
+
+
 def _normalize_terms(spec):
-    """Validate and canonicalize d(wk) for every k; returns per-generator
-    (2,0) and (1,1) term dictionaries."""
+    """Validate and canonicalize d(wk) for every k; returns ``d_gen``, one
+    table from each generator ("w", k) and ("cw", k) with a nonzero
+    differential to its terms (coefficient, 2-generator monomial).  d(cw_k)
+    is the conjugate of d(w_k), so the (2,0) and (1,1) terms of d(w_k)
+    give the (0,2) and (1,1) terms of d(cw_k)."""
     n = spec.n
     for k in spec.differentials:
         if not (isinstance(k, int) and 1 <= k <= n):
             raise StructureEquationError(
                 f"equation for unknown generator w{k} (n = {n})")
-    del_gen = {}
-    delbar_gen = {}
+    d_gen = {}
     for k in range(1, n + 1):
         acc = {}
         for coeff, g1, g2 in spec.differentials.get(k, ()):
@@ -150,47 +160,34 @@ def _normalize_terms(spec):
                         f"d(w{k}): bad generator {g!r}")
             if not coeff:
                 continue
-            (k1, i1), (k2, i2) = g1, g2
-            if k1 == "cw" and k2 == "cw":
+            if g1[0] == g2[0] == "cw":
                 raise StructureEquationError(
                     f"d(w{k}) has a conjugate-conjugate term "
-                    f"cw{i1}^cw{i2}: integrability fails")
-            if g1 == g2:
+                    f"cw{g1[1]}^cw{g2[1]}: integrability fails")
+            wedged = _wedge_monomials(*(((i,), ()) if kind == "w" else
+                                        ((), (i,)) for kind, i in (g1, g2)))
+            if wedged is None:
                 continue
-            if k1 == "w" and k2 == "w":
-                mono, sgn = ((i1, i2), 1) if i1 < i2 else ((i2, i1), -1)
-                mono = (mono, ())
-            elif k1 == "w":
-                mono, sgn = ((i1,), (i2,)), 1
-            else:
-                mono, sgn = ((i2,), (i1,)), -1
+            sgn, mono = wedged
             value = acc.get(mono, SC_ZERO) + coeff * _SIGN_SCALARS[sgn]
             if value:
                 acc[mono] = value
             elif mono in acc:
                 del acc[mono]
-        hol = [(c, m) for m, c in sorted(acc.items()) if len(m[0]) == 2]
-        mix = [(c, m) for m, c in sorted(acc.items()) if len(m[0]) == 1]
-        if hol:
-            del_gen[("w", k)] = [(c, m) for c, m in hol]
-        if mix:
-            delbar_gen[("w", k)] = [(c, m) for c, m in mix]
-        # Conjugated equations: d(cw_k) is the conjugate of d(w_k).  A
-        # mixed term c * w_i^cw_j conjugates to -conj(c) * w_j^cw_i and a
-        # holomorphic term c * w_i^w_j to conj(c) * cw_i^cw_j.
-        anti_mix = [(-(c.conjugate()), ((j,), (i,)))
-                    for c, ((i,), (j,)) in mix]
-        anti_hol = [(c.conjugate(), ((), m[0])) for c, m in hol]
-        if anti_mix:
-            del_gen[("cw", k)] = anti_mix
-        if anti_hol:
-            delbar_gen[("cw", k)] = anti_hol
-    return del_gen, delbar_gen
+        if acc:
+            terms = [(c, m) for m, c in sorted(acc.items())]
+            d_gen[("w", k)] = terms
+            d_gen[("cw", k)] = [_conjugate(c, m) for c, m in terms]
+    return d_gen
 
 
 def from_structure_equations(spec, *, label=""):
     """Build the exterior-algebra double complex of a structure-equation
     spec.
+
+    One derivation d, given on generators by ``_normalize_terms``, is
+    applied once to each monomial of bidegree (p, q): its terms at
+    (p+1, q) form the del column and those at (p, q+1) the delbar column.
 
     The output carries a conjugation structure (generator swap w_i <->
     cw_i) and, whenever the top-bidegree functional provably kills
@@ -203,25 +200,13 @@ def from_structure_equations(spec, *, label=""):
     conjugate-conjugate term is present) or d does not square to zero.
     """
     n = spec.n
-    del_gen, delbar_gen = _normalize_terms(spec)
+    d_gen = _normalize_terms(spec)
     # d squared must vanish on every generator; by the derivation property
     # this forces it to vanish on the whole algebra.
     for kind in ("w", "cw"):
         for k in range(1, n + 1):
-            gen = (kind, k)
-            first = {}
-            for table in (del_gen, delbar_gen):
-                for c, m in table.get(gen, ()):
-                    first[m] = first.get(m, SC_ZERO) + c
-            second = {}
-            for table in (del_gen, delbar_gen):
-                for m, c in _element_diff(table, first).items():
-                    value = second.get(m, SC_ZERO) + c
-                    if value:
-                        second[m] = value
-                    elif m in second:
-                        del second[m]
-            if second:
+            if _element_diff(d_gen, {m: c for c, m in
+                                     d_gen.get((kind, k), ())}):
                 raise StructureEquationError(
                     f"d does not square to zero on {kind}{k}")
     monos = {}
@@ -237,28 +222,23 @@ def from_structure_equations(spec, *, label=""):
     def sparse(target, cols):
         return Matrix._from_sparse(spaces[target], len(cols), cols)
 
-    def block(diff_gen, p, q, tp, tq):
-        target_index = index_of[(tp, tq)]
-        return sparse((tp, tq), [
-            {target_index[m]: c
-             for m, c in _element_diff(diff_gen, {mono: SC_ONE}).items()}
-            for mono in monos[(p, q)]])
-
-    del_maps = {}
-    delbar_maps = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            if p < n:
-                del_maps[(p, q)] = block(del_gen, p, q, p + 1, q)
-            if q < n:
-                delbar_maps[(p, q)] = block(delbar_gen, p, q, p, q + 1)
-
-    conj_maps = {}
+    del_maps, delbar_maps, conj_maps = {}, {}, {}
     for (p, q), basis in monos.items():
-        sign = _SIGN_SCALARS[(-1) ** (p * q)]
-        target_index = index_of[(q, p)]
-        conj_maps[(p, q)] = sparse((q, p), [{target_index[(mj, mi)]: sign}
-                                            for (mi, mj) in basis])
+        d_cols = {(p + 1, q): [], (p, q + 1): []}
+        conj_cols = []
+        for mono in basis:
+            for cols in d_cols.values():
+                cols.append({})
+            for m, c in _element_diff(d_gen, {mono: SC_ONE}).items():
+                target = (len(m[0]), len(m[1]))
+                d_cols[target][-1][index_of[target][m]] = c
+            c, m = _conjugate(SC_ONE, mono)
+            conj_cols.append({index_of[(q, p)][m]: c})
+        if p < n:
+            del_maps[(p, q)] = sparse((p + 1, q), d_cols[(p + 1, q)])
+        if q < n:
+            delbar_maps[(p, q)] = sparse((p, q + 1), d_cols[(p, q + 1)])
+        conj_maps[(p, q)] = sparse((q, p), conj_cols)
 
     # Attach the pairing only when the top functional demonstrably kills
     # boundaries in bidegree (n, n): equivalent, since that space is a
@@ -448,10 +428,11 @@ def random_bicomplex(seed, *, kinds=("dot", "square", "zigzag"),
         else:
             length = rng.randint(2, _MAX_LENGTH)
             first_role = rng.choice(("source", "sink"))
-            p_steps, q_steps = _zigzag_extent(length, first_role)
-            start = (rng.randint(0, _TOP - p_steps),
-                     rng.randint(q_steps, _TOP))
-            part = zz.Zigzag(_zigzag_dots(start, first_role, length))
+            shape = _zigzag_dots((0, 0), first_role, length)
+            last_p, last_q = shape[-1]
+            dp = rng.randint(0, _TOP - last_p)
+            dq = rng.randint(-last_q, _TOP)
+            part = zz.Zigzag(tuple((p + dp, q + dq) for p, q in shape))
         parts.append(part)
         if symmetric:
             mirrored = zz.mirror_part(part)
@@ -474,15 +455,6 @@ def random_bicomplex(seed, *, kinds=("dot", "square", "zigzag"),
         n=_TOP if symmetric else None, label=f"random-{seed}", conj=conj)
     ensure_valid(out)
     return RandomBicomplex(out, zz.sort_parts(parts))
-
-
-def _zigzag_extent(length, first_role):
-    steps = length - 1
-    if first_role == "source":
-        p_steps = (steps + 1) // 2
-    else:
-        p_steps = steps // 2
-    return p_steps, steps - p_steps
 
 
 def _zigzag_dots(start, first_role, length):

@@ -251,13 +251,14 @@ class TestUpperBound:
         assert rep.witnesses["Reason"] == "no declared n"
 
     def test_requires_support_inside_range(self):
+        # validate owns the support rule: a complex that breaks it is
+        # rejected like any other invalid complex, not skipped.
         part = Zigzag(((3, 3),))
         k = with_structure(
             synthesize([part]), n=2,
             conj=ConjugationStructure(standard_conjugation([part])))
-        rep = upper_bound_check(k)
-        assert rep.verdict == "notApplicable"
-        assert "support" in rep.witnesses["Reason"]
+        with pytest.raises(ValueError, match=r"\(3,3\)"):
+            upper_bound_check(k)
 
     def test_requires_conjugation_and_bound_really_fails_without(self):
         # The gate is not cosmetic: a lone vertical domino with n = 1

@@ -216,6 +216,13 @@ class TestStrictReader:
             assert rc == EXIT_INPUT and out == ""
             assert "label" in err and err.count("\n") == 1
 
+    def test_unknown_key_cannot_split_the_message(self, tmp_path, capsys):
+        rc, err = self._validate(
+            tmp_path, "k.json", '{"spaces": {"0,0": 1}, "a\\nb": 2}', capsys)
+        assert rc == EXIT_INPUT
+        assert "unknown top-level keys: 'a\\nb'" in err
+        assert err.count("\n") == 1
+
     def test_control_character_in_file_stem(self, tmp_path, capsys):
         rc, err = self._validate(tmp_path, "a\nb.bba", "n = 1\n", capsys)
         assert rc == EXIT_INPUT

@@ -283,6 +283,7 @@ class TestRepresentatives:
     def test_representatives_are_cocycles_spanning_the_quotient(self, theory):
         for k in EXAMPLES:
             table = TABLES[theory](k)
+            assert table.representatives.keys() == table.dims.keys()
             for (p, q), reps in table.representatives.items():
                 assert reps.dim == table.dims[(p, q)]
                 mat = reps.basis
@@ -308,6 +309,7 @@ class TestRepresentatives:
         for k in EXAMPLES:
             t = totalize(k)
             table = de_rham(k)
+            assert table.representatives.keys() == table.dims.keys()
             for deg, reps in table.representatives.items():
                 assert reps.dim == table.dims[deg]
                 assert (t.differential(deg) @ reps.basis).is_zero()
@@ -315,6 +317,7 @@ class TestRepresentatives:
     def test_representatives_meet_boundaries_trivially(self):
         k = iwasawa()
         table = bott_chern(k)
+        assert table.representatives.keys() == table.dims.keys()
         for (p, q), reps in table.representatives.items():
             exact = image_basis(k.del_map(p - 1, q)
                                 @ k.delbar_map(p - 1, q - 1))

@@ -15,10 +15,12 @@ Hand-derived facts used as oracles:
 * d w1 = w1^w2, d w2 = w1^w3 fails d^2 = 0 on w2: d(w1^w3) = w1^w2^w3.
 """
 
+import hashlib
 import math
 
 import pytest
 
+from bicomplex_lab import models
 from bicomplex_lab.bicomplex import (
     Bicomplex,
     check_real_structure,
@@ -297,3 +299,79 @@ class TestTextFormat:
         line = text.count("\n") + 1
         with pytest.raises(StructureEquationError, match=f"line {line}"):
             parse_structure_text(text)
+
+
+# Structure-equation texts with i and 1/2 coefficients: valid ones, a zero
+# conjugate-conjugate term (accepted), a self-wedge (dropped), a
+# non-unimodular model (no product), and one of each rejection.
+PINNED_TEXTS = [
+    "n = 3\nd w3 = 1/2+1/2 i* w1^w2 - 2* w1^cw2 + w2^cw1\n",
+    "n = 2\nd w2 = i* w1^cw1\n",
+    "n = 3\nd w3 = 1/2* w1^w2 + i* w1^cw1 - 1/2+i* w2^cw2\n",
+    "n = 3\nd w3 = 1/2-i* cw1^w2 + i* cw2^w1 + 1/2* w2^w1\n",
+    "n = 3\nd w2 = 1/2* w1^w3\nd w3 = i* w1^w2\n",
+    "n = 2\nd w1 = 0* cw1^cw2\nd w2 = i* w1^w1 + 1/2* w1^cw1\n",
+    "n = 1\nd w1 = i* w1^cw1\n",
+    "n = 4\nd w3 = i* w1^w2\nd w4 = 1/2* w1^cw1 - 1/2 i* cw2^w2\n",
+    "n = 3\nd w1 = i* w1^w2\nd w2 = 1/2* w1^w3\n",
+    "n = 2\nd w1 = 1/2* cw1^cw2\n",
+    "n = 2\nd w1 = i* w1^w3\n",
+    "n = 2\nd w5 = 0\n",
+]
+
+MODELS_DIGEST = ("151b7c5d33eed6e585cc5e279ea37a73"
+                 "b976865def0d90f8c4aea04a0ce08af6")
+
+
+def _hash_matrices(h, name, blocks):
+    if blocks is None:
+        h.update(f"{name} none\n".encode())
+        return
+    for bid in sorted(blocks):
+        m = blocks[bid]
+        h.update(f"{name} {bid} {m.rows}x{m.cols}\n".encode())
+        for row in m.to_rows():
+            h.update((" ".join(map(str, row)) + "\n").encode())
+
+
+def test_model_matrices_are_pinned():
+    """SHA-256 over the ``str`` of every del, delbar, conjugation and
+    pairing entry of torus0-4, iwasawa, kodaira and nil4, plus the
+    matrices or the error message of each text in ``PINNED_TEXTS``;
+    recorded when the builder still kept one generator table per
+    differential."""
+    built = [torus(n) for n in range(5)]
+    built += [iwasawa(), kodaira_surface(), PAIRED_MODELS["nil4"]()]
+    built += PINNED_TEXTS
+    h = hashlib.sha256()
+    for item in built:
+        if isinstance(item, str):
+            h.update(item.encode())
+            try:
+                item = from_structure_equations(parse_structure_text(item))
+            except StructureEquationError as exc:
+                h.update(f"error {exc}\n".encode())
+                continue
+        h.update(f"{item.label} {sorted(item.support())}\n".encode())
+        _hash_matrices(h, "del", item.del_blocks())
+        _hash_matrices(h, "delbar", item.delbar_blocks())
+        _hash_matrices(h, "conj", item.conj.maps)
+        _hash_matrices(h, "pairing",
+                       item.product and item.product.pairings)
+    assert h.hexdigest() == MODELS_DIGEST
+
+
+def test_one_derivation_per_monomial_builds_iwasawa(monkeypatch):
+    """d is applied once per generator for the d^2 check (2n = 6 calls)
+    and once per monomial for the del, delbar and conjugation columns
+    (4^3 = 64 calls), not once per differential."""
+    calls = []
+    derive = models._element_diff
+
+    def counted(diff_gen, element):
+        calls.append(element)
+        return derive(diff_gen, element)
+
+    monkeypatch.setattr(models, "_element_diff", counted)
+    iwasawa()
+    assert len(calls) == 2 * 3 + 4 ** 3
