@@ -15,7 +15,7 @@ Usage: python3 scripts/zigzag_witness.py [--max-m 6]
 import argparse
 import sys
 
-from bicomplex_lab.bicomplex import Bicomplex, ConjugationStructure
+from bicomplex_lab.bicomplex import Bicomplex
 from bicomplex_lab.checkers import upper_bound_check
 from bicomplex_lab.cohomology import aeppli, de_rham, dolbeault
 from bicomplex_lab.zigzag import Zigzag, standard_conjugation, synthesize
@@ -46,8 +46,7 @@ def main(argv=None):
         k = Bicomplex({b: plain.dimension(*b) for b in plain.support()},
                       plain.del_blocks(), plain.delbar_blocks(), n=m,
                       label=f"staircase-{m}",
-                      conj=ConjugationStructure(
-                          standard_conjugation([part])))
+                      conj=standard_conjugation([part]))
         h_a = sum(v for (p, q), v in aeppli(k).dims.items() if p + q == m)
         b_m = de_rham(k).dims.get(m, 0)
         dol = dolbeault(k).dims

@@ -9,9 +9,8 @@ inequalities, defect formulas, upper bounds, dualities, pairing
 criteria).
 """
 
-from .bicomplex import (Bicomplex, ConjugationStructure, ProductStructure,
-                        Violation, check_real_structure, ensure_valid,
-                        totalize, validate)
+from .bicomplex import (Bicomplex, Violation, check_real_structure,
+                        ensure_valid, totalize, validate)
 from .checkers import (ALL_CHECK_NAMES, THEOREM_CHECK_NAMES, CheckReport,
                        char_minus_check, ddbar_lemma_check, duality_check,
                        frolicher_check, non_ddbar_degrees, run_all_checks,
@@ -32,9 +31,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_CHECK_NAMES", "AllTables", "Bicomplex", "CheckReport",
-    "CohomologyTable", "ConjugationStructure", "Decomposition",
-    "DecompositionError", "ExactScalar", "FrolicherPages", "Matrix",
-    "NaturalMapRanks", "ProductStructure", "Square", "Subspace",
+    "CohomologyTable", "Decomposition", "DecompositionError",
+    "ExactScalar", "FrolicherPages", "Matrix", "NaturalMapRanks",
+    "Square", "Subspace",
     "THEOREM_CHECK_NAMES", "Violation", "Zigzag", "aeppli", "all_tables",
     "bott_chern", "char_minus_check", "check_real_structure",
     "conj_dolbeault", "count_cohomology_from_zigzags", "ddbar_lemma_check",

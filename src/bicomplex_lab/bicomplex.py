@@ -10,7 +10,8 @@ A complex may optionally carry the top-form pairing of a graded product
 (one matrix per complementary pair of bidegrees, valued in the line at
 (n, n)), an antilinear conjugation symmetry swapping the two gradings, and
 a declared dimension ``n`` confining the support to the square grid
-[0, n] x [0, n].
+[0, n] x [0, n].  The two structures are plain dicts of matrices, keyed
+by bidegree; :class:`Bicomplex` states their conventions.
 """
 
 import json
@@ -27,37 +28,6 @@ class Violation:
     kind: str
     bidegree: tuple
     message: str
-
-
-@dataclass(frozen=True)
-class ConjugationStructure:
-    """Antilinear symmetry swapping the two gradings.
-
-    ``maps[(p, q)]`` is the matrix of the antilinear map from the (p, q)
-    space to the (q, p) space: a vector v is sent to
-    ``maps[(p, q)] @ conj(v)`` where ``conj`` is entrywise scalar
-    conjugation.  The composite of the map with its mirror is the identity,
-    and conjugating the horizontal differential yields the vertical one;
-    :func:`check_real_structure` verifies both.
-    """
-
-    maps: dict
-
-
-@dataclass(frozen=True)
-class ProductStructure:
-    """Top-form pairing of a graded product, one matrix per bidegree.
-
-    For every (p, q) in [0, n]^2, ``pairings[(p, q)]`` is the
-    ``dim(n-p, n-q) x dim(p, q)`` matrix whose entry (j, i) is a fixed
-    linear functional on the (n, n) space applied to the product e_i f_j
-    of basis vector i at (p, q) and basis vector j at (n-p, n-q).  For the
-    pairing on cohomology classes to be well defined the functional must
-    vanish on boundaries at (n, n), which builders guarantee and the
-    pairing checker re-verifies.
-    """
-
-    pairings: dict
 
 
 def _is_count(value):
@@ -86,16 +56,37 @@ class Bicomplex:
     horizontal differential out of (p, q) (target (p+1, q));
     ``delbar_maps[(p, q)]`` the vertical one (target (p, q+1)).  Matrices
     act on column vectors; omitted or all-zero blocks are normalized away.
-    The private ``_violations`` and ``_store`` slots cache what
-    :func:`validate` and the cohomology module derive from the complex.
+
+    Two optional dicts carry extra structure; ``None`` means absent.
+
+    * ``conj[(p, q)]`` is the matrix of the antilinear map from the
+      (p, q) space to the (q, p) space: a vector v is sent to
+      ``conj[(p, q)] @ conj(v)`` where ``conj`` is entrywise scalar
+      conjugation.  The composite of the map with its mirror is the
+      identity, and conjugating the horizontal differential yields the
+      vertical one; :func:`check_real_structure` verifies both.
+    * ``pairings[(p, q)]``, for every (p, q) in [0, n]^2, is the
+      ``dim(n-p, n-q) x dim(p, q)`` matrix whose entry (j, i) is a fixed
+      linear functional on the (n, n) space applied to the product
+      e_i f_j of basis vector i at (p, q) and basis vector j at
+      (n-p, n-q).  For the pairing on cohomology classes to be well
+      defined the functional must vanish on boundaries at (n, n), which
+      builders guarantee and the pairing checker re-verifies.
+
+    Complexes are equal when their spaces, blocks, ``n`` and ``label``
+    agree and so does each structure that both of them carry; the JSON
+    form carries neither, so a round trip through it compares equal.
+
+    The private ``_store`` dict is the one cache of a complex: it holds
+    the :func:`validate` verdict, the zero matrices of absent blocks and
+    whatever the cohomology module derives from the complex.
     """
 
-    __slots__ = ("label", "n", "product", "conj",
-                 "_spaces", "_del", "_delbar", "_violations", "_store",
-                 "_dense_del", "_dense_delbar")
+    __slots__ = ("label", "n", "conj", "pairings",
+                 "_spaces", "_del", "_delbar", "_store")
 
     def __init__(self, spaces, del_maps=None, delbar_maps=None, *,
-                 n=None, label="", product=None, conj=None):
+                 n=None, label="", pairings=None, conj=None):
         clean = {}
         for key, dim in spaces.items():
             p, q = key
@@ -111,12 +102,9 @@ class Bicomplex:
             raise ValueError(f"n must be a non-negative integer, got {n!r}")
         self.n = n
         self.label = label
-        self.product = product
         self.conj = conj
-        self._violations = None
-        self._store = None
-        self._dense_del = {}
-        self._dense_delbar = {}
+        self.pairings = pairings
+        self._store = {}
 
     def support(self):
         """Bidegrees with positive dimension, sorted by (p, q)."""
@@ -131,20 +119,21 @@ class Bicomplex:
 
     def del_map(self, p, q):
         """Matrix of the horizontal differential out of (p, q)."""
-        return self._dense(self._del, self._dense_del, p, q, p + 1, q)
+        return self._block(self._del, "del", p, q, p + 1, q)
 
     def delbar_map(self, p, q):
         """Matrix of the vertical differential out of (p, q)."""
-        return self._dense(self._delbar, self._dense_delbar, p, q, p, q + 1)
+        return self._block(self._delbar, "delbar", p, q, p, q + 1)
 
-    def _dense(self, blocks, cache, p, q, tp, tq):
+    def _block(self, blocks, name, p, q, tp, tq):
+        """The stored block, else the zero map kept in the store."""
         m = blocks.get((p, q))
-        if m is not None:
-            return m
-        m = cache.get((p, q))
         if m is None:
-            m = Matrix.zero(self.dimension(tp, tq), self.dimension(p, q))
-            cache[(p, q)] = m
+            key = (name, (p, q))
+            m = self._store.get(key)
+            if m is None:
+                m = self._store[key] = Matrix.zero(self.dimension(tp, tq),
+                                                   self.dimension(p, q))
         return m
 
     def del_blocks(self):
@@ -154,13 +143,6 @@ class Bicomplex:
     def delbar_blocks(self):
         return dict(self._delbar)
 
-    def degree_range(self):
-        """(lowest, highest) total degree of the support; None if empty."""
-        if not self._spaces:
-            return None
-        degs = [p + q for (p, q) in self._spaces]
-        return min(degs), max(degs)
-
     def __eq__(self, other):
         if not isinstance(other, Bicomplex):
             return NotImplemented
@@ -168,7 +150,9 @@ class Bicomplex:
                 and self._del == other._del
                 and self._delbar == other._delbar
                 and self.n == other.n
-                and self.label == other.label)
+                and self.label == other.label
+                and _agree(self.conj, other.conj)
+                and _agree(self.pairings, other.pairings))
 
     def __repr__(self):
         return (f"Bicomplex({self.label!r}, {len(self._spaces)} bidegrees, "
@@ -184,6 +168,11 @@ def _clean_blocks(blocks):
     return out
 
 
+def _agree(mine, theirs):
+    """Whether two optional structures agree where both are carried."""
+    return mine is None or theirs is None or mine == theirs
+
+
 def validate(k):
     """Check the double-complex axioms; returns a list of violations.
 
@@ -193,8 +182,8 @@ def validate(k):
     differentials anticommute.  Identity checks are skipped when shapes are
     broken (they would not be well posed).
     """
-    if k._violations is not None:
-        return list(k._violations)
+    if "violations" in k._store:
+        return list(k._store["violations"])
     found = []
     if k.n is not None:
         for (p, q) in k.support():
@@ -246,8 +235,8 @@ def validate(k):
                     "anticommute", (p, q),
                     f"differentials do not anticommute starting at "
                     f"({p},{q})"))
-    k._violations = tuple(found)
-    return list(found)
+    k._store["violations"] = tuple(found)
+    return found
 
 
 def ensure_valid(k):
@@ -291,7 +280,7 @@ def totalize(k):
     by_degree = {}
     for (p, q) in k.support():
         by_degree.setdefault(p + q, []).append((p, q))
-    lo, hi = k.degree_range()
+    lo, hi = min(by_degree), max(by_degree)
     dims = {}
     offsets = {}
     for deg in range(lo, hi + 1):
@@ -329,10 +318,9 @@ def check_real_structure(k):
     """
     if k.conj is None:
         raise ValueError("complex carries no conjugation structure")
-    maps = k.conj.maps
 
     def cmat(p, q):
-        m = maps.get((p, q))
+        m = k.conj.get((p, q))
         if m is None:
             if k.dimension(p, q) == 0 or k.dimension(q, p) == 0:
                 return Matrix.zero(k.dimension(q, p), k.dimension(p, q))
@@ -383,7 +371,7 @@ def _parse_bidegree_key(text, where, seen):
 
 
 def to_json_dict(k):
-    """Serializable plain-dict form of a complex (no product/conjugation)."""
+    """Serializable plain-dict form of a complex (no conj or pairings)."""
     obj = {"label": k.label}
     if k.n is not None:
         obj["n"] = k.n

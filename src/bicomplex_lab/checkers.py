@@ -7,7 +7,11 @@ verdict always carries the concrete numbers that violate the statement.
 Every check takes the complex alone and reads the tables, the
 Bott-Chern to Aeppli map and the real-structure verdict from its store
 (see :mod:`.cohomology`), so the checks run on one complex compute each
-of them once between them.  Validation owns the support rule: a
+of them once between them.  The extra structures are the complex's own
+plain dicts: ``k.conj`` (the conjugation, see :class:`.Bicomplex`) gates
+the upper bound and the conjugation rows of the dualities, and
+``k.pairings`` with a declared n gates the pairing check and the product
+rows of the dualities.  Validation owns the support rule: a
 complex with a declared n and support outside [0, n]^2 is invalid, so
 every check raises ``ValueError`` on it.
 
@@ -67,7 +71,7 @@ class CheckReport:
                 "witnesses": self.witnesses}
 
 
-def _degree_range(*dicts):
+def _degrees(*dicts):
     keys = set()
     for d in dicts:
         keys.update(d)
@@ -91,7 +95,7 @@ def frolicher_check(k):
     betti = de_rham(k).dims
     hodge = dolbeault(k).totals()
     gaps = {deg: hodge.get(deg, 0) - betti.get(deg, 0)
-            for deg in _degree_range(betti, hodge)}
+            for deg in _degrees(betti, hodge)}
     verdict = "holds" if all(g >= 0 for g in gaps.values()) else "fails"
     return CheckReport(
         check_name="frolicher_inequality", verdict=verdict,
@@ -103,7 +107,7 @@ def non_ddbar_degrees(k):
     betti = de_rham(k).dims
     h_bc = bott_chern(k).totals()
     h_a = aeppli(k).totals()
-    degrees = _degree_range(betti, h_bc, h_a)
+    degrees = _degrees(betti, h_bc, h_a)
     delta = {deg: h_bc.get(deg, 0) + h_a.get(deg, 0) - 2 * betti.get(deg, 0)
              for deg in degrees}
     total = sum(delta.values())
@@ -160,7 +164,7 @@ def char_minus_check(k):
     """|h_BC - h_A| summed over degrees vanishes iff the lemma holds."""
     h_bc = bott_chern(k).totals()
     h_a = aeppli(k).totals()
-    degrees = _degree_range(h_bc, h_a)
+    degrees = _degrees(h_bc, h_a)
     diff = {deg: h_bc.get(deg, 0) - h_a.get(deg, 0) for deg in degrees}
     total = sum(abs(v) for v in diff.values())
     direct = _bc_to_a_injective(k)
@@ -215,7 +219,7 @@ def schweitzer_pairing_check(k):
                            verdict="notApplicable",
                            witnesses={"Reason": reason})
 
-    if k.product is None:
+    if k.pairings is None:
         return skip("no product structure")
     if k.n is None:
         return skip("no declared n")
@@ -233,7 +237,7 @@ def schweitzer_pairing_check(k):
         for q in range(n + 1):
             bid = (p, q)
             comp = (n - p, n - q)
-            left = (k.product.pairings[bid] @ basis(bid)).transpose()
+            left = (k.pairings[bid] @ basis(bid)).transpose()
             if not (left @ _subspace(k, "im_ddbar", comp).basis).is_zero():
                 ill_defined.append(str(bid))
             r = rank(left @ basis(comp))
@@ -255,7 +259,7 @@ def schweitzer_pairing_check(k):
 def duality_check(k):
     """Betti, Serre, and Bott-Chern/Aeppli dualities plus conjugation
     symmetries, each gated on the structure that makes it meaningful."""
-    has_product = k.product is not None and k.n is not None
+    has_product = k.pairings is not None and k.n is not None
     conj_valid = k.conj is not None and _real_structure(k)
     if not has_product and not conj_valid:
         return CheckReport(check_name="dualities", verdict="notApplicable",

@@ -35,14 +35,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bicomplex import (BicomplexFormatError, from_json_dict, to_json_dict,
-                        validate)
+from .bicomplex import (BicomplexFormatError, ensure_valid, from_json_dict,
+                        to_json_dict, validate)
 from .checkers import ALL_CHECK_NAMES, THEOREM_CHECK_NAMES, run_all_checks
 from . import cohomology
 from .exactla import LinAlgError
-from .models import (StructureEquationError, from_structure_equations,
-                     iwasawa, kodaira_surface, parse_structure_text,
-                     random_bicomplex, torus)
+from .models import (PART_KINDS, StructureEquationError,
+                     from_structure_equations, iwasawa, kodaira_surface,
+                     parse_structure_text, random_bicomplex, torus)
 from .zigzag import (DecompositionError, decompose,
                      decomposition_to_json_dict)
 
@@ -83,7 +83,7 @@ class RunConfig:
     fmt: str = None
     seed: int = 0
     n_corpus: int = 100
-    kinds: tuple = ("dot", "square", "zigzag")
+    kinds: tuple = PART_KINDS
     hide_squares: bool = True
 
 
@@ -180,10 +180,10 @@ def _load(config, *, require_valid=True):
     else:
         k = parse_bicomplex_file(config.input_path)
     if require_valid:
-        bad = validate(k)
-        if bad:
-            raise InputError("invalid double complex: "
-                             + "; ".join(v.message for v in bad))
+        try:
+            ensure_valid(k)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
     return k
 
 
@@ -442,16 +442,19 @@ def _corpus_row(args):
     k, _parts = random_bicomplex(seed, kinds=kinds)
     reports = run_all_checks(k)
     row = {"seed": seed, "label": k.label, "totalDim": k.total_dim}
-    theorem_failure = False
     for rep in reports:
         row[rep.check_name] = rep.verdict
-        if rep.check_name in THEOREM_CHECK_NAMES and rep.verdict == "fails":
-            theorem_failure = True
         if rep.check_name == "non_ddbar_degrees":
             row["deltaSum"] = rep.witnesses["DeltaSum"]
         if rep.check_name == "ddbar_lemma":
             row["lemmaHolds"] = rep.witnesses.get("LemmaHolds", "")
-    return row, theorem_failure
+    return row, _theorem_failed(reports)
+
+
+def _theorem_failed(reports):
+    """Whether a theorem-as-test check failed, which exits 3."""
+    return any(rep.check_name in THEOREM_CHECK_NAMES
+               and rep.verdict == "fails" for rep in reports)
 
 
 def _thread_cap():
@@ -603,10 +606,7 @@ def _cmd_check(config):
             lines.append(f"{rep.check_name}: {rep.verdict}")
         files = {"checks.txt": "\n".join(lines) + "\n"}
     _deliver(files, config.out_dir)
-    theorem_failure = any(
-        rep.check_name in THEOREM_CHECK_NAMES and rep.verdict == "fails"
-        for rep in reports)
-    return EXIT_THEOREM if theorem_failure else EXIT_OK
+    return EXIT_THEOREM if _theorem_failed(reports) else EXIT_OK
 
 
 _RENDER_SUFFIX = {"tikz": "diagram.tex", "dot": "diagram.dot",
@@ -677,12 +677,12 @@ def build_parser():
         if command == "render":
             p.add_argument("--hide-squares",
                            action=argparse.BooleanOptionalAction,
-                           default=True)
+                           default=RunConfig.hide_squares)
     p = sub.add_parser("corpus")
     p.add_argument("--out", dest="out_dir", metavar="DIR")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-corpus", type=int, default=100)
-    p.add_argument("--kinds", default="dot,square,zigzag",
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--n-corpus", type=int, default=RunConfig.n_corpus)
+    p.add_argument("--kinds", default=",".join(RunConfig.kinds),
                    help="comma-separated part kinds for the generator")
     return parser
 
@@ -694,7 +694,7 @@ def parse_args(argv=None):
         if not ns.kinds:
             raise UsageError("--kinds must name at least one part kind")
         for kind in ns.kinds:
-            if kind not in ("dot", "square", "zigzag"):
+            if kind not in PART_KINDS:
                 raise UsageError(f"unknown part kind {kind!r}")
         if ns.n_corpus < 0:
             raise UsageError("--n-corpus must be >= 0")

@@ -18,7 +18,8 @@ projects to a basis of the quotient.
 
 All of it is built from the kernels and images of del, delbar and
 del delbar per bidegree and of the total differential.  A private store
-in the complex's ``_store`` slot is the one cache of a complex: it
+in the complex's ``_store`` slot is the one cache of a complex.  Beside
+the validity verdict and the zero matrices of absent blocks, it
 computes each of these subspaces, the del delbar composites, the
 totalization, every theory's (cocycles, coboundaries) pair, every table
 and every natural map's ranks at most once, on first use.  This module,
@@ -151,13 +152,13 @@ _PAIRS = {
 
 
 def _once(k, key, make):
-    """``make()``, kept in ``k._store``; the store is created after one
-    validity check and holds no reference back to ``k``."""
+    """``make()``, kept in ``k._store``, which holds no reference back to
+    ``k``.  Until the store records that ``k`` validated, a miss first
+    runs the validity check, so an invalid complex gets no derived value."""
     store = k._store
-    if store is None:
-        ensure_valid(k)
-        store = k._store = {}
     if key not in store:
+        if store.get("violations") != ():
+            ensure_valid(k)
         store[key] = make()
     return store[key]
 

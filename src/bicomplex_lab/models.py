@@ -24,8 +24,6 @@ from typing import NamedTuple
 from .bicomplex import (
     MAX_N,
     Bicomplex,
-    ConjugationStructure,
-    ProductStructure,
     ensure_valid,
 )
 from .exactla import (
@@ -245,7 +243,7 @@ def from_structure_equations(spec, *, label=""):
     # line, to both differentials into (n, n) vanishing.  On monomials the
     # pairing is a signed permutation: each monomial pairs only with its
     # complement, with the sign of their wedge.
-    product = None
+    pairings = None
     into_top = (del_maps.get((n - 1, n)), delbar_maps.get((n, n - 1)))
     if all(m is None or m.is_zero() for m in into_top):
         everything = range(1, n + 1)
@@ -259,10 +257,8 @@ def from_structure_equations(spec, *, label=""):
                 sign, _ = _wedge_monomials(mono, comp)
                 cols.append({target_index[comp]: _SIGN_SCALARS[sign]})
             pairings[(p, q)] = sparse((n - p, n - q), cols)
-        product = ProductStructure(pairings=pairings)
     out = Bicomplex(spaces, del_maps, delbar_maps, n=n, label=label,
-                    product=product,
-                    conj=ConjugationStructure(maps=conj_maps))
+                    pairings=pairings, conj=conj_maps)
     ensure_valid(out)
     return out
 
@@ -391,13 +387,13 @@ class RandomBicomplex(NamedTuple):
 
 
 _KIND_WEIGHTS = {"dot": 0.3, "square": 0.2, "zigzag": 0.5}
+PART_KINDS = tuple(_KIND_WEIGHTS)
 _MAX_PARTS = 6
 _MAX_LENGTH = 5
 _TOP = 5   # parts lie in [0, _TOP]^2
 
 
-def random_bicomplex(seed, *, kinds=("dot", "square", "zigzag"),
-                     symmetric=False):
+def random_bicomplex(seed, *, kinds=PART_KINDS, symmetric=False):
     """Seeded random complex assembled from indecomposable parts.
 
     Draws 1 to 6 parts (dots, squares, zigzags with 2 to 5 dots) inside
@@ -445,10 +441,9 @@ def random_bicomplex(seed, *, kinds=("dot", "square", "zigzag"),
     if symmetric:
         # The scramble has a matrix at every support bidegree, so every
         # conjugation block is rewritten in the scrambled bases.
-        conj = ConjugationStructure(maps={
-            (p, q): (inverse(scramble[(q, p)]) @ c0
-                     @ scramble[(p, q)].conjugate_entries())
-            for (p, q), c0 in zz.standard_conjugation(parts).items()})
+        conj = {(p, q): (inverse(scramble[(q, p)]) @ c0
+                         @ scramble[(p, q)].conjugate_entries())
+                for (p, q), c0 in zz.standard_conjugation(parts).items()}
     out = Bicomplex(
         {(p, q): scrambled.dimension(p, q) for (p, q) in scrambled.support()},
         scrambled.del_blocks(), scrambled.delbar_blocks(),

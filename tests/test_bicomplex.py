@@ -14,11 +14,11 @@ import math
 
 import pytest
 
+import bicomplex_lab
 from bicomplex_lab.bicomplex import (
     MAX_TOTAL_DIM,
     Bicomplex,
     BicomplexFormatError,
-    ConjugationStructure,
     TotalComplex,
     check_real_structure,
     ensure_valid,
@@ -27,6 +27,7 @@ from bicomplex_lab.bicomplex import (
     totalize,
     validate,
 )
+from bicomplex_lab.cohomology import bott_chern
 from bicomplex_lab.exactla import Matrix, rank, scalar
 
 
@@ -119,6 +120,41 @@ class TestValidate:
         with pytest.raises(AssertionError):
             ensure_valid(square_complex())
 
+    def test_recorded_violations_still_gate_the_store(self):
+        """A verdict that ``validate`` already recorded keeps every derived
+        value out of reach; ``bott_chern`` never totalizes, so only the
+        store's own gate can refuse it."""
+        k = square_complex(flip_sign=True)
+        assert validate(k) != []
+        with pytest.raises(ValueError, match="anticommute"):
+            bott_chern(k)
+
+
+class TestEquality:
+    def test_conjugations_that_differ_compare_unequal(self):
+        spaces = {(0, 0): 1}
+        a = Bicomplex(spaces, conj={(0, 0): one_by_one(1)})
+        b = Bicomplex(spaces, conj={(0, 0): one_by_one(-1)})
+        assert a != b
+        assert a == Bicomplex(spaces, conj={(0, 0): one_by_one(1)})
+
+    def test_pairings_that_differ_compare_unequal(self):
+        spaces = {(0, 0): 1}
+        a = Bicomplex(spaces, n=0, pairings={(0, 0): one_by_one(1)})
+        b = Bicomplex(spaces, n=0, pairings={(0, 0): one_by_one(2)})
+        assert a != b
+
+    def test_a_structure_one_side_lacks_is_not_compared(self):
+        k = Bicomplex({(0, 0): 1}, conj={(0, 0): one_by_one(1)})
+        assert k == Bicomplex({(0, 0): 1})
+
+
+def test_package_exports_resolve_once():
+    names = bicomplex_lab.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(bicomplex_lab, name), name
+
 
 class TestTotalize:
     def test_single_dot(self):
@@ -160,11 +196,11 @@ class TestRealStructure:
         return spaces, del_maps, delbar_maps
 
     def identity_conj(self):
-        return ConjugationStructure(maps={
+        return {
             (0, 0): Matrix.identity(1),
             (1, 0): Matrix.identity(1),
             (0, 1): Matrix.identity(1),
-        })
+        }
 
     def test_symmetric_pair_passes(self):
         spaces, d, db = self.table_complex()
@@ -175,7 +211,7 @@ class TestRealStructure:
     def test_scaled_block_breaks_involution(self):
         spaces, d, db = self.table_complex()
         conj = self.identity_conj()
-        conj.maps[(1, 0)] = one_by_one(2)
+        conj[(1, 0)] = one_by_one(2)
         k = Bicomplex(spaces, d, db, conj=conj)
         assert check_real_structure(k) is False
 
@@ -187,8 +223,8 @@ class TestRealStructure:
         assert check_real_structure(k) is False
 
     def test_antilinear_unit_is_involutive(self):
-        k = Bicomplex({(0, 0): 1}, {}, {}, conj=ConjugationStructure(
-            maps={(0, 0): one_by_one(scalar(0, 1))}))
+        k = Bicomplex({(0, 0): 1}, {}, {},
+                      conj={(0, 0): one_by_one(scalar(0, 1))})
         # C sends v to i * conj(v); applying twice gives i * conj(i) * v = v.
         assert check_real_structure(k) is True
 
@@ -202,14 +238,14 @@ class TestRealStructure:
         spaces, d, db = self.table_complex()
         conj = self.identity_conj()
         if block is None:
-            del conj.maps[bid]
+            del conj[bid]
         else:
-            conj.maps[bid] = block
+            conj[bid] = block
         k = Bicomplex(spaces, d, db, conj=conj)
         assert check_real_structure(k) is False
 
     def test_asymmetric_dimensions_fail(self):
-        k = Bicomplex({(1, 0): 1}, {}, {}, conj=ConjugationStructure(maps={}))
+        k = Bicomplex({(1, 0): 1}, {}, {}, conj={})
         assert check_real_structure(k) is False
 
     def test_missing_structure_raises(self):

@@ -28,8 +28,7 @@ import json
 import pytest
 
 from bicomplex_lab import checkers, clio, cohomology, models
-from bicomplex_lab.bicomplex import (Bicomplex, ConjugationStructure,
-                                     ProductStructure)
+from bicomplex_lab.bicomplex import Bicomplex
 from bicomplex_lab.checkers import (ALL_CHECK_NAMES, THEOREM_CHECK_NAMES,
                                     CheckReport, char_minus_check,
                                     ddbar_lemma_check, duality_check,
@@ -61,7 +60,7 @@ def symmetric_complex(parts, n):
     """Synthesized complex with declared n and its standard conjugation."""
     return with_structure(
         synthesize(parts), n=n,
-        conj=ConjugationStructure(standard_conjugation(parts)))
+        conj=standard_conjugation(parts))
 
 
 def all_ones_pairing(k, n):
@@ -73,7 +72,7 @@ def all_ones_pairing(k, n):
         for q in range(n + 1):
             rows, cols = k.dimension(n - p, n - q), k.dimension(p, q)
             pairings[(p, q)] = Matrix(rows, cols, [[SC1] * rows] * cols)
-    return ProductStructure(pairings=pairings)
+    return pairings
 
 
 @pytest.fixture(scope="module")
@@ -256,7 +255,7 @@ class TestUpperBound:
         part = Zigzag(((3, 3),))
         k = with_structure(
             synthesize([part]), n=2,
-            conj=ConjugationStructure(standard_conjugation([part])))
+            conj=standard_conjugation([part]))
         with pytest.raises(ValueError, match=r"\(3,3\)"):
             upper_bound_check(k)
 
@@ -277,7 +276,7 @@ class TestUpperBound:
         maps = standard_conjugation(parts)
         maps[(0, 1)] = maps[(0, 1)].negate()  # breaks the involution
         k = with_structure(synthesize(parts), n=1,
-                           conj=ConjugationStructure(maps))
+                           conj=maps)
         rep = upper_bound_check(k)
         assert rep.verdict == "notApplicable"
         assert rep.witnesses["Reason"] == \
@@ -447,7 +446,7 @@ class TestSchweitzerPairing:
         # well-definedness fails exactly at (1,1).
         parts = [Square((0, 0)), Zigzag(((1, 1),)), Zigzag(((2, 2),))]
         base = synthesize(parts)
-        k = with_structure(base, n=2, product=all_ones_pairing(base, 2))
+        k = with_structure(base, n=2, pairings=all_ones_pairing(base, 2))
         rep = schweitzer_pairing_check(k)
         assert rep.verdict == "fails"
         assert rep.witnesses["IllDefined"] == ["(1, 1)"]
@@ -461,7 +460,7 @@ class TestSchweitzerPairing:
         parts = [VERT_DOMINO, HORIZ_DOMINO, Zigzag(((1, 1),)),
                  Zigzag(((0, 0),))]
         base = synthesize(parts)
-        k = with_structure(base, n=1, product=all_ones_pairing(base, 1))
+        k = with_structure(base, n=1, pairings=all_ones_pairing(base, 1))
         rep = schweitzer_pairing_check(k)
         assert rep.verdict == "fails"
         assert rep.witnesses["IllDefined"] == []
@@ -475,7 +474,7 @@ class TestSchweitzerPairing:
 
     def test_not_applicable_without_n(self):
         base = synthesize([Zigzag(((0, 0),))])
-        k = with_structure(base, product=all_ones_pairing(base, 0))
+        k = with_structure(base, pairings=all_ones_pairing(base, 0))
         rep = schweitzer_pairing_check(k)
         assert rep.verdict == "notApplicable"
         assert rep.witnesses["Reason"] == "no declared n"
@@ -503,7 +502,7 @@ class TestDualities:
         # A lone vertical domino has a Bott-Chern class at (0,1) but no
         # Aeppli class at the complementary (1,0), and vice versa.
         base = synthesize([VERT_DOMINO])
-        k = with_structure(base, n=1, product=all_ones_pairing(base, 1))
+        k = with_structure(base, n=1, pairings=all_ones_pairing(base, 1))
         rep = duality_check(k)
         assert rep.verdict == "fails"
         assert rep.witnesses["Mismatches"] == [
@@ -522,7 +521,7 @@ class TestDualities:
         # A lone dot at (0, 0) with n = 1: nothing at degree 2 or at
         # (1, 1) answers it.
         k = Bicomplex({(0, 0): 1}, n=1,
-                      product=ProductStructure(pairings={}))
+                      pairings={})
         rep = duality_check(k)
         assert rep.verdict == "fails"
         assert rep.witnesses["ProductRows"] is True
@@ -539,7 +538,7 @@ class TestDualities:
         maps = standard_conjugation(parts)
         maps[(0, 1)] = maps[(0, 1)].negate()
         k = with_structure(synthesize(parts),
-                           conj=ConjugationStructure(maps))
+                           conj=maps)
         rep = duality_check(k)
         assert rep.verdict == "notApplicable"
 

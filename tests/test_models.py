@@ -58,7 +58,7 @@ class TestTorus:
     def test_point_case(self):
         k = torus(0)
         assert k.support() == [(0, 0)] and k.dimension(0, 0) == 1
-        assert k.product is not None and k.conj is not None
+        assert k.pairings is not None and k.conj is not None
 
     def test_real_structure(self):
         assert check_real_structure(torus(2)) is True
@@ -126,7 +126,7 @@ class TestKodairaSurface:
     def test_real_structure_and_product(self):
         k = kodaira_surface()
         assert check_real_structure(k) is True
-        assert k.product is not None
+        assert k.pairings is not None
 
 
 NIL4_TEXT = "n = 4\nd w3 = -1* w1^w2\nd w4 = w1^cw1\n"
@@ -158,13 +158,13 @@ class TestProductStructure:
     def test_pairings_cover_the_square(self, name):
         k = PAIRED_MODELS[name]()
         n = k.n
-        assert set(k.product.pairings) == {
+        assert set(k.pairings) == {
             (p, q) for p in range(n + 1) for q in range(n + 1)}
 
     @over_models
     def test_graded_symmetry(self, name):
         k = PAIRED_MODELS[name]()
-        n, pair = k.n, k.product.pairings
+        n, pair = k.n, k.pairings
         for (p, q), m in pair.items():
             assert pair[(n - p, n - q)] == _signed(m.transpose(),
                                                    (-1) ** (p + q))
@@ -172,7 +172,7 @@ class TestProductStructure:
     @over_models
     def test_stokes_for_both_differentials(self, name):
         k = PAIRED_MODELS[name]()
-        n, pair = k.n, k.product.pairings
+        n, pair = k.n, k.pairings
         for (p, q), m in pair.items():
             sign = -((-1) ** (p + q))
             if p < n:
@@ -185,7 +185,7 @@ class TestProductStructure:
     @over_models
     def test_signed_permutation(self, name):
         k = PAIRED_MODELS[name]()
-        for m in k.product.pairings.values():
+        for m in k.pairings.values():
             for col in m.columns():
                 assert [x for x in col if x] in ([SC_ONE], [SC_MINUS_ONE])
 
@@ -193,15 +193,15 @@ class TestProductStructure:
     def test_top_corners_pair_to_one(self, name):
         k = PAIRED_MODELS[name]()
         one = Matrix.from_rows([[SC_ONE]])
-        assert k.product.pairings[(0, 0)] == one
-        assert k.product.pairings[(k.n, k.n)] == one
+        assert k.pairings[(0, 0)] == one
+        assert k.pairings[(k.n, k.n)] == one
 
     def test_non_unimodular_spec_gets_no_product(self):
         spec = StructureEquationSpec(
             n=1, differentials={1: ((SC_ONE, ("w", 1), ("cw", 1)),)})
         k = from_structure_equations(spec, label="hopf-like")
         assert validate(k) == []
-        assert k.product is None
+        assert k.pairings is None
         assert k.conj is not None and check_real_structure(k) is True
 
 
@@ -355,9 +355,8 @@ def test_model_matrices_are_pinned():
         h.update(f"{item.label} {sorted(item.support())}\n".encode())
         _hash_matrices(h, "del", item.del_blocks())
         _hash_matrices(h, "delbar", item.delbar_blocks())
-        _hash_matrices(h, "conj", item.conj.maps)
-        _hash_matrices(h, "pairing",
-                       item.product and item.product.pairings)
+        _hash_matrices(h, "conj", item.conj)
+        _hash_matrices(h, "pairing", item.pairings)
     assert h.hexdigest() == MODELS_DIGEST
 
 

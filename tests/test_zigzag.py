@@ -41,7 +41,6 @@ from bicomplex_lab import cohomology, exactla, models
 from bicomplex_lab import zigzag as zz
 from bicomplex_lab.bicomplex import (
     Bicomplex,
-    ConjugationStructure,
     check_real_structure,
     validate,
 )
@@ -765,7 +764,7 @@ class TestStandardConjugation:
         maps = zz.standard_conjugation(parts)
         k = Bicomplex({b: base.dimension(*b) for b in base.support()},
                       base.del_blocks(), base.delbar_blocks(),
-                      conj=ConjugationStructure(maps=maps))
+                      conj=maps)
         assert check_real_structure(k)
 
     def test_rejects_unbalanced_multiset(self):
@@ -777,10 +776,11 @@ class TestStandardConjugation:
 
 class TestRandomComplexes:
     def test_deterministic(self):
-        a = models.random_bicomplex(17)
-        b = models.random_bicomplex(17)
-        assert a.bicomplex == b.bicomplex
-        assert a.parts == b.parts
+        for symmetric in (False, True):
+            a = models.random_bicomplex(17, symmetric=symmetric)
+            b = models.random_bicomplex(17, symmetric=symmetric)
+            assert a.bicomplex == b.bicomplex
+            assert a.parts == b.parts
 
     def test_valid_and_round_trips(self):
         for seed in (0, 3, 11, 29):
