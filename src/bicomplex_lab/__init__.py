@@ -18,7 +18,7 @@ from .checkers import (ALL_CHECK_NAMES, THEOREM_CHECK_NAMES, CheckReport,
 from .cohomology import (AllTables, CohomologyTable, FrolicherPages,
                          NaturalMapRanks, aeppli, all_tables, bott_chern,
                          conj_dolbeault, de_rham, dolbeault, frolicher_pages,
-                         natural_maps)
+                         natural_maps, representatives)
 from .exactla import ExactScalar, Matrix, Subspace
 from .models import (from_structure_equations, iwasawa, kodaira_surface,
                      parse_structure_text, random_bicomplex, torus)
@@ -41,7 +41,7 @@ __all__ = [
     "frolicher_check", "frolicher_pages", "from_structure_equations",
     "iwasawa", "kodaira_surface", "mirror_part", "natural_maps",
     "non_ddbar_degrees", "parse_structure_text", "random_bicomplex",
-    "run_all_checks", "schweitzer_pairing_check", "scramble_matrices",
-    "standard_conjugation", "synthesize", "torus", "totalize",
-    "upper_bound_check", "validate", "verify_decomposition",
+    "representatives", "run_all_checks", "schweitzer_pairing_check",
+    "scramble_matrices", "standard_conjugation", "synthesize", "torus",
+    "totalize", "upper_bound_check", "validate", "verify_decomposition",
 ]

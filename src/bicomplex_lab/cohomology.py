@@ -12,18 +12,20 @@ module computes, with exact arithmetic throughout:
 
 together with the pages of the column-filtration spectral sequence (first
 page = Dolbeault, converging to de Rham) and the ranks of the seven maps
-induced by the identity between these theories.  Every table stores, next
-to the dimensions, a canonical subspace of cocycle representatives that
-projects to a basis of the quotient.
+induced by the identity between these theories.  A table holds only the
+dimensions, dim cocycles - dim coboundaries; :func:`representatives`
+gives, for one theory on demand, a canonical subspace of cocycles that
+projects to a basis of each quotient.
 
 All of it is built from the kernels and images of del, delbar and
 del delbar per bidegree and of the total differential.  A private store
 in the complex's ``_store`` slot is the one cache of a complex.  Beside
 the validity verdict and the zero matrices of absent blocks, it
 computes each of these subspaces, the del delbar composites, the
-totalization, every theory's (cocycles, coboundaries) pair, every table
-and every natural map's ranks at most once, on first use.  This module,
-the checks and the square splitting of the decomposition read from it.
+totalization, every theory's (cocycles, coboundaries) pair, every table,
+every theory's representatives and every natural map's ranks at most
+once, on first use.  This module, the checks and the square splitting
+of the decomposition read from it.
 The store also seeds the Frolicher page chase, whose first step reads
 im delbar and the Dolbeault cocycles from it; later steps recompute only
 the bidegrees whose chain entries moved.  ``THEORIES`` is the one list
@@ -60,16 +62,14 @@ THEORIES = ("de_rham",) + BIGRADED_THEORIES
 
 @dataclass(frozen=True)
 class CohomologyTable:
-    """Dimensions and canonical representatives for one theory.
+    """Dimensions for one theory.
 
     ``dims`` maps bidegrees (total degrees for de Rham) to dimensions; keys
-    cover the whole support, zeros included.  ``representatives`` maps the
-    same keys to subspaces of cocycles that project to a quotient basis.
+    cover the whole support, zeros included.
     """
 
     theory: str
     dims: dict
-    representatives: dict
 
     def totals(self):
         """Dimensions summed along anti-diagonals (de Rham: a copy)."""
@@ -195,16 +195,24 @@ def _pairs(k, theory):
 
 
 def _table(k, theory):
-    def make():
-        dims = {}
-        reps = {}
-        for key, (z, b) in _pairs(k, theory).items():
-            # Columns of z's reduced echelon basis: already canonical.
-            reps[key] = Subspace(z.ambient_dim, complete_basis(b, z))
-            dims[key] = reps[key].dim
-        return CohomologyTable(theory=theory, dims=dims,
-                               representatives=reps)
-    return _once(k, ("table", theory), make)
+    return _once(k, ("table", theory), lambda: CohomologyTable(
+        theory=theory,
+        dims={key: z.dim - b.dim
+              for key, (z, b) in _pairs(k, theory).items()}))
+
+
+def representatives(k, theory):
+    """Per key of the theory's table, a subspace of cocycles that projects
+    to a basis of the quotient: the columns of the cocycles' reduced
+    echelon basis that complete the coboundaries, so it is canonical.
+
+    Kept in the store per theory; no table computes it, so a caller pays
+    for it only for the theory it reads.  Raises ValueError for an
+    invalid complex.
+    """
+    return _once(k, ("reps", theory), lambda: {
+        key: Subspace(z.ambient_dim, complete_basis(b, z))
+        for key, (z, b) in _pairs(k, theory).items()})
 
 
 def dolbeault(k):

@@ -744,8 +744,6 @@ def count_cohomology_from_zigzags(d):
     adjacent total degrees, so a zigzag with an odd number of dots adds one
     de Rham class, in the degree of its end dots (which hold the majority),
     and one with an even number adds none; no elimination is involved.
-    Representatives are not carried over; the returned tables have empty
-    representative maps.
     """
     if not d.verified:
         raise ValueError("decomposition must be verified before counting")
@@ -777,5 +775,5 @@ def count_cohomology_from_zigzags(d):
         if len(dots) % 2:
             betti[sum(dots[0])] += 1
     return ZigzagCohomology(**{
-        name: CohomologyTable(theory=name, dims=dims, representatives={})
+        name: CohomologyTable(theory=name, dims=dims)
         for name, dims in {"de_rham": betti, **bigraded}.items()})

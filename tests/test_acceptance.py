@@ -176,12 +176,17 @@ def test_criterion_06_bc_aeppli_characterization(corpus):
 
 def test_criterion_07_lemma_equivalences(corpus):
     """The three lemma formulations (injectivity, squares-and-dots-only
-    decomposition, zero defect sum) agree on 100% of the corpus."""
+    decomposition, zero defect sum) agree on 100% of the corpus, and the
+    check's rank-based squares-and-dots predicate matches the verified
+    decomposition of every complex."""
     rows, _ = corpus
     for row in rows:
         rep = ddbar_lemma_check(row.k)
         assert rep.verdict == "holds", row.label
         assert "LemmaHolds" in rep.witnesses, row.label
+        assert rep.witnesses["OnlySquaresAndDots"] == all(
+            part.kind == "square" or part.is_dot
+            for part in row.decomposition.parts), row.label
 
 
 def test_criterion_08_pairing_criterion(corpus):

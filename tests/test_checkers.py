@@ -39,7 +39,8 @@ from bicomplex_lab.cohomology import aeppli, bott_chern, dolbeault
 from bicomplex_lab.exactla import ExactScalar, Matrix
 from bicomplex_lab.models import (iwasawa, kodaira_surface,
                                   random_bicomplex, torus)
-from bicomplex_lab.zigzag import (Square, Zigzag, standard_conjugation,
+from bicomplex_lab.zigzag import (Square, Zigzag, apply_basis_change,
+                                  scramble_matrices, standard_conjugation,
                                   synthesize)
 
 SC1 = ExactScalar(1)
@@ -345,7 +346,54 @@ class TestCharMinus:
             assert rep.witnesses["LemmaDirect"] is True, label
 
 
+def zigzags_in_box(size, lengths):
+    """Every zigzag with its dots in [0, size]^2 and a dot count in
+    ``lengths``."""
+    found = []
+
+    def grow(dots):
+        if len(dots) in lengths:
+            found.append(Zigzag(tuple(dots)))
+        if len(dots) == max(lengths):
+            return
+        (p, q), last = dots[-1], None
+        if len(dots) > 1:
+            last = (p - dots[-2][0], q - dots[-2][1])
+        for step in ((1, 0), (0, -1)):
+            nxt = (p + step[0], q + step[1])
+            if step != last and 0 <= nxt[0] <= size and 0 <= nxt[1] <= size:
+                grow(dots + [nxt])
+
+    for p in range(size + 1):
+        for q in range(size + 1):
+            grow([(p, q)])
+    return found
+
+
 class TestDdbarLemma:
+    @staticmethod
+    def _only_squares_and_dots(parts, seed):
+        k = synthesize(parts)
+        k = apply_basis_change(k, scramble_matrices(k, seed))
+        return ddbar_lemma_check(k).witnesses["OnlySquaresAndDots"]
+
+    def test_rank_predicate_is_false_exactly_on_zigzags(self):
+        zigzags = zigzags_in_box(3, range(2, 6))
+        assert len(set(zigzags)) == len(zigzags) == 62
+        singles = [Square((1, 1)), Zigzag(((2, 0),))] + zigzags
+        for seed, part in enumerate(singles):
+            want = part.kind == "square" or part.is_dot
+            assert self._only_squares_and_dots([part], seed) == want, part
+
+    def test_rank_predicate_adds_over_summands(self):
+        # Squares and dots stacked on the same bidegrees keep it true;
+        # one zigzag among them makes it false.
+        base = [Square((0, 0)), Square((1, 1)), Zigzag(((1, 1),))]
+        assert self._only_squares_and_dots(base, 0) is True
+        for seed, zigzag in enumerate(zigzags_in_box(2, range(2, 4))):
+            assert self._only_squares_and_dots(base + [zigzag], seed) \
+                is False, zigzag
+
     def test_torus_all_true(self):
         rep = ddbar_lemma_check(torus(1))
         assert rep.verdict == "holds"
@@ -578,9 +626,10 @@ def _pin_inputs():
 
 
 class TestChecksReadOnlyWhatTheyNeed:
-    """The checks read the five tables and the Bott-Chern to Aeppli map
-    from the complex's store, so neither run_all_checks nor a check alone
-    computes the Frolicher pages or the other six natural maps."""
+    """The checks read the five tables, the Bott-Chern to Aeppli map and
+    the Bott-Chern representatives from the complex's store, so neither
+    run_all_checks nor a check alone computes the Frolicher pages, the
+    other six natural maps or any other theory's representatives."""
 
     @staticmethod
     def _forbid_unread(monkeypatch):
@@ -614,6 +663,47 @@ class TestChecksReadOnlyWhatTheyNeed:
             maps.clear()
             assert run_all_checks(make()) == want, label
             assert maps == [("bott_chern", "aeppli")], label
+
+    @staticmethod
+    def _count_representatives(monkeypatch):
+        """Count ``complete_basis`` calls and list the theories whose
+        representatives are asked for."""
+        calls = {"complete_basis": 0, "theories": []}
+        complete = cohomology.complete_basis
+        reps = checkers.representatives
+
+        def counted_complete(*args):
+            calls["complete_basis"] += 1
+            return complete(*args)
+
+        def counted_reps(k, theory):
+            calls["theories"].append(theory)
+            return reps(k, theory)
+
+        monkeypatch.setattr(cohomology, "complete_basis", counted_complete)
+        monkeypatch.setattr(checkers, "representatives", counted_reps)
+        return calls
+
+    @staticmethod
+    def _reps_keys(k):
+        return {key for key in k._store
+                if isinstance(key, tuple) and key[0] == "reps"}
+
+    def test_plain_complex_computes_no_representatives(self, monkeypatch):
+        calls = self._count_representatives(monkeypatch)
+        k = random_bicomplex(3).bicomplex
+        run_all_checks(k)
+        assert calls == {"complete_basis": 0, "theories": []}
+        assert self._reps_keys(k) == set()
+
+    def test_pairing_reads_only_bott_chern_representatives(self,
+                                                           monkeypatch):
+        calls = self._count_representatives(monkeypatch)
+        k = iwasawa()
+        run_all_checks(k)
+        assert calls["theories"] == ["bott_chern"]
+        assert calls["complete_basis"] == len(k.support())
+        assert self._reps_keys(k) == {("reps", "bott_chern")}
 
     def test_real_structure_is_decided_once(self, monkeypatch):
         calls = []

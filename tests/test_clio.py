@@ -827,17 +827,8 @@ def test_default_format_is_the_first_choice(command, capsys):
     assert capsys.readouterr().out == default
 
 
-def test_scripts_run_to_completion(tmp_path):
-    scripts = Path(__file__).resolve().parents[1] / "scripts"
-
-    def run(script, *argv):
-        return runpy.run_path(str(scripts / script))["main"](list(argv))
-
-    assert run("preset_report.py", "--out", str(tmp_path)) == 0
-    expected = sorted([f"{theory}.csv" for theory in cohomology.THEORIES]
-                      + ["diagram.dot"])
-    for preset in clio.PRESETS:
-        assert sorted(p.name for p in (tmp_path / preset).iterdir()) \
-            == expected
+def test_scripts_run_to_completion():
+    script = Path(__file__).resolve().parents[1] / "scripts" \
+        / "zigzag_witness.py"
     # The witness asserts h^m_A = m+1 against b_m = 1 for each m.
-    assert run("zigzag_witness.py", "--max-m", "4") == 0
+    assert runpy.run_path(str(script))["main"](["--max-m", "4"]) == 0
