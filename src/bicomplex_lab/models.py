@@ -398,9 +398,10 @@ def random_bicomplex(seed, *, kinds=PART_KINDS, symmetric=False):
 
     Draws 1 to 6 parts (dots, squares, zigzags with 2 to 5 dots) inside
     [0, 5]^2, stacks them, and scrambles the bases with seeded invertible
-    matrices.  Returns the complex together with the ground-truth
-    multiset of parts (canonically sorted) for round-trip testing.
-    Identical arguments give bit-identical results.
+    matrices (a line keeps its basis), each inverted once.  Returns the
+    complex together with the ground-truth multiset of parts
+    (canonically sorted) for round-trip testing.  Identical arguments
+    give bit-identical results.
 
     With ``symmetric=True`` the part multiset is closed under mirroring
     across the diagonal, and the result declares n = 5 and carries a
@@ -436,13 +437,15 @@ def random_bicomplex(seed, *, kinds=PART_KINDS, symmetric=False):
                 parts.append(mirrored)
     base = zz.synthesize(parts)
     scramble = zz.scramble_matrices(base, rng.randint(0, 2 ** 31))
-    scrambled = zz.apply_basis_change(base, scramble)
+    inv = {bid: inverse(m) for bid, m in scramble.items()}
+    scrambled = zz._rebase(base, scramble, inv)
     conj = None
     if symmetric:
-        # The scramble has a matrix at every support bidegree, so every
-        # conjugation block is rewritten in the scrambled bases.
-        conj = {(p, q): (inverse(scramble[(q, p)]) @ c0
-                         @ scramble[(p, q)].conjugate_entries())
+        # Mirror bidegrees have equal dimensions, so the scramble has a
+        # matrix at both or at neither; a line keeps its conjugation.
+        conj = {(p, q): (inv[(q, p)] @ c0
+                         @ scramble[(p, q)].conjugate_entries()
+                         if (p, q) in scramble else c0)
                 for (p, q), c0 in zz.standard_conjugation(parts).items()}
     out = Bicomplex(
         {(p, q): scrambled.dimension(p, q) for (p, q) in scrambled.support()},

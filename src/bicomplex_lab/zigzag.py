@@ -267,20 +267,29 @@ def _unitriangular(rng, n, upper):
 
 
 def scramble_matrices(k, seed):
-    """Seeded invertible matrix per support bidegree (triangular product)."""
+    """Seeded invertible matrix (triangular product) per support bidegree
+    of dimension two or more.  A line keeps its basis: its product would
+    be exactly 1 and would draw nothing from the generator, so leaving it
+    out changes no scrambled complex."""
     rng = random.Random(seed)
     out = {}
     for bid in k.support():
         n = k.dimension(*bid)
-        out[bid] = _unitriangular(rng, n, upper=False) \
-            @ _unitriangular(rng, n, upper=True)
+        if n > 1:
+            out[bid] = _unitriangular(rng, n, upper=False) \
+                @ _unitriangular(rng, n, upper=True)
     return out
 
 
 def apply_basis_change(k, mats):
-    """The same complex written in new bases (columns of ``mats``)."""
+    """The same complex written in new bases (columns of ``mats``); a
+    bidegree that ``mats`` leaves out keeps its basis."""
+    return _rebase(k, mats, {bid: inverse(m) for bid, m in mats.items()})
+
+
+def _rebase(k, mats, inv):
+    """:func:`apply_basis_change`, given the inverses ``inv`` of ``mats``."""
     ensure_valid(k)
-    inv = {bid: inverse(m) for bid, m in mats.items()}
 
     def transformed(m, src, tgt):
         if src in mats:

@@ -214,6 +214,16 @@ class TestBasisChanges:
             assert first[b] == again[b]
             assert rank(first[b]) == k.dimension(*b)
 
+    def test_lines_keep_their_basis(self):
+        """A scramble leaves out exactly the support bidegrees of
+        dimension 1, and so holds no 1x1 matrix."""
+        for seed in range(20):
+            k = zz.synthesize(random_parts(random.Random(seed), 6))
+            mats = zz.scramble_matrices(k, seed)
+            assert set(mats) == {b for b in k.support()
+                                 if k.dimension(*b) > 1}
+            assert all(m.rows > 1 for m in mats.values())
+
     def test_identity_change_is_identity(self):
         k = tc.diagram_b()
         mats = {b: Matrix.identity(k.dimension(*b)) for b in k.support()}
