@@ -17,7 +17,9 @@ pass of the one elimination, ``_echelon``: run on the columns of a matrix
 for images and ranks, and on its rows for kernels, preimages,
 intersections and solves.  Its bookkeeping scales with stored entries: a
 heap of lead rows picks each pivot, and a reduction visits only the pivot
-rows a vector actually has.
+rows a vector actually has.  A matrix that stores no entry skips it:
+``rce``, ``rank`` and ``kernel_basis`` return their canonical answer at
+once.
 """
 
 import re as _re_module
@@ -444,11 +446,15 @@ def _reduce(v, pivots):
 
 def rce(m):
     """Canonical reduced column echelon form (zero columns dropped)."""
+    if m.is_zero():
+        return Matrix.zero(m.rows, 0)
     pivots = _echelon([dict(c) for c in m._data])
     return Matrix._from_sparse(m.rows, len(pivots), [c for _, c in pivots])
 
 
 def rank(m):
+    if m.is_zero():
+        return 0
     return len(_echelon([dict(c) for c in m._data]))
 
 
@@ -514,8 +520,11 @@ def kernel_basis(m):
     The rows of ``m``, columns reversed, echelon to ``R``.  Each free column
     ``f`` yields the vector that is 1 at ``f`` and ``-R[row, f]`` at each
     row's pivot column.  It leads at ``f``, where the others are zero, so
-    these vectors already form the reduced column echelon basis.
+    these vectors already form the reduced column echelon basis.  A
+    matrix that stores no entry has the whole source as its kernel.
     """
+    if m.is_zero():
+        return Subspace.full(m.cols)
     last = m.cols - 1
     rows = m.column_slice(range(last, -1, -1)).transpose()._data
     free = {j: {j: SC_ONE} for j in range(m.cols)}

@@ -122,6 +122,23 @@ class TestKernelImageSolve:
         k = kernel_basis(Matrix.zero(0, 5))
         assert k.dim == 5
 
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    @pytest.mark.parametrize("cols", [0, 1, 3])
+    def test_zero_matrix_needs_no_elimination(self, monkeypatch, rows, cols):
+        """A matrix that stores no entry gets the canonical kernel, image
+        and rank without a call to the elimination."""
+        def no_echelon(work):
+            raise AssertionError("_echelon called on a zero matrix")
+
+        monkeypatch.setattr(exactla, "_echelon", no_echelon)
+        zero = Matrix.zero(rows, cols)
+        assert kernel_basis(zero) == Subspace.full(cols)
+        assert image_basis(zero) == Subspace.zero(rows)
+        assert rank(zero) == 0
+        cancelled = mat([[1], [SC_I]]) + mat([[-1], [SC_MINUS_I]])
+        assert kernel_basis(cancelled) == Subspace.full(1)
+        assert image_basis(cancelled) == Subspace.zero(2)
+
     def test_kernel_members_annihilate(self):
         rng = random.Random(7)
         for _ in range(25):
