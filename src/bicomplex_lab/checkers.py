@@ -54,7 +54,7 @@ The checks, roughly in logical order:
 from dataclasses import dataclass
 
 from .bicomplex import check_real_structure
-from .cohomology import (_natural_map, _once, _subspace, aeppli,
+from .cohomology import (_natural_map, _once, _rank_out, _subspace, aeppli,
                          bott_chern, conj_dolbeault, de_rham, dolbeault,
                          representatives)
 from .exactla import Matrix, rank
@@ -186,18 +186,16 @@ def char_minus_check(k):
 
 
 def _only_squares_and_dots(k):
-    """Predicate (b) of :func:`ddbar_lemma_check`.  Each rank is a
-    dimension minus that of a store kernel the tables have already
-    filled, so it adds no elimination."""
+    """Predicate (b) of :func:`ddbar_lemma_check`.  Each rank comes from
+    ``cohomology._rank_out``, the rule the tables count coboundaries
+    with: a dimension minus that of a store kernel the tables have
+    already filled, so the predicate adds no elimination."""
     support = k.support()
-
-    def rank_out(name, bid):
-        return k.dimension(*bid) - _subspace(k, name, bid).dim
-
-    r = {bid: rank_out("ker_ddbar", bid) for bid in support}
+    r = {bid: _rank_out(k, "ker_ddbar", bid) for bid in support}
     return all(
-        rank_out("ker_del", (p, q)) == r[(p, q)] + r.get((p, q - 1), 0)
-        and rank_out("ker_delbar", (p, q)) == r[(p, q)] + r.get((p - 1, q), 0)
+        _rank_out(k, "ker_del", (p, q)) == r[(p, q)] + r.get((p, q - 1), 0)
+        and _rank_out(k, "ker_delbar", (p, q))
+        == r[(p, q)] + r.get((p - 1, q), 0)
         for (p, q) in support)
 
 

@@ -18,14 +18,23 @@ gives, for one theory on demand, a canonical subspace of cocycles that
 projects to a basis of each quotient.
 
 All of it is built from the kernels and images of del, delbar and
-del delbar per bidegree and of the total differential.  A private store
-in the complex's ``_store`` slot is the one cache of a complex.  Beside
-the validity verdict and the zero matrices of absent blocks, it
-computes each of these subspaces, the del delbar composites, the
-totalization, every theory's (cocycles, coboundaries) pair, every table,
-every theory's representatives and every natural map's ranks at most
-once, on first use.  This module, the checks and the square splitting
-of the decomposition read from it.
+del delbar per bidegree and of the total differential, plus the
+Bott-Chern cocycles ker del ∩ ker delbar and the Aeppli coboundaries
+im del + im delbar (one echelon of [del | delbar]).  A private store in
+the complex's ``_store`` slot is the one cache of a complex.  Beside the
+validity verdict and the zero matrices of absent blocks, it computes
+each of these subspaces, the del delbar composites, the totalization,
+every table, every theory's representatives and every natural map's
+ranks at most once, on first use.  This module, the checks and the
+square splitting of the decomposition read from it.
+
+The tables are read off kernels.  Every coboundary space but Aeppli's is
+the image of one map whose kernel the store keeps at the map's source,
+and by rank-nullity its dimension is the source's dimension less that
+kernel's.  So a table builds the cocycles and, for Aeppli, the
+coboundaries, and the images of del, delbar, del delbar and d are built
+only when a natural map, a Frolicher page or a representative reads
+them.
 The store also seeds the Frolicher page chase, whose first step reads
 im delbar and the Dolbeault cocycles from it; later steps recompute only
 the bidegrees whose chain entries moved.  ``THEORIES`` is the one list
@@ -128,26 +137,45 @@ AllTables = make_dataclass(
 
 
 # The per-complex store.  Every theory is a quotient of these subspaces:
-# "ker_*" are kernels out of (p, q), "im_*" images landing in (p, q).
+# "ker_*" are kernels out of (p, q), "im_*" images landing in (p, q).  The
+# Bott-Chern cocycles are ker del ∩ ker delbar, and the Aeppli
+# coboundaries im del + im delbar are one echelon of [del | delbar].
 _SUBSPACES = {
     "ker_del": lambda k, p, q: kernel_basis(k.del_map(p, q)),
     "ker_delbar": lambda k, p, q: kernel_basis(k.delbar_map(p, q)),
     "ker_ddbar": lambda k, p, q: kernel_basis(_ddbar(k, (p, q))),
+    "bc_cocycles": lambda k, p, q: subspace_intersect(
+        _subspace(k, "ker_del", (p, q)), _subspace(k, "ker_delbar", (p, q))),
     "im_del": lambda k, p, q: image_basis(k.del_map(p - 1, q)),
     "im_delbar": lambda k, p, q: image_basis(k.delbar_map(p, q - 1)),
     "im_ddbar": lambda k, p, q: image_basis(_ddbar(k, (p - 1, q - 1))),
+    "aeppli_coboundaries": lambda k, p, q: image_basis(
+        k.del_map(p - 1, q).hstack(k.delbar_map(p, q - 1))),
 }
 
-# Each bigraded theory's (cocycles, coboundaries), given a lookup ``s`` of
-# the subspaces above at one bidegree.
+# The same for the total differential d, per total degree.
+_TOTAL_SUBSPACES = {
+    "ker_d": lambda t, deg: kernel_basis(t.differential(deg)),
+    "im_d": lambda t, deg: image_basis(t.differential(deg - 1)),
+}
+
+# Each theory's (cocycles, coboundaries), as names of the subspaces above.
 _PAIRS = {
-    "dolbeault": lambda s: (s("ker_delbar"), s("im_delbar")),
-    "conj_dolbeault": lambda s: (s("ker_del"), s("im_del")),
-    "bott_chern": lambda s: (subspace_intersect(s("ker_del"),
-                                                s("ker_delbar")),
-                             s("im_ddbar")),
-    "aeppli": lambda s: (s("ker_ddbar"),
-                         subspace_sum(s("im_del"), s("im_delbar"))),
+    "de_rham": ("ker_d", "im_d"),
+    "dolbeault": ("ker_delbar", "im_delbar"),
+    "conj_dolbeault": ("ker_del", "im_del"),
+    "bott_chern": ("bc_cocycles", "im_ddbar"),
+    "aeppli": ("ker_ddbar", "aeppli_coboundaries"),
+}
+
+# An image of one map whose kernel the store keeps: that kernel's name and
+# the map's source, given the key the image lands in.  A table reads the
+# image's dimension off the kernel (see ``_rank_out``) and never builds it.
+_IMAGE_SOURCES = {
+    "im_d": ("ker_d", lambda deg: deg - 1),
+    "im_del": ("ker_del", lambda bid: (bid[0] - 1, bid[1])),
+    "im_delbar": ("ker_delbar", lambda bid: (bid[0], bid[1] - 1)),
+    "im_ddbar": ("ker_ddbar", lambda bid: (bid[0] - 1, bid[1] - 1)),
 }
 
 
@@ -170,35 +198,57 @@ def _ddbar(k, bid):
                  lambda: k.del_map(p, q + 1) @ k.delbar_map(p, q))
 
 
-def _subspace(k, name, bid):
-    """One of the ``_SUBSPACES`` of ``k`` at bidegree ``bid``."""
-    return _once(k, (name, bid), lambda: _SUBSPACES[name](k, *bid))
+def _subspace(k, name, key):
+    """One of the ``_SUBSPACES`` of ``k`` at bidegree ``key``, or of the
+    ``_TOTAL_SUBSPACES`` at total degree ``key``."""
+    if name in _TOTAL_SUBSPACES:
+        return _once(k, (name, key),
+                     lambda: _TOTAL_SUBSPACES[name](_total(k), key))
+    return _once(k, (name, key), lambda: _SUBSPACES[name](k, *key))
 
 
 def _total(k):
     return _once(k, "total", lambda: totalize(k))
 
 
+def _keys(k, theory):
+    """The keys of the theory's table: total degrees for de Rham, else the
+    support bidegrees."""
+    return _total(k).degrees() if theory == "de_rham" else k.support()
+
+
+def _rank_out(k, name, key):
+    """Rank of the map out of ``key`` whose kernel there is the store's
+    ``name``: by rank-nullity, the source's dimension less the kernel's.
+    Out of a zero space it is 0, and no kernel is built."""
+    dim = (_total(k).dims.get(key, 0) if name in _TOTAL_SUBSPACES
+           else k.dimension(*key))
+    return dim - _subspace(k, name, key).dim if dim else 0
+
+
 def _pairs(k, theory):
-    """Per support bidegree (total degree for de Rham), the theory's
-    (cocycles, coboundaries) pair."""
-    def make():
-        if theory == "de_rham":
-            t = _total(k)
-            return {deg: (kernel_basis(t.differential(deg)),
-                          image_basis(t.differential(deg - 1)))
-                    for deg in t.degrees()}
-        rule = _PAIRS[theory]
-        return {bid: rule(lambda name: _subspace(k, name, bid))
-                for bid in k.support()}
-    return _once(k, theory, make)
+    """Per key of the theory's table, its (cocycles, coboundaries) pair."""
+    cocycles, coboundaries = _PAIRS[theory]
+    return {key: (_subspace(k, cocycles, key), _subspace(k, coboundaries, key))
+            for key in _keys(k, theory)}
 
 
 def _table(k, theory):
+    """dim cocycles - dim coboundaries per key.  A coboundary space that
+    ``_IMAGE_SOURCES`` lists is counted by ``_rank_out``, so the tables
+    build no image but the Aeppli coboundaries."""
+    cocycles, coboundaries = _PAIRS[theory]
+
+    def coboundary_dim(key):
+        if coboundaries not in _IMAGE_SOURCES:
+            return _subspace(k, coboundaries, key).dim
+        kernel, source = _IMAGE_SOURCES[coboundaries]
+        return _rank_out(k, kernel, source(key))
+
     return _once(k, ("table", theory), lambda: CohomologyTable(
         theory=theory,
-        dims={key: z.dim - b.dim
-              for key, (z, b) in _pairs(k, theory).items()}))
+        dims={key: _subspace(k, cocycles, key).dim - coboundary_dim(key)
+              for key in _keys(k, theory)}))
 
 
 def representatives(k, theory):
@@ -318,27 +368,28 @@ def _map_ranks(k, source, target):
     which ``rank_modulo`` takes without echeloning the sum.  A map through
     de Rham first re-expresses its bigraded end in total-space coordinates.
     """
-    src, tgt = _pairs(k, source), _pairs(k, target)
+    cocycles, coboundaries = _PAIRS[source][0], _PAIRS[target][1]
     if "de_rham" not in (source, target):
-        return {bid: rank_modulo(src[bid][0], tgt[bid][1])
+        return {bid: rank_modulo(_subspace(k, cocycles, bid),
+                                 _subspace(k, coboundaries, bid))
                 for bid in k.support()}
     t = _total(k)
 
-    def side(theory, pairs, deg, i):
-        """Side ``i`` of the theory's pairs in degree ``deg``."""
-        if theory == "de_rham":
-            return pairs[deg][i]
+    def side(name, deg):
+        """The subspace ``name`` in degree ``deg``: a bigraded one is the
+        sum of its pieces, placed at their offsets."""
+        if name in _TOTAL_SUBSPACES:
+            return _subspace(k, name, deg)
         blocks = []
         cols = 0
         for bid, offset in sorted(t.offsets[deg].items()):
-            basis = pairs[bid][i].basis
+            basis = _subspace(k, name, bid).basis
             blocks.append((offset, cols, basis))
             cols += basis.cols
         # Reduced echelon blocks at ascending row offsets: canonical as is.
         return Subspace(t.dims[deg], place_blocks(t.dims[deg], cols, blocks))
 
-    return {deg: rank_modulo(side(source, src, deg, 0),
-                             side(target, tgt, deg, 1))
+    return {deg: rank_modulo(side(cocycles, deg), side(coboundaries, deg))
             for deg in t.degrees()}
 
 

@@ -705,6 +705,28 @@ class TestChecksReadOnlyWhatTheyNeed:
         assert calls["complete_basis"] == len(k.support())
         assert self._reps_keys(k) == {("reps", "bott_chern")}
 
+    def test_tables_build_only_the_aeppli_images(self, monkeypatch):
+        """The tables count coboundaries by rank-nullity from the store
+        kernels, so on a complex without pairings the checks build no
+        image of del, delbar, del delbar or d, and at most one image per
+        support bidegree: the Aeppli coboundaries."""
+        images = []
+        image_basis = cohomology.image_basis
+
+        def counted(m):
+            images.append(m)
+            return image_basis(m)
+
+        monkeypatch.setattr(cohomology, "image_basis", counted)
+        for seed in range(20):
+            k = random_bicomplex(seed).bicomplex
+            images.clear()
+            run_all_checks(k)
+            assert len(images) <= len(k.support()), seed
+            names = {key[0] for key in k._store if isinstance(key, tuple)}
+            assert not names & {"im_del", "im_delbar", "im_ddbar", "im_d"}, \
+                seed
+
     def test_real_structure_is_decided_once(self, monkeypatch):
         calls = []
         decide = checkers.check_real_structure

@@ -34,6 +34,7 @@ import pytest
 from bicomplex_lab import checkers, cohomology
 from bicomplex_lab.bicomplex import Bicomplex, ensure_valid, totalize
 from bicomplex_lab.checkers import run_all_checks
+from bicomplex_lab.clio import PRESETS
 from bicomplex_lab.cohomology import (
     BIGRADED_THEORIES,
     THEORIES,
@@ -277,6 +278,45 @@ class TestAgainstOracles:
                         for (p, q) in k.support())
             betti = de_rham(k).dims
             assert sum((-1) ** deg * d for deg, d in betti.items()) == total
+
+
+def rank_nullity_inputs():
+    """Every preset, nil4 and random complexes, plain and symmetric."""
+    inputs = [(name, make) for name, make in sorted(PRESETS.items())]
+    inputs.append(("nil4", nil4))
+    for symmetric in (False, True):
+        inputs += [(f"random-{seed}-{symmetric}",
+                    lambda seed=seed, symmetric=symmetric: random_bicomplex(
+                        seed, symmetric=symmetric).bicomplex)
+                   for seed in range(100)]
+    return inputs
+
+
+class TestTablesFromKernelRanks:
+    """Tables count each coboundary space as the rank of the map into it,
+    read off a store kernel, and build only the Aeppli coboundaries, as
+    one echelon of [del | delbar].  Both must agree with the subspaces
+    themselves."""
+
+    def test_tables_equal_pair_dimensions(self):
+        for label, make in rank_nullity_inputs():
+            k = make()
+            tables = {theory: cohomology._table(k, theory).dims
+                      for theory in THEORIES}
+            for theory in THEORIES:
+                pairs = cohomology._pairs(k, theory)
+                assert tables[theory] == {
+                    key: z.dim - b.dim for key, (z, b) in pairs.items()}, \
+                    (label, theory)
+
+    def test_aeppli_coboundaries_are_the_sum_of_images(self):
+        for label, make in rank_nullity_inputs():
+            k = make()
+            for bid in k.support():
+                def sub(name):
+                    return cohomology._subspace(k, name, bid)
+                assert sub("aeppli_coboundaries") == subspace_sum(
+                    sub("im_del"), sub("im_delbar")), (label, bid)
 
 
 class TestRepresentatives:
