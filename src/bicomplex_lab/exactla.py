@@ -576,10 +576,16 @@ def subspace_sum(u, v):
 def subspace_intersect(u, v):
     """The intersection ``U @ preimage(U, V)``, canonical as it stands.
 
-    A product of two reduced column echelon bases is itself one.
+    A product of two reduced column echelon bases is itself one.  When
+    one space is the whole space the intersection is the other, already
+    canonical, so no elimination runs.
     """
     if u.ambient_dim != v.ambient_dim:
         raise LinAlgError("subspace_intersect: ambient dimension mismatch")
+    if u.dim == u.ambient_dim:
+        return v
+    if v.dim == v.ambient_dim:
+        return u
     return Subspace(u.ambient_dim, u.basis @ preimage(u.basis, v).basis)
 
 

@@ -180,6 +180,32 @@ class TestSubspaces:
         w = subspace_intersect(u, v)
         assert w == Subspace.from_columns(3, [e2])
 
+    def test_intersection_with_the_whole_space_needs_no_elimination(
+            self, monkeypatch):
+        """Against the whole space the intersection is the other space as
+        it stands, in either order; otherwise it is the general product
+        of U with the preimage of V."""
+        def general(u, v):
+            return Subspace(u.ambient_dim,
+                            u.basis @ preimage(u.basis, v).basis)
+
+        v = Subspace.from_columns(3, [[SC_ONE, SC_I, SC_ZERO],
+                                      [SC_ZERO, SC_ONE, SC_MINUS_ONE]])
+        u = Subspace.from_columns(3, [[SC_ONE, SC_ZERO, SC_ONE],
+                                      [SC_ZERO, SC_ONE, SC_ZERO]])
+        whole = Subspace.full(3)
+        expected = general(whole, v)
+        assert subspace_intersect(u, v) == general(u, v)
+        assert subspace_intersect(u, v).dim == 1
+
+        def no_echelon(work):
+            raise AssertionError("_echelon called against the whole space")
+
+        monkeypatch.setattr(exactla, "_echelon", no_echelon)
+        assert subspace_intersect(whole, v) == expected == v
+        assert subspace_intersect(v, whole) == expected
+        assert subspace_intersect(whole, whole) == whole
+
     def test_sum_and_dimension_formula_randomized(self):
         rng = random.Random(20260825)
         for _ in range(200):
