@@ -24,24 +24,24 @@ complement.  The residual is a plain Bicomplex on which both two-step
 composites vanish.  Its spaces in total degrees k and k + 1, joined by
 both differentials, form one alternating type-A quiver representation
 (strip k), whose bars of two or more nodes are exactly the zigzags that
-live there.  One left-to-right zigzag-persistence sweep per strip counts
-them (Carlsson and de Silva, *Zigzag persistence*, 2010): it keeps a
-basis of the current node with one vector per live bar, and reduces a
-bar's vector only by the vectors of bars of larger key, where a bar born
+live there.  One left-to-right zigzag-persistence sweep per strip finds
+them (Carlsson and de Silva, *Zigzag persistence*, 2010): it keeps each
+live bar's chain, one vector per node since its birth, the last vectors
+of the live bars forming a basis of the current node, and reduces a bar
+only by adding the whole chains of bars of larger key, where a bar born
 at node b outside an image has key (0, -b) and one born in a kernel has
-key (1, b); in that order, adding one bar's vector to another's is an
-automorphism of the part already swept.  Runs end at zero spaces and zero
-arrows, so a complex with zero differentials needs no elimination.  The
-lone dots are what the zigzags leave of each dimension.  The adapted
-basis realizing the multiset is canonical: for each zigzag type it is
-the echelon complement, inside the space of structure-compatible maps
-from the model zigzag, of the maps that do not split (those that vanish
-in the window colimit once the arrows entering its sink ends are
-killed); their count checks the sweep's multiplicity again.  No random
-draws are made.  Every step works on whole sparse blocks: each summand
-type contributes one matrix per bidegree, holding the vectors of all its
-copies, and the adapted basis at a bidegree is these blocks side by side
-in canonical part order.
+key (1, b).  A bar of larger key reaches back at least as far, or was
+born in a kernel and is zero before its birth, so every chain stays a
+morphism from its interval module and the chains at every node stay a
+basis: the final chains of the bars of two or more nodes are the zigzag
+blocks of the adapted basis.  Runs end at zero spaces and zero arrows,
+so a complex with zero differentials needs no elimination.  The
+one-node bars at a node swept as a source span ker del ∩ ker delbar
+there, and the lone dots complete inside it the vectors that zigzags
+have at that bidegree as a sink.  No random draws are made.  Every step
+works on whole sparse blocks: each summand type contributes one matrix
+per bidegree, holding the vectors of all its copies, and the adapted
+basis at a bidegree is these blocks side by side in canonical part order.
 """
 
 import random
@@ -59,13 +59,12 @@ from .exactla import (
     SC_MINUS_ONE,
     SC_ONE,
     Subspace,
+    _add_scaled,
     complete_basis,
     image_basis,
     inverse,
     kernel_basis,
     place_blocks,
-    preimage,
-    rank,
     solve,
 )
 
@@ -374,7 +373,12 @@ class Decomposition:
 
 
 def verify_decomposition(d, k):
-    """Exact check of both decomposition invariants; never raises."""
+    """Exact check of both decomposition invariants; never raises.
+
+    A block is accepted as invertible only when it times its inverse is
+    the identity, so the certificate rests on products: ``inverse``
+    proposes, and a singular block, which it cannot invert, is rejected.
+    """
     try:
         pattern = _pattern(d.parts)
         support = k.support()
@@ -385,7 +389,8 @@ def verify_decomposition(d, k):
             dim = k.dimension(*bid)
             s = basis.get(bid)
             if (pattern.spaces[bid] != dim or s is None
-                    or s.rows != dim or s.cols != dim or rank(s) != dim):
+                    or s.rows != dim or s.cols != dim
+                    or s @ inverse(s) != Matrix.identity(dim)):
                 return False
         for (p, q) in support:
             for diff, blocks, tgt in (
@@ -402,19 +407,33 @@ def verify_decomposition(d, k):
 
 
 def _strip_zigzags(res):
-    """Multiplicity of every zigzag of two or more dots in ``res``.
+    """The zigzags of two or more dots in ``res``, with their chains.
 
     ``res`` is a valid complex whose two-step composites all vanish.  Each
     strip is walked in canonical dot order (p, k+1-p), (p, k-p),
     (p+1, k-p), ... and cut into runs at zero spaces and zero arrows,
     which no bar crosses; a zigzag outside the strip meets it only in
-    lone dots.  ``_sweep_run`` counts the bars of each run.
+    one-node bars.  ``_sweep_run`` finds the bars of each run.  Returns
+    ``(chains, cycles)``: ``chains`` maps each zigzag to the chains of its
+    copies, one vector per dot, and ``cycles`` maps each node swept as a
+    source (degree k in strip k) to the vectors of its one-node bars,
+    which span ker del ∩ ker delbar there.
     """
     by_degree = {}
     for (p, q) in res.support():
         by_degree.setdefault(p + q, []).append((p, q))
     dels, delbars = res.del_blocks(), res.delbar_blocks()
-    counts = {}
+    chains, cycles = {}, {}
+
+    def sweep(run, arrows, k):
+        cycles.update((d, []) for d in run if sum(d) == k)
+        for birth, chain in _sweep_run(res, run, arrows):
+            dots = tuple(run[birth:birth + len(chain)])
+            if len(dots) > 1:
+                chains.setdefault(dots, []).append(chain)
+            elif sum(dots[0]) == k:
+                cycles[dots[0]].append(chain[0])
+
     for k in sorted(by_degree):
         if k + 1 not in by_degree:
             continue
@@ -433,72 +452,91 @@ def _strip_zigzags(res):
                 arrows.append((arrow, forward))
                 continue
             if arrows:
-                _sweep_run(res, run, arrows, counts)
+                sweep(run, arrows, k)
             run, arrows = [(p, q)], []
         if arrows:
-            _sweep_run(res, run, arrows, counts)
-    return {Zigzag(dots): m for dots, m in counts.items()}
+            sweep(run, arrows, k)
+    return {Zigzag(dots): c for dots, c in chains.items()}, cycles
 
 
-def _sweep_run(res, nodes, arrows, counts):
+def _sweep_run(res, nodes, arrows):
     """One left-to-right zigzag-persistence pass over a run of a strip.
 
     ``arrows[i]`` joins ``nodes[i]`` and ``nodes[i + 1]`` as ``(matrix,
     forward)``: forward maps node i to node i + 1, backward the reverse.
-    The live bars at node i carry a birth node and one vector each,
-    together a basis of the node.  They are kept in ascending key (the
-    module docstring's (0, -b) and (1, b)): births after a forward arrow
-    go first, births in a kernel last.  A canonical kernel basis vector
-    is zero before its lead, so it changes only the lead bar's vector,
-    by bars of larger key.  Each bar that dies after two or more nodes
-    adds one to ``counts[dots]``.
+    A bar is ``(birth, chain)``, its chain one vector per node from node
+    ``birth`` on; the last vectors of the live bars form a basis of the
+    current node.  The live bars are kept in ascending key (the module
+    docstring's (0, -b) and (1, b)): births after a forward arrow go
+    first, births in a kernel last.  A canonical kernel basis vector is
+    zero before its lead, so it changes only the lead bar, by adding the
+    chains of bars of larger key (``_combine``).  Every reduction is
+    applied to the whole chain, so each chain stays a morphism from its
+    interval module.  Returns every bar, its chain ending at its death.
     """
-    bars = [(0, {j: SC_ONE}) for j in range(res.dimension(*nodes[0]))]
+    bars = [(0, [{j: SC_ONE}]) for j in range(res.dimension(*nodes[0]))]
+    done = []
     last = len(arrows) - 1
     for i, (arrow, forward) in enumerate(arrows):
-        here = Matrix._from_sparse(res.dimension(*nodes[i]), len(bars),
-                                   [v for _, v in bars])
+        n = len(bars)
+        here = Matrix._from_sparse(res.dimension(*nodes[i]), n,
+                                   [chain[-1] for _, chain in bars])
         if forward:
-            # The lead of each kernel vector of f B dies here; the others
-            # carry their images on, and a complement of the image is born
-            # with the least key of all.
+            # The lead bar of each kernel vector of f B dies here as that
+            # combination, which f sends to zero; the others carry their
+            # images on, and a complement of the image is born with the
+            # least key of all.
             image = arrow @ here
-            ends = {min(c) for c in kernel_basis(image).basis._data}
-            live = [(b, image._data[j]) for j, (b, _) in enumerate(bars)
-                    if j not in ends]
+            kernel = kernel_basis(image).basis._data
+            ends = {min(c) for c in kernel}
+            done += [_combine(bars, c) for c in kernel]
+            live = [(b, chain + [image._data[j]])
+                    for j, (b, chain) in enumerate(bars) if j not in ends]
             born = []
             if i < last and len(live) < image.rows:
-                born = [(i + 1, c) for c in complete_basis(
+                born = [(i + 1, [c]) for c in complete_basis(
                     image_basis(image), Subspace.full(image.rows))._data]
-            survivors = born + live
+            bars = born + live
         else:
             # A kernel vector (x, y) of [B | g] has B x = g(-y).  Leading in
-            # B, it marks a bar that survives with the lift y (up to sign);
-            # leading in g, it is a vector of ker g, born with the greatest
-            # key of all.  The bars at the other columns of B die here.
-            n = len(bars)
+            # B, it marks a bar that survives as the combination x, with
+            # -y at the next node; leading in g, y spans ker g, born with
+            # the greatest key of all.  The bars at the other columns of B
+            # die here as they are.
             ends = set(range(n))
             live, born = [], []
             for c in kernel_basis(here.hstack(arrow)).basis._data:
-                lead = min(c)
-                lift = {j - n: x for j, x in c.items() if j >= n}
-                if lead < n:
-                    ends.discard(lead)
-                    live.append((bars[lead][0], lift))
+                lift = {j - n: -x for j, x in c.items() if j >= n}
+                if min(c) < n:
+                    ends.discard(min(c))
+                    birth, chain = _combine(bars, c)
+                    live.append((birth, chain + [lift]))
                 else:
-                    born.append((i + 1, lift))
-            survivors = live + born
-        for j in ends:
-            _count_bar(counts, nodes, bars[j][0], i)
-        bars = survivors
-    for b, _ in bars:
-        _count_bar(counts, nodes, b, last + 1)
+                    born.append((i + 1, [lift]))
+            done += [bars[j] for j in sorted(ends)]
+            bars = live + born
+    return done + bars
 
 
-def _count_bar(counts, nodes, birth, death):
-    if birth < death:
-        dots = tuple(nodes[birth:death + 1])
-        counts[dots] = counts.get(dots, 0) + 1
+def _combine(bars, c):
+    """Bar ``min(c)`` plus ``c[j]`` times bar ``j`` for every other bar
+    index ``j`` of ``c``, node by node.  Each such bar has a larger key:
+    it reaches back at least as far, or it was born in a kernel and adds
+    zero before its birth, so the sum is again a morphism from the lead
+    bar's interval module."""
+    lead = min(c)
+    birth, chain = bars[lead]
+    terms = [(bars[j], x) for j, x in c.items() if lead < j < len(bars)]
+    if not terms:
+        return birth, chain
+    out = []
+    for t, v in enumerate(chain, start=birth):
+        v = dict(v)
+        for (b, other), x in terms:
+            if b <= t:
+                _add_scaled(v, x, other[t - b])
+        out.append(v)
+    return birth, out
 
 
 def decompose(k):
@@ -508,14 +546,13 @@ def decompose(k):
     at each anchor the anchor vectors are the canonical complement of
     ker(del delbar), taken from the complex's cohomology store, and the
     residual is the common kernel of the functionals reading the square
-    corners back, wrapped as a Bicomplex.  Phase two counts the zigzags
-    of the residual with one zigzag-persistence sweep per anti-diagonal
-    strip (``_strip_zigzags``), reducing a bar's vector only by bars of
-    larger key, and phase three picks their adapted basis, checking each
-    multiplicity again on its own as the dimension of a Hom space modulo
-    its radical.  Each square anchor and each zigzag type yields one block
-    per bidegree it touches (anchors, their del, delbar and delbar-del
-    images; source rows of the split maps, their sink images), and
+    corners back, wrapped as a Bicomplex.  Phase two finds the zigzags of
+    the residual with one zigzag-persistence sweep per anti-diagonal
+    strip (``_strip_zigzags``), whose final chains are their adapted
+    basis; the lone dots at each residual bidegree complete its sink-role
+    vectors inside ker del ∩ ker delbar.  Each square anchor and each
+    zigzag type yields one block per bidegree it touches (anchors, their
+    del, delbar and delbar-del images; the chain vectors at each dot), and
     ``basis_change`` stacks these blocks side by side in canonical part
     order.
 
@@ -579,142 +616,43 @@ def decompose(k):
              for (p, q) in support},
             {(p, q): rebased(k.delbar_map(p, q), (p, q), (p, q + 1))
              for (p, q) in support})
+        for (p, q) in res.support():
+            if not (res.del_map(p, q + 1) @ res.delbar_map(p, q)).is_zero():
+                raise DecompositionError(
+                    "square splitting left a nonzero two-step composite")
+
+        # ---- Phase two: the zigzags, one sweep per strip. ----
+        # A copy's chain is its vector at each dot.  A sink-role vector is
+        # an image, so it lies in ker del ∩ ker delbar: the span of the
+        # one-node bars at a node swept as a source, the whole space at any
+        # other.  The lone dots complete the sink-role vectors there.
+        def block(bid, cols):
+            return Matrix._from_sparse(res.dimension(*bid), len(cols), cols)
+
+        def in_input(blocks):
+            return {bid: embed[bid] @ b if bid in embed else b
+                    for bid, b in blocks.items()}
+
+        chains, cycles = _strip_zigzags(res)
+        sinks = {}
+        for z, copies in chains.items():
+            blocks = {}
+            for i, (d, role) in enumerate(zip(z.dots, z.roles())):
+                blocks[d] = block(d, [c[i] for c in copies])
+                if role == "sink":
+                    sinks.setdefault(d, []).extend(c[i] for c in copies)
+            types.append((z, len(copies), in_input(blocks)))
+        for bid in res.support():
+            outer = (image_basis(block(bid, cycles[bid])) if bid in cycles
+                     else Subspace.full(res.dimension(*bid)))
+            lone = complete_basis(
+                image_basis(block(bid, sinks.get(bid, []))), outer)
+            if lone.cols:
+                types.append((Zigzag((bid,)), lone.cols,
+                              in_input({bid: lone})))
     except LinAlgError as exc:
         raise DecompositionError(
-            f"square splitting failed at exact arithmetic: {exc}") from exc
-    for (p, q) in res.support():
-        if not (res.del_map(p, q + 1) @ res.delbar_map(p, q)).is_zero():
-            raise DecompositionError(
-                "square splitting left a nonzero two-step composite")
-
-    # ---- Phase two: zigzag multiplicities, one sweep per strip. ----
-    multiplicity = _strip_zigzags(res)
-    leftover = {bid: res.dimension(*bid) for bid in res.support()}
-    for z, m in multiplicity.items():
-        for d in z.dots:
-            leftover[d] -= m
-    for bid, count in leftover.items():
-        if count < 0:
-            raise DecompositionError("zigzag multiplicities exceed the "
-                                     f"residual dimension at {bid}")
-    zig_types = sorted(multiplicity.items(), key=lambda kv: _part_key(kv[0]))
-    zig_types += [(Zigzag((bid,)), count)
-                  for bid, count in sorted(leftover.items()) if count]
-
-    # ---- Phase three: adapted basis for the residual zigzags. ----
-    # Hom from a zigzag type into the residual, modulo its radical (the
-    # maps that split off no summand), has the type's multiplicity as
-    # dimension, because a zigzag's endomorphisms are the field.  The
-    # radical is the kernel of the map into the window colimit once the
-    # arrows entering the sink ends from outside are divided out too.  A
-    # family that is a basis of every quotient is an isomorphism modulo
-    # the radicals, hence an isomorphism (Nakayama); the canonical
-    # complement of each radical is one.
-    def offsets(dots, roles, skip):
-        """Stacked slot offsets of the dots whose role is not ``skip``."""
-        off = {}
-        total = 0
-        for i, d in enumerate(dots):
-            if roles[i] != skip:
-                off[i] = total
-                total += res.dimension(*d)
-        return off, total
-
-    def sink_relations(dots, roles):
-        """Maps from the model zigzag on ``dots``, over its source slots.
-
-        Such a map is fixed by one vector per source dot (a lone dot is its
-        own source), stacked at ``offsets(dots, roles, "sink")``.  It
-        respects both differentials when, at every interior sink, del of
-        the left source equals delbar of the right one, and the arrows that
-        leave the zigzag at a source end vanish.  Returns a kernel basis of
-        these relations.
-        """
-        n = len(dots)
-        s_off, total = offsets(dots, roles, "sink")
-        blocks = []
-        at = 0
-        for i in range(1, n - 1):
-            if roles[i] == "sink":
-                blocks += [(at, s_off[i - 1], res.del_map(*dots[i - 1])),
-                           (at, s_off[i + 1],
-                            res.delbar_map(*dots[i + 1]).negate())]
-                at += res.dimension(*dots[i])
-        for i, kill in ((0, res.delbar_map(*dots[0])),
-                        (n - 1, res.del_map(*dots[-1]))):
-            if roles[i] != "sink":
-                blocks.append((at, s_off[i], kill))
-                at += kill.rows
-        if not at:
-            return Matrix.identity(total)
-        return kernel_basis(place_blocks(at, total, blocks)).basis
-
-    def colimit(dots, roles):
-        """The window colimit, stacked over the sink slots.
-
-        Returns the map from the source slots into the sink slots through
-        the arrow that enters the first sink (the identity for a lone dot),
-        and the relations the colimit takes modulo: at each interior source
-        the difference of its two arrows, and the arrows that enter a sink
-        end from outside the window.
-        """
-        n = len(dots)
-        s_off, s_total = offsets(dots, roles, "sink")
-        t_off, t_total = offsets(dots, roles, "source")
-        first = min(t_off)
-        if roles[first] == "lone":
-            source = first
-            arrow = Matrix.identity(res.dimension(*dots[first]))
-        elif first == 0:
-            source, arrow = 1, res.delbar_map(*dots[1])
-        else:
-            source, arrow = first - 1, res.del_map(*dots[first - 1])
-        to_sinks = place_blocks(t_total, s_total, [
-            (t_off[first], s_off[source], arrow)])
-        blocks = []
-        at = 0
-        for i in range(1, n - 1):
-            if roles[i] == "source":
-                blocks += [(t_off[i - 1], at, res.delbar_map(*dots[i])),
-                           (t_off[i + 1], at, res.del_map(*dots[i]).negate())]
-                at += res.dimension(*dots[i])
-        for i in sorted({0, n - 1}):
-            if roles[i] == "source":
-                continue
-            p, q = dots[i]
-            near = dots[max(i - 1, 0): i + 2]
-            for src, into in (((p - 1, q), res.del_map(p - 1, q)),
-                              ((p, q - 1), res.delbar_map(p, q - 1))):
-                if src not in near:
-                    blocks.append((t_off[i], at, into))
-                    at += into.cols
-        return to_sinks, place_blocks(t_total, at, blocks)
-
-    for z, m in zig_types:
-        dots = z.dots
-        roles = z.roles()
-        hom = sink_relations(dots, roles)
-        to_sinks, rel = colimit(dots, roles)
-        rad = preimage(to_sinks @ hom, image_basis(rel))
-        top = complete_basis(rad, Subspace.full(hom.cols))
-        if top.cols != m:
-            raise DecompositionError(
-                f"{z} has {top.cols} split embeddings, expected {m}")
-        # Rows of the split maps, cut per source dot; each sink block is
-        # the image of its left neighbour under del (or, for a sink at the
-        # start, of its right neighbour under delbar).
-        maps = (hom @ top).transpose()
-        s_off, _ = offsets(dots, roles, "sink")
-        blocks = {dots[i]: maps.column_slice(
-                      range(o, o + res.dimension(*dots[i]))).transpose()
-                  for i, o in s_off.items()}
-        for i, d in enumerate(dots):
-            if roles[i] == "sink":
-                blocks[d] = (res.del_map(*dots[i - 1]) @ blocks[dots[i - 1]]
-                             if i > 0 else
-                             res.delbar_map(*dots[1]) @ blocks[dots[1]])
-        types.append((z, m, {bid: embed[bid] @ b if bid in embed else b
-                             for bid, b in blocks.items()}))
+            f"decomposition failed at exact arithmetic: {exc}") from exc
 
     # ---- Assemble, verify, return. ----
     types.sort(key=lambda t: _part_key(t[0]))

@@ -551,8 +551,10 @@ def _count_echelons(monkeypatch):
 
 
 class TestStripSweep:
-    """Phase two counts zigzags with one zigzag-persistence sweep per
-    anti-diagonal strip; the window-rank count above is the reference."""
+    """Phase two finds the zigzags and their adapted basis with one
+    zigzag-persistence sweep per anti-diagonal strip; the window-rank
+    count above is the reference for the multiplicities, and
+    ``verify_decomposition`` the certificate for the basis."""
 
     def test_matches_window_ranks_on_examples_and_nil_models(self):
         nil5 = models.from_structure_equations(models.parse_structure_text(
@@ -588,7 +590,7 @@ class TestStripSweep:
         sweep eliminates nothing and finds no zigzag."""
         k = models.torus(4)
         calls = _count_echelons(monkeypatch)
-        assert zz._strip_zigzags(k) == {}
+        assert zz._strip_zigzags(k) == ({}, {})
         assert calls["echelon"] == 0
 
     def test_runs_split_inside_a_strip(self, monkeypatch):
@@ -600,8 +602,42 @@ class TestStripSweep:
                  zz.Zigzag(((4, -3), (4, -4)))]
         k = scrambled(parts, 3)
         calls = _count_echelons(monkeypatch)
-        assert zz._strip_zigzags(k) == {part: 1 for part in parts}
+        chains, _ = zz._strip_zigzags(k)
+        assert {z: len(c) for z, c in chains.items()} \
+            == {part: 1 for part in parts}
         assert calls["echelon"] == 4
+
+    @pytest.mark.parametrize("fault", ["drop", "negate"])
+    def test_a_wrong_sweep_cannot_get_through(self, monkeypatch, fault):
+        """Nothing derives the multiplicities a second time, so the
+        certificate must refuse a sweep that loses one bar of two or more
+        nodes, or flips the sign of one vector of its chain."""
+        parts = [zz.Square(anchor=(0, 1)),
+                 zz.Zigzag(((0, 2), (1, 2), (1, 1), (2, 1))),
+                 zz.Zigzag(((1, 2), (1, 1))),
+                 zz.Zigzag(((0, 3), (1, 3), (1, 2))),
+                 zz.Zigzag(((1, 1),))]
+        k = scrambled(parts, 11)
+        assert zz.decompose(k).parts == zz.sort_parts(parts)
+        sweep = zz._sweep_run
+        spoiled = []
+
+        def broken(res, nodes, arrows):
+            bars = sweep(res, nodes, arrows)
+            for j, (birth, chain) in enumerate(bars):
+                if len(chain) > 1 and not spoiled:
+                    spoiled.append(bars[j])
+                    if fault == "drop":
+                        del bars[j]
+                    else:
+                        vector = {i: -x for i, x in chain[-1].items()}
+                        bars[j] = (birth, chain[:-1] + [vector])
+            return bars
+
+        monkeypatch.setattr(zz, "_sweep_run", broken)
+        with pytest.raises(zz.DecompositionError):
+            zz.decompose(k)
+        assert spoiled
 
 
 def _zigzag_from(start, first_step, length):
@@ -655,6 +691,23 @@ class TestVerifyDecomposition:
         broken = dict(d.basis_change)
         broken[(0, 0)] = Matrix.zero(1, 1)
         assert zz.verify_decomposition(replace(d, basis_change=broken), k) \
+            is False
+
+    def test_rejects_zero_blocks_whatever_rank_reports(self, monkeypatch):
+        """All-zero blocks intertwine both differentials trivially; the
+        certificate refuses them through the product with an inverse, not
+        through a rank, so a rank that over-counts cannot let them in."""
+        k = scrambled(random_parts(random.Random(5), 6), 1)
+        d = zz.decompose(k)
+
+        def full_rank(m):
+            return min(m.rows, m.cols)
+
+        monkeypatch.setattr(exactla, "rank", full_rank)
+        monkeypatch.setattr(zz, "rank", full_rank, raising=False)
+        zero = {bid: Matrix.zero(s.rows, s.cols)
+                for bid, s in d.basis_change.items()}
+        assert zz.verify_decomposition(replace(d, basis_change=zero), k) \
             is False
 
     def test_rejects_relative_sign_flip(self):
