@@ -375,9 +375,10 @@ class Decomposition:
 def verify_decomposition(d, k):
     """Exact check of both decomposition invariants; never raises.
 
-    A block is accepted as invertible only when it times its inverse is
-    the identity, so the certificate rests on products: ``inverse``
-    proposes, and a singular block, which it cannot invert, is rejected.
+    A block counts as invertible only when its product with
+    ``inverse(s)`` is the identity, so the certificate rests on products:
+    ``inverse`` only proposes, and a singular block, which it cannot
+    invert, is rejected.
     """
     try:
         pattern = _pattern(d.parts)
