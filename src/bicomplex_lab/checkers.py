@@ -54,9 +54,9 @@ The checks, roughly in logical order:
 from dataclasses import dataclass
 
 from .bicomplex import check_real_structure
-from .cohomology import (_natural_map, _once, _rank_out, _subspace, aeppli,
-                         bott_chern, conj_dolbeault, de_rham, dolbeault,
-                         representatives)
+from .cohomology import (_block_ranks, _natural_map, _once, _subspace,
+                         aeppli, bott_chern, conj_dolbeault, de_rham,
+                         dolbeault, representatives)
 from .exactla import Matrix, rank
 
 THEOREM_CHECK_NAMES = ("frolicher_inequality", "non_ddbar_degrees",
@@ -186,17 +186,15 @@ def char_minus_check(k):
 
 
 def _only_squares_and_dots(k):
-    """Predicate (b) of :func:`ddbar_lemma_check`.  Each rank comes from
-    ``cohomology._rank_out``, the rule the tables count coboundaries
-    with: a dimension minus that of a store kernel the tables have
-    already filled, so the predicate adds no elimination."""
-    support = k.support()
-    r = {bid: _rank_out(k, "ker_ddbar", bid) for bid in support}
+    """Predicate (b) of :func:`ddbar_lemma_check`.  Its ranks are the
+    block ranks of ``cohomology._block_ranks``, which the tables are
+    counted from, so the predicate adds no elimination."""
+    ranks = _block_ranks(k)
+    r_del, r_delbar, r = ranks["del"], ranks["delbar"], ranks["ddbar"]
     return all(
-        _rank_out(k, "ker_del", (p, q)) == r[(p, q)] + r.get((p, q - 1), 0)
-        and _rank_out(k, "ker_delbar", (p, q))
-        == r[(p, q)] + r.get((p - 1, q), 0)
-        for (p, q) in support)
+        r_del.get((p, q), 0) == r.get((p, q), 0) + r.get((p, q - 1), 0)
+        and r_delbar.get((p, q), 0) == r.get((p, q), 0) + r.get((p - 1, q), 0)
+        for (p, q) in k.support())
 
 
 def ddbar_lemma_check(k):

@@ -17,36 +17,80 @@ dimensions, dim cocycles - dim coboundaries; :func:`representatives`
 gives, for one theory on demand, a canonical subspace of cocycles that
 projects to a basis of each quotient.
 
-All of it is built from the kernels and images of del, delbar and
-del delbar per bidegree and of the total differential, plus the
-Bott-Chern cocycles ker del ∩ ker delbar and the Aeppli coboundaries
-im del + im delbar (one echelon of [del | delbar]).  A private store in
-the complex's ``_store`` slot is the one cache of a complex.  Beside the
-validity verdict and the zero matrices of absent blocks, it computes
-each of these subspaces, the del delbar composites, the totalization,
-every table, every theory's representatives and every natural map's
-ranks at most once, on first use.  This module, the checks and the
-square splitting of the decomposition read from it.
+Every table and every map rank is counted from the ranks of single
+blocks, which the store computes once per complex (``_block_ranks``).
+At each support bidegree b they are the ranks of
 
-The tables are read off kernels.  Every coboundary space but Aeppli's is
-the image of one map whose kernel the store keeps at the map's source,
-and by rank-nullity its dimension is the source's dimension less that
-kernel's.  So a table builds the cocycles and, for Aeppli, the
-coboundaries, and the images of del, delbar, del delbar and d are built
-only when a natural map, a Frolicher page or a representative reads
-them.
-The store also seeds the Frolicher page chase, whose first step reads
-im delbar and the Dolbeault cocycles from it; later steps recompute only
-the bidegrees whose chain entries moved.  ``THEORIES`` is the one list
-of theories and the fields of :class:`NaturalMapRanks` the one list of
-maps: the table bundles, the zigzag recount and the CLI's table reports
-take their names and order from them.
+* del, delbar and del delbar out of b,
+* the stack [del; delbar] out of b, whose kernel is the Bott-Chern
+  cocycles ker del ∩ ker delbar,
+* [del | delbar] into b, whose image is the Aeppli coboundaries
+  im del + im delbar,
+
+and in each total degree the rank of d.  A block that is absent has
+rank 0 and builds no matrix; a stack or a pair with one absent side has
+the rank of the other side.
+
+A table is the dimension less two ranks: that of the map S whose kernel
+is the cocycles, out of the key, and that of the map A whose image is
+the coboundaries, into it.
+
+* de Rham(k)         = dim - rk d(k) - rk d(k-1)
+* Dolbeault(p, q)    = dim - rk delbar(p, q) - rk delbar(p, q-1)
+* conjugate(p, q)    = dim - rk del(p, q) - rk del(p-1, q)
+* Bott-Chern(p, q)   = dim - rk [del; delbar](p, q) - rk del delbar(p-1, q-1)
+* Aeppli(p, q)       = dim - rk del delbar(p, q) - rk [del | delbar](p, q)
+
+A natural map sends the source cocycles Z = ker S to the target's
+quotient by B = im A, so its rank is dim Z - dim(Z ∩ B).  S restricted
+to im A has kernel im A ∩ ker S and image im(S A), so
+dim(Z ∩ B) = rk A - rk(S A), and the rank is
+
+    dim - rk S - rk A + rk(S A).
+
+Since del^2 = delbar^2 = del delbar + delbar del = 0, every block of
+S A is zero or plus or minus a del delbar block: a del part of one
+factor meets a delbar part of the other.  Distinct del delbar blocks
+share no row and no column of S A, and where one block appears twice
+(the maps through de Rham) the copies share its rows or its columns, so
+rk(S A) is a sum of ranks of del delbar.  With D(p, q) the rank of
+del delbar out of (p, q), it is, at (p, q) or in degree k:
+
+* Bott-Chern -> Dolbeault     D(p, q-1)
+* Bott-Chern -> conjugate     D(p-1, q)
+* Bott-Chern -> Aeppli        D(p, q-1) + D(p-1, q)
+* Dolbeault -> Aeppli         D(p-1, q)
+* conjugate -> Aeppli         D(p, q-1)
+* Bott-Chern -> de Rham       the sum of D(p, q) over p + q = k - 1
+* de Rham -> Aeppli           the sum of D(p, q) over p + q = k - 1
+
+For a map through de Rham the bigraded end's ranks are summed over the
+anti-diagonal.  From a theory to itself B lies in Z, S A is zero and the
+rank is the table.
+
+Subspaces are built only where subspaces are read: ``representatives``
+(the pairing check reads the Bott-Chern ones), the Frolicher page chase
+and the square splitting of the decomposition.  They are the kernels
+and images of del, delbar, del delbar and d, the Bott-Chern cocycles and
+the Aeppli coboundaries (``_SUBSPACES``).  A private store in the
+complex's ``_store`` slot is the one cache of a complex.  Beside the
+validity verdict and the zero matrices of absent blocks, it computes the
+block ranks, each of these subspaces, the del delbar composites, the
+totalization, every table, every theory's representatives and every
+natural map's ranks at most once, on first use.  The Frolicher page
+chase starts from it, reading im delbar and the Dolbeault cocycles; later
+steps recompute only the bidegrees whose chain entries moved.
+``THEORIES`` is the one list of theories and the fields of
+:class:`NaturalMapRanks` the one list of maps: the table bundles, the
+zigzag recount and the CLI's table reports take their names and order
+from them.
 
 Every caller gets the stored table or rank dict itself, so none may
 change it.  ``all_tables`` and ``natural_maps`` are plain bundles built
 from the store, so a caller that reads one table or one map should ask
 for it alone: the checks read the five tables and the Bott-Chern to
-Aeppli map, never the pages or the other six maps.
+Aeppli map, never the pages or the other six maps, and build no
+subspace unless the complex carries pairings.
 """
 
 from dataclasses import dataclass, fields, make_dataclass
@@ -60,7 +104,7 @@ from .exactla import (
     place_blocks,
     preimage,
     quotient_dim,
-    rank_modulo,
+    rank,
     subspace_intersect,
     subspace_sum,
 )
@@ -136,10 +180,11 @@ AllTables = make_dataclass(
                           "natural-map ranks."})
 
 
-# The per-complex store.  Every theory is a quotient of these subspaces:
-# "ker_*" are kernels out of (p, q), "im_*" images landing in (p, q).  The
-# Bott-Chern cocycles are ker del ∩ ker delbar, and the Aeppli
-# coboundaries im del + im delbar are one echelon of [del | delbar].
+# The subspaces the store builds for the readers of subspaces (see the
+# module docstring): "ker_*" are kernels out of (p, q), "im_*" images
+# landing in (p, q).  The Bott-Chern cocycles are ker del ∩ ker delbar,
+# and the Aeppli coboundaries im del + im delbar are one echelon of
+# [del | delbar].
 _SUBSPACES = {
     "ker_del": lambda k, p, q: kernel_basis(k.del_map(p, q)),
     "ker_delbar": lambda k, p, q: kernel_basis(k.delbar_map(p, q)),
@@ -168,14 +213,30 @@ _PAIRS = {
     "aeppli": ("ker_ddbar", "aeppli_coboundaries"),
 }
 
-# An image of one map whose kernel the store keeps: that kernel's name and
-# the map's source, given the key the image lands in.  A table reads the
-# image's dimension off the kernel (see ``_rank_out``) and never builds it.
-_IMAGE_SOURCES = {
-    "im_d": ("ker_d", lambda deg: deg - 1),
-    "im_del": ("ker_del", lambda bid: (bid[0] - 1, bid[1])),
-    "im_delbar": ("ker_delbar", lambda bid: (bid[0], bid[1] - 1)),
-    "im_ddbar": ("ker_ddbar", lambda bid: (bid[0] - 1, bid[1] - 1)),
+# Each theory's cocycles and coboundaries as block ranks: the name of the
+# map S whose kernel out of a key is the cocycles, the name of the map A
+# whose image is the coboundaries, and the key A leaves from, given the
+# key it lands in.  "stack" is [del; delbar] out of a bidegree and "join"
+# is [del | delbar] into it.
+_RANKS = {
+    "de_rham": ("d", "d", lambda deg: deg - 1),
+    "dolbeault": ("delbar", "delbar", lambda bid: (bid[0], bid[1] - 1)),
+    "conj_dolbeault": ("del", "del", lambda bid: (bid[0] - 1, bid[1])),
+    "bott_chern": ("stack", "ddbar", lambda bid: (bid[0] - 1, bid[1] - 1)),
+    "aeppli": ("ddbar", "join", lambda bid: bid),
+}
+
+# Per natural map, the keys of the del delbar blocks whose ranks add up
+# to rk(S A), given the key of the map.
+_OVERLAPS = {
+    ("bott_chern", "dolbeault"): lambda bid: [(bid[0], bid[1] - 1)],
+    ("bott_chern", "conj_dolbeault"): lambda bid: [(bid[0] - 1, bid[1])],
+    ("bott_chern", "de_rham"): lambda deg: [deg - 1],
+    ("bott_chern", "aeppli"): lambda bid: [(bid[0], bid[1] - 1),
+                                           (bid[0] - 1, bid[1])],
+    ("dolbeault", "aeppli"): lambda bid: [(bid[0] - 1, bid[1])],
+    ("conj_dolbeault", "aeppli"): lambda bid: [(bid[0], bid[1] - 1)],
+    ("de_rham", "aeppli"): lambda deg: [deg - 1],
 }
 
 
@@ -211,44 +272,81 @@ def _total(k):
     return _once(k, "total", lambda: totalize(k))
 
 
-def _keys(k, theory):
-    """The keys of the theory's table: total degrees for de Rham, else the
-    support bidegrees."""
-    return _total(k).degrees() if theory == "de_rham" else k.support()
+def _block_ranks(k):
+    """The block ranks of ``k`` (see the module docstring), by name:
+    "del", "delbar", "ddbar", "stack" and "join" per support bidegree,
+    "d" per total degree.  A key that is missing has rank 0."""
+    return _once(k, "ranks", lambda: _count_block_ranks(k))
 
 
-def _rank_out(k, name, key):
-    """Rank of the map out of ``key`` whose kernel there is the store's
-    ``name``: by rank-nullity, the source's dimension less the kernel's.
-    Out of a zero space it is 0, and no kernel is built."""
-    dim = (_total(k).dims.get(key, 0) if name in _TOTAL_SUBSPACES
-           else k.dimension(*key))
-    return dim - _subspace(k, name, key).dim if dim else 0
+def _count_block_ranks(k):
+    dels, delbars = k.del_blocks(), k.delbar_blocks()
+    ranks = {"del": {bid: rank(m) for bid, m in dels.items()},
+             "delbar": {bid: rank(m) for bid, m in delbars.items()},
+             "ddbar": {}, "stack": {}, "join": {},
+             "d": {deg: rank(m)
+                   for deg, m in _total(k).differentials.items()}}
+    rk_del, rk_delbar = ranks["del"], ranks["delbar"]
+    for bid in k.support():
+        p, q = bid
+        d, db = dels.get(bid), delbars.get(bid)
+        if db is not None and (p, q + 1) in dels:
+            ranks["ddbar"][bid] = rank(_ddbar(k, bid))
+        ranks["stack"][bid] = (
+            rank(place_blocks(d.rows + db.rows, d.cols,
+                              [(0, 0, d), (d.rows, 0, db)]))
+            if d is not None and db is not None
+            else rk_del.get(bid, 0) + rk_delbar.get(bid, 0))
+        d, db = dels.get((p - 1, q)), delbars.get((p, q - 1))
+        ranks["join"][bid] = (
+            rank(d.hstack(db)) if d is not None and db is not None
+            else rk_del.get((p - 1, q), 0) + rk_delbar.get((p, q - 1), 0))
+    return ranks
+
+
+def _dims(k, by_degree):
+    """The dimension per key of a table: per total degree when
+    ``by_degree`` (de Rham), else per support bidegree."""
+    if by_degree:
+        return _total(k).dims
+    return {bid: k.dimension(*bid) for bid in k.support()}
+
+
+def _keyed(k, name, by_degree):
+    """The block ranks ``name``, summed over anti-diagonals when
+    ``by_degree`` (the ranks of d are per degree already)."""
+    ranks = _block_ranks(k)[name]
+    if not by_degree or name == "d":
+        return ranks
+    out = {}
+    for (p, q), r in ranks.items():
+        out[p + q] = out.get(p + q, 0) + r
+    return out
+
+
+def _count(k, source, target, by_degree):
+    """Per key, dim - rk S - rk A, with S the map whose kernel is the
+    source's cocycles and A the map whose image is the target's
+    coboundaries.  From a theory to itself it is the theory's table."""
+    out = _keyed(k, _RANKS[source][0], by_degree)
+    _, coboundaries, at = _RANKS[target]
+    into = _keyed(k, coboundaries, by_degree)
+    return {key: dim - out.get(key, 0) - into.get(at(key), 0)
+            for key, dim in _dims(k, by_degree).items()}
 
 
 def _pairs(k, theory):
     """Per key of the theory's table, its (cocycles, coboundaries) pair."""
     cocycles, coboundaries = _PAIRS[theory]
     return {key: (_subspace(k, cocycles, key), _subspace(k, coboundaries, key))
-            for key in _keys(k, theory)}
+            for key in _dims(k, theory == "de_rham")}
 
 
 def _table(k, theory):
-    """dim cocycles - dim coboundaries per key.  A coboundary space that
-    ``_IMAGE_SOURCES`` lists is counted by ``_rank_out``, so the tables
-    build no image but the Aeppli coboundaries."""
-    cocycles, coboundaries = _PAIRS[theory]
-
-    def coboundary_dim(key):
-        if coboundaries not in _IMAGE_SOURCES:
-            return _subspace(k, coboundaries, key).dim
-        kernel, source = _IMAGE_SOURCES[coboundaries]
-        return _rank_out(k, kernel, source(key))
-
+    """The theory's table, counted from block ranks by :func:`_count`."""
     return _once(k, ("table", theory), lambda: CohomologyTable(
         theory=theory,
-        dims={key: _subspace(k, cocycles, key).dim - coboundary_dim(key)
-              for key in _keys(k, theory)}))
+        dims=_count(k, theory, theory, theory == "de_rham")))
 
 
 def representatives(k, theory):
@@ -361,36 +459,17 @@ def frolicher_pages(k):
 def _map_ranks(k, source, target):
     """Ranks of the map from ``source`` to ``target`` induced by the identity.
 
-    Each of the theories is a quotient of a cocycle space and the identity
-    on the underlying complex carries one into another whenever the
-    cocycles shrink and the coboundaries grow; the rank of the induced map
-    is dim((source cocycles + target coboundaries) / target coboundaries),
-    which ``rank_modulo`` takes without echeloning the sum.  A map through
-    de Rham first re-expresses its bigraded end in total-space coordinates.
+    The rank is dim Z - dim(Z ∩ B), with Z the source cocycles and B the
+    target coboundaries: dim - rk S - rk A from :func:`_count`, plus the
+    del delbar ranks that ``_OVERLAPS`` lists for rk(S A).  A map through
+    de Rham is keyed by total degree.
     """
-    cocycles, coboundaries = _PAIRS[source][0], _PAIRS[target][1]
-    if "de_rham" not in (source, target):
-        return {bid: rank_modulo(_subspace(k, cocycles, bid),
-                                 _subspace(k, coboundaries, bid))
-                for bid in k.support()}
-    t = _total(k)
-
-    def side(name, deg):
-        """The subspace ``name`` in degree ``deg``: a bigraded one is the
-        sum of its pieces, placed at their offsets."""
-        if name in _TOTAL_SUBSPACES:
-            return _subspace(k, name, deg)
-        blocks = []
-        cols = 0
-        for bid, offset in sorted(t.offsets[deg].items()):
-            basis = _subspace(k, name, bid).basis
-            blocks.append((offset, cols, basis))
-            cols += basis.cols
-        # Reduced echelon blocks at ascending row offsets: canonical as is.
-        return Subspace(t.dims[deg], place_blocks(t.dims[deg], cols, blocks))
-
-    return {deg: rank_modulo(side(cocycles, deg), side(coboundaries, deg))
-            for deg in t.degrees()}
+    by_degree = "de_rham" in (source, target)
+    ranks = _count(k, source, target, by_degree)
+    ddbar = _keyed(k, "ddbar", by_degree)
+    overlap = _OVERLAPS[source, target]
+    return {key: r + sum(ddbar.get(c, 0) for c in overlap(key))
+            for key, r in ranks.items()}
 
 
 def _natural_map(k, source, target):

@@ -24,6 +24,8 @@ Verdicts of checks whose statement is a theorem for valid inputs
 """
 
 import json
+import sys
+from collections import Counter
 
 import pytest
 
@@ -726,6 +728,35 @@ class TestChecksReadOnlyWhatTheyNeed:
             names = {key[0] for key in k._store if isinstance(key, tuple)}
             assert not names & {"im_del", "im_delbar", "im_ddbar", "im_d"}, \
                 seed
+
+    def test_checks_build_no_subspace(self, monkeypatch):
+        """The tables and the Bott-Chern to Aeppli map are counted from
+        block ranks, so on a complex without pairings the checks take no
+        kernel, image, intersection or preimage, and leave no subspace in
+        the store."""
+        calls = Counter()
+        modules = [module for name, module in sys.modules.items()
+                   if name.startswith("bicomplex_lab")]
+        for name in ("kernel_basis", "image_basis", "subspace_intersect",
+                     "preimage"):
+            for module in modules:
+                original = getattr(module, name, None)
+                if original is None:
+                    continue
+
+                def counted(*args, _name=name, _original=original):
+                    calls[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        subspaces = set(cohomology._SUBSPACES) \
+            | set(cohomology._TOTAL_SUBSPACES)
+        for seed in range(20):
+            k = random_bicomplex(seed).bicomplex
+            run_all_checks(k)
+            assert calls == Counter(), seed
+            names = {key[0] for key in k._store if isinstance(key, tuple)}
+            assert not names & subspaces, seed
 
     def test_real_structure_is_decided_once(self, monkeypatch):
         calls = []

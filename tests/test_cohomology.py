@@ -28,6 +28,7 @@ Hand-derived frozen values used below:
 
 import math
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
@@ -39,6 +40,7 @@ from bicomplex_lab.cohomology import (
     BIGRADED_THEORIES,
     THEORIES,
     FrolicherPages,
+    NaturalMapRanks,
     aeppli,
     all_tables,
     bott_chern,
@@ -54,6 +56,7 @@ from bicomplex_lab.exactla import (
     Subspace,
     image_basis,
     kernel_basis,
+    place_blocks,
     preimage,
     quotient_dim,
     rank,
@@ -69,7 +72,9 @@ from bicomplex_lab.models import (
     random_bicomplex,
     torus,
 )
-from bicomplex_lab.zigzag import decompose
+from bicomplex_lab.zigzag import (Square, Zigzag, apply_basis_change,
+                                  decompose, scramble_matrices, synthesize)
+from test_checkers import zigzags_in_box
 
 
 # --------------------------------------------------------------------------
@@ -199,6 +204,11 @@ def nil4():
         "n = 4\nd w3 = -1* w1^w2\nd w4 = w1^cw1\n"))
 
 
+def nil5():
+    return from_structure_equations(parse_structure_text(
+        "n = 5\nd w3 = -1* w1^w2\nd w4 = w1^cw1\nd w5 = w1^w3\n"))
+
+
 # --------------------------------------------------------------------------
 # Reference page loop: every chain and page entry recomputed on every page.
 # --------------------------------------------------------------------------
@@ -259,6 +269,45 @@ def reference_frolicher_pages(k):
 
 
 # --------------------------------------------------------------------------
+# Reference natural maps: the elimination rule, on the store's subspaces.
+# --------------------------------------------------------------------------
+
+def reference_natural_maps(k):
+    """Every natural map's rank as dim((Z + B) / B), with Z the source
+    cocycles and B the target coboundaries, echeloned as subspaces.  A
+    map through de Rham first places the pieces of its bigraded end at
+    their offsets in total-space coordinates."""
+    t = totalize(k)
+
+    def side(name, deg):
+        if name in cohomology._TOTAL_SUBSPACES:
+            return cohomology._subspace(k, name, deg)
+        blocks = []
+        cols = 0
+        for bid, offset in sorted(t.offsets[deg].items()):
+            basis = cohomology._subspace(k, name, bid).basis
+            blocks.append((offset, cols, basis))
+            cols += basis.cols
+        return Subspace(t.dims[deg], place_blocks(t.dims[deg], cols, blocks))
+
+    ranks = {}
+    for field in fields(NaturalMapRanks):
+        source, target = field.name.split("_to_")
+        cocycles = cohomology._PAIRS[source][0]
+        coboundaries = cohomology._PAIRS[target][1]
+        if "de_rham" in (source, target):
+            pairs = {deg: (side(cocycles, deg), side(coboundaries, deg))
+                     for deg in t.degrees()}
+        else:
+            pairs = {bid: (cohomology._subspace(k, cocycles, bid),
+                           cohomology._subspace(k, coboundaries, bid))
+                     for bid in k.support()}
+        ranks[field.name] = {key: subspace_sum(z, b).dim - b.dim
+                             for key, (z, b) in pairs.items()}
+    return NaturalMapRanks(**ranks)
+
+
+# --------------------------------------------------------------------------
 # Implementation vs oracle, on everything.
 # --------------------------------------------------------------------------
 
@@ -280,23 +329,34 @@ class TestAgainstOracles:
             assert sum((-1) ** deg * d for deg, d in betti.items()) == total
 
 
+def _scrambled(part, seed):
+    k = synthesize([part])
+    return apply_basis_change(k, scramble_matrices(k, seed))
+
+
 def rank_nullity_inputs():
-    """Every preset, nil4 and random complexes, plain and symmetric."""
+    """Every preset, nil4, nil5, random complexes (seeds 0-99, plain and
+    symmetric) and, scrambled as the ddbar-Lemma tests scramble them, a
+    square, a dot and every zigzag of 2 to 5 dots in [0, 3]^2."""
     inputs = [(name, make) for name, make in sorted(PRESETS.items())]
-    inputs.append(("nil4", nil4))
+    inputs += [("nil4", nil4), ("nil5", nil5)]
     for symmetric in (False, True):
         inputs += [(f"random-{seed}-{symmetric}",
                     lambda seed=seed, symmetric=symmetric: random_bicomplex(
                         seed, symmetric=symmetric).bicomplex)
                    for seed in range(100)]
+    singles = [Square((1, 1)), Zigzag(((2, 0),))] \
+        + zigzags_in_box(3, range(2, 6))
+    inputs += [(repr(part), lambda part=part, seed=seed: _scrambled(part,
+                                                                    seed))
+               for seed, part in enumerate(singles)]
     return inputs
 
 
 class TestTablesFromKernelRanks:
-    """Tables count each coboundary space as the rank of the map into it,
-    read off a store kernel, and build only the Aeppli coboundaries, as
-    one echelon of [del | delbar].  Both must agree with the subspaces
-    themselves."""
+    """Tables are counted from block ranks (see the cohomology module), and
+    the store's Aeppli coboundaries are one echelon of [del | delbar].
+    Both must agree with the subspaces themselves."""
 
     def test_tables_equal_pair_dimensions(self):
         for label, make in rank_nullity_inputs():
@@ -317,6 +377,25 @@ class TestTablesFromKernelRanks:
                     return cohomology._subspace(k, name, bid)
                 assert sub("aeppli_coboundaries") == subspace_sum(
                     sub("im_del"), sub("im_delbar")), (label, bid)
+
+
+class TestMapsFromBlockRanks:
+    """Every natural map's rank is dim - rk S - rk A + rk(S A), counted from
+    block ranks; the elimination rule of ``reference_natural_maps`` is the
+    independent witness."""
+
+    def test_maps_equal_the_elimination_rule(self):
+        for label, make in rank_nullity_inputs():
+            k = make()
+            ranks = natural_maps(k)
+            assert ranks == reference_natural_maps(k), label
+
+    def test_maps_build_no_subspace(self):
+        k = nil4()
+        natural_maps(k)
+        names = {key[0] for key in k._store if isinstance(key, tuple)}
+        assert not names & (set(cohomology._SUBSPACES)
+                            | set(cohomology._TOTAL_SUBSPACES))
 
 
 class TestRepresentatives:

@@ -417,9 +417,10 @@ class TestDecompose:
         assert h.hexdigest() == BASIS_DIGEST
 
     def test_reads_ker_del_delbar_from_the_store(self, monkeypatch):
-        """After the tables, decompose computes no ker(del delbar) of its
-        own: the store's builder runs once per bidegree in total, and on a
-        fresh complex decompose fills the store itself."""
+        """decompose reads ker(del delbar) from the store: its builder runs
+        once per bidegree in total, whatever the tables read before (they
+        are counted from ranks and build no kernel), and on a fresh
+        complex decompose fills the store itself."""
         make = cohomology._SUBSPACES["ker_ddbar"]
         calls = Counter()
 
