@@ -276,32 +276,32 @@ def _block_ranks(k):
     """The block ranks of ``k`` (see the module docstring), by name:
     "del", "delbar", "ddbar", "stack" and "join" per support bidegree,
     "d" per total degree.  A key that is missing has rank 0."""
-    return _once(k, "ranks", lambda: _count_block_ranks(k))
 
+    def count():
+        dels, delbars = k.del_blocks(), k.delbar_blocks()
+        ranks = {"del": {bid: rank(m) for bid, m in dels.items()},
+                 "delbar": {bid: rank(m) for bid, m in delbars.items()},
+                 "ddbar": {}, "stack": {}, "join": {},
+                 "d": {deg: rank(m)
+                       for deg, m in _total(k).differentials.items()}}
+        rk_del, rk_delbar = ranks["del"], ranks["delbar"]
+        for bid in k.support():
+            p, q = bid
+            d, db = dels.get(bid), delbars.get(bid)
+            if db is not None and (p, q + 1) in dels:
+                ranks["ddbar"][bid] = rank(_ddbar(k, bid))
+            ranks["stack"][bid] = (
+                rank(place_blocks(d.rows + db.rows, d.cols,
+                                  [(0, 0, d), (d.rows, 0, db)]))
+                if d is not None and db is not None
+                else rk_del.get(bid, 0) + rk_delbar.get(bid, 0))
+            d, db = dels.get((p - 1, q)), delbars.get((p, q - 1))
+            ranks["join"][bid] = (
+                rank(d.hstack(db)) if d is not None and db is not None
+                else rk_del.get((p - 1, q), 0) + rk_delbar.get((p, q - 1), 0))
+        return ranks
 
-def _count_block_ranks(k):
-    dels, delbars = k.del_blocks(), k.delbar_blocks()
-    ranks = {"del": {bid: rank(m) for bid, m in dels.items()},
-             "delbar": {bid: rank(m) for bid, m in delbars.items()},
-             "ddbar": {}, "stack": {}, "join": {},
-             "d": {deg: rank(m)
-                   for deg, m in _total(k).differentials.items()}}
-    rk_del, rk_delbar = ranks["del"], ranks["delbar"]
-    for bid in k.support():
-        p, q = bid
-        d, db = dels.get(bid), delbars.get(bid)
-        if db is not None and (p, q + 1) in dels:
-            ranks["ddbar"][bid] = rank(_ddbar(k, bid))
-        ranks["stack"][bid] = (
-            rank(place_blocks(d.rows + db.rows, d.cols,
-                              [(0, 0, d), (d.rows, 0, db)]))
-            if d is not None and db is not None
-            else rk_del.get(bid, 0) + rk_delbar.get(bid, 0))
-        d, db = dels.get((p - 1, q)), delbars.get((p, q - 1))
-        ranks["join"][bid] = (
-            rank(d.hstack(db)) if d is not None and db is not None
-            else rk_del.get((p - 1, q), 0) + rk_delbar.get((p, q - 1), 0))
-    return ranks
+    return _once(k, "ranks", count)
 
 
 def _dims(k, by_degree):
