@@ -180,9 +180,9 @@ AllTables = make_dataclass(
                           "natural-map ranks."})
 
 
-# The subspaces the store builds for the readers of subspaces (see the
-# module docstring): "ker_*" are kernels out of (p, q), "im_*" images
-# landing in (p, q).  The Bott-Chern cocycles are ker del ∩ ker delbar,
+# The subspaces the store builds where subspaces are read (see the module
+# docstring): "ker_*" are kernels out of (p, q), "im_*" images landing in
+# (p, q).  The Bott-Chern cocycles are ker del ∩ ker delbar,
 # and the Aeppli coboundaries im del + im delbar are one echelon of
 # [del | delbar].
 _SUBSPACES = {

@@ -2,10 +2,12 @@
 
 Oracle strategy: the helpers at the top recompute every dimension through
 classical rank formulas (dim ker = cols - rank, quotient dim = z - b,
-intersections/sums via stacked and concatenated matrices).  They share only
-the low-level rank routine with the implementation, which instead works
-through canonical subspaces, representative completion, and containment
-checks - agreement is a genuine cross-check.
+intersections/sums via stacked and concatenated matrices), written before
+the implementation, which now counts its tables from block ranks too.  The
+cross-checks against a different derivation are the store's canonical
+subspaces: each table must equal dim cocycles - dim coboundaries over
+them, and each natural map the elimination rule dim((Z + B) / B) of
+``reference_natural_maps``.
 
 Hand-derived frozen values used below:
 
@@ -347,8 +349,8 @@ def rank_nullity_inputs():
                    for seed in range(100)]
     singles = [Square((1, 1)), Zigzag(((2, 0),))] \
         + zigzags_in_box(3, range(2, 6))
-    inputs += [(repr(part), lambda part=part, seed=seed: _scrambled(part,
-                                                                    seed))
+    inputs += [(repr(part),
+                lambda part=part, seed=seed: _scrambled(part, seed))
                for seed, part in enumerate(singles)]
     return inputs
 
