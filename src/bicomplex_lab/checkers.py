@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from .bicomplex import check_real_structure
 from .cohomology import (_block_ranks, _natural_map, _once, _subspace,
                          aeppli, bott_chern, conj_dolbeault, de_rham,
-                         dolbeault, representatives)
+                         dolbeault, representatives, totals)
 from .exactla import Matrix, rank
 
 THEOREM_CHECK_NAMES = ("frolicher_inequality", "non_ddbar_degrees",
@@ -102,7 +102,7 @@ def _bc_to_a_injective(k):
 def frolicher_check(k):
     """Dolbeault anti-diagonal totals are at least the Betti numbers."""
     betti = de_rham(k).dims
-    hodge = dolbeault(k).totals()
+    hodge = totals(k, "dolbeault")
     gaps = {deg: hodge.get(deg, 0) - betti.get(deg, 0)
             for deg in _degrees(betti, hodge)}
     verdict = "holds" if all(g >= 0 for g in gaps.values()) else "fails"
@@ -114,8 +114,8 @@ def frolicher_check(k):
 def non_ddbar_degrees(k):
     """Per-degree defect h_BC + h_A - 2b, its non-negativity and total."""
     betti = de_rham(k).dims
-    h_bc = bott_chern(k).totals()
-    h_a = aeppli(k).totals()
+    h_bc = totals(k, "bott_chern")
+    h_a = totals(k, "aeppli")
     degrees = _degrees(betti, h_bc, h_a)
     delta = {deg: h_bc.get(deg, 0) + h_a.get(deg, 0) - 2 * betti.get(deg, 0)
              for deg in degrees}
@@ -148,9 +148,9 @@ def upper_bound_check(k):
         return skip("no conjugation structure")
     if not _real_structure(k):
         return skip("conjugation structure does not validate")
-    hodge = dolbeault(k).totals()
-    h_a = aeppli(k).totals()
-    h_bc = bott_chern(k).totals()
+    hodge = totals(k, "dolbeault")
+    h_a = totals(k, "aeppli")
+    h_bc = totals(k, "bott_chern")
     aeppli_slack = {}
     bc_slack = {}
     for deg in range(0, 2 * k.n + 1):
@@ -171,8 +171,8 @@ def upper_bound_check(k):
 
 def char_minus_check(k):
     """|h_BC - h_A| summed over degrees vanishes iff the lemma holds."""
-    h_bc = bott_chern(k).totals()
-    h_a = aeppli(k).totals()
+    h_bc = totals(k, "bott_chern")
+    h_a = totals(k, "aeppli")
     degrees = _degrees(h_bc, h_a)
     diff = {deg: h_bc.get(deg, 0) - h_a.get(deg, 0) for deg in degrees}
     total = sum(abs(v) for v in diff.values())
@@ -334,9 +334,9 @@ def duality_check(k):
 def run_all_checks(k):
     """All checks on one complex, in ``ALL_CHECK_NAMES`` order.
 
-    They share the complex's store, so the five tables, the Bott-Chern
-    to Aeppli map and the real-structure verdict are computed once for
-    all of them, the Bott-Chern representatives only when the pairing
+    They share the complex's store, so the five tables, their
+    anti-diagonal totals, the Bott-Chern to Aeppli map and the
+    real-structure verdict are computed once for all of them, the Bott-Chern representatives only when the pairing
     check applies, and the Frolicher pages, the other six maps, the
     other theories' representatives and a decomposition not at all.
     """

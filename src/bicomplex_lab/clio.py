@@ -24,6 +24,7 @@ may have been derived from.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -657,7 +658,10 @@ _FORMATS = {"cohomology": ("text", "csv", "json"),
             "render": ("dot", "tikz", "svg")}
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every call shares it."""
     parser = _Parser(prog="bicomplex-lab",
                      description="Exact cohomology, zigzag decomposition, "
                                  "and theorem checks for bounded double "

@@ -10,8 +10,9 @@ module computes, with exact arithmetic throughout:
 * Bott-Chern cohomology       (ker del ∩ ker delbar) / im (del delbar)
 * Aeppli cohomology           ker (del delbar) / (im del + im delbar)
 
-together with the pages of the column-filtration spectral sequence (first
-page = Dolbeault, converging to de Rham) and the ranks of the seven maps
+together with the pages of the Frolicher spectral sequence, the one of
+the filtration by horizontal degree (first page = Dolbeault, converging
+to de Rham), and the ranks of the seven maps
 induced by the identity between these theories.  A table holds only the
 dimensions, dim cocycles - dim coboundaries; :func:`representatives`
 gives, for one theory on demand, a canonical subspace of cocycles that
@@ -68,18 +69,23 @@ For a map through de Rham the bigraded end's ranks are summed over the
 anti-diagonal.  From a theory to itself B lies in Z, S A is zero and the
 rank is the table.
 
+The Frolicher pages are counted the same way, from the ranks of
+staircase matrices: del and delbar blocks placed along an anti-diagonal
+strip, the first one being delbar, a block rank.  The formulas and the
+stop rule are in :func:`frolicher_pages`.  So ``all_tables`` builds no
+subspace.
+
 Subspaces are built only where subspaces are read: ``representatives``
-(the pairing check reads the Bott-Chern ones), the Frolicher page chase
-and the square splitting of the decomposition.  They are the kernels
-and images of del, delbar, del delbar and d, the Bott-Chern cocycles and
-the Aeppli coboundaries (``_SUBSPACES``).  A private store in the
-complex's ``_store`` slot is the one cache of a complex.  Beside the
-validity verdict and the zero matrices of absent blocks, it computes the
-block ranks, each of these subspaces, the del delbar composites, the
-totalization, every table, every theory's representatives and every
-natural map's ranks at most once, on first use.  The Frolicher page
-chase starts from it, reading im delbar and the Dolbeault cocycles; later
-steps recompute only the bidegrees whose chain entries moved.
+(the pairing check reads the Bott-Chern ones) and the square splitting
+of the decomposition.  They are the kernels and images of del, delbar,
+del delbar and d, the Bott-Chern cocycles (the kernel of the stack
+[del; delbar]) and the Aeppli coboundaries (``_SUBSPACES``).  A private
+store in the complex's ``_store`` slot is the one cache of a complex.
+Beside the validity verdict and the zero matrices of absent blocks, it
+computes the block ranks, the staircase ranks, each of these subspaces,
+the del delbar composites, the totalization, every table and its
+anti-diagonal totals, every theory's representatives and every natural
+map's ranks at most once, on first use.
 ``THEORIES`` is the one list of theories and the fields of
 :class:`NaturalMapRanks` the one list of maps: the table bundles, the
 zigzag recount and the CLI's table reports take their names and order
@@ -97,16 +103,13 @@ from dataclasses import dataclass, fields, make_dataclass
 
 from .bicomplex import ensure_valid, totalize
 from .exactla import (
+    LinAlgError,
     Subspace,
     complete_basis,
     image_basis,
     kernel_basis,
     place_blocks,
-    preimage,
-    quotient_dim,
     rank,
-    subspace_intersect,
-    subspace_sum,
 )
 
 BIGRADED_THEORIES = ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
@@ -128,10 +131,7 @@ class CohomologyTable:
         """Dimensions summed along anti-diagonals (de Rham: a copy)."""
         if self.theory == "de_rham":
             return dict(self.dims)
-        out = {}
-        for (p, q), d in sorted(self.dims.items()):
-            out[p + q] = out.get(p + q, 0) + d
-        return out
+        return _by_degree(self.dims)
 
 
 @dataclass(frozen=True)
@@ -182,15 +182,14 @@ AllTables = make_dataclass(
 
 # The subspaces the store builds where subspaces are read (see the module
 # docstring): "ker_*" are kernels out of (p, q), "im_*" images landing in
-# (p, q).  The Bott-Chern cocycles are ker del ∩ ker delbar,
-# and the Aeppli coboundaries im del + im delbar are one echelon of
-# [del | delbar].
+# (p, q).  The Bott-Chern cocycles ker del ∩ ker delbar are one kernel
+# of [del; delbar], and the Aeppli coboundaries im del + im delbar are
+# one echelon of [del | delbar].
 _SUBSPACES = {
     "ker_del": lambda k, p, q: kernel_basis(k.del_map(p, q)),
     "ker_delbar": lambda k, p, q: kernel_basis(k.delbar_map(p, q)),
     "ker_ddbar": lambda k, p, q: kernel_basis(_ddbar(k, (p, q))),
-    "bc_cocycles": lambda k, p, q: subspace_intersect(
-        _subspace(k, "ker_del", (p, q)), _subspace(k, "ker_delbar", (p, q))),
+    "bc_cocycles": lambda k, p, q: kernel_basis(_stack(k, (p, q))),
     "im_del": lambda k, p, q: image_basis(k.del_map(p - 1, q)),
     "im_delbar": lambda k, p, q: image_basis(k.delbar_map(p, q - 1)),
     "im_ddbar": lambda k, p, q: image_basis(_ddbar(k, (p - 1, q - 1))),
@@ -272,6 +271,21 @@ def _total(k):
     return _once(k, "total", lambda: totalize(k))
 
 
+def _stack(k, bid):
+    """The stack [del; delbar] out of ``bid``; its kernel is the
+    Bott-Chern cocycles there."""
+    d, db = k.del_map(*bid), k.delbar_map(*bid)
+    return place_blocks(d.rows + db.rows, d.cols, [(0, 0, d), (d.rows, 0, db)])
+
+
+def _by_degree(dims):
+    """A dict keyed by bidegree, summed along anti-diagonals."""
+    out = {}
+    for (p, q), d in sorted(dims.items()):
+        out[p + q] = out.get(p + q, 0) + d
+    return out
+
+
 def _block_ranks(k):
     """The block ranks of ``k`` (see the module docstring), by name:
     "del", "delbar", "ddbar", "stack" and "join" per support bidegree,
@@ -291,9 +305,7 @@ def _block_ranks(k):
             if db is not None and (p, q + 1) in dels:
                 ranks["ddbar"][bid] = rank(_ddbar(k, bid))
             ranks["stack"][bid] = (
-                rank(place_blocks(d.rows + db.rows, d.cols,
-                                  [(0, 0, d), (d.rows, 0, db)]))
-                if d is not None and db is not None
+                rank(_stack(k, bid)) if d is not None and db is not None
                 else rk_del.get(bid, 0) + rk_delbar.get(bid, 0))
             d, db = dels.get((p - 1, q)), delbars.get((p, q - 1))
             ranks["join"][bid] = (
@@ -318,10 +330,7 @@ def _keyed(k, name, by_degree):
     ranks = _block_ranks(k)[name]
     if not by_degree or name == "d":
         return ranks
-    out = {}
-    for (p, q), r in ranks.items():
-        out[p + q] = out.get(p + q, 0) + r
-    return out
+    return _by_degree(ranks)
 
 
 def _count(k, source, target, by_degree):
@@ -347,6 +356,13 @@ def _table(k, theory):
     return _once(k, ("table", theory), lambda: CohomologyTable(
         theory=theory,
         dims=_count(k, theory, theory, theory == "de_rham")))
+
+
+def totals(k, theory):
+    """The theory's table summed along anti-diagonals, as
+    :meth:`CohomologyTable.totals`, kept in the store so that the checks
+    sum each table once per complex."""
+    return _once(k, ("totals", theory), lambda: _table(k, theory).totals())
 
 
 def representatives(k, theory):
@@ -388,72 +404,94 @@ def de_rham(k):
     return _table(k, "de_rham")
 
 
+def _staircase_rank(k, r, a, b):
+    """rk M_r(a, b), the staircase of :func:`frolicher_pages`, counted at
+    most once per complex and kept in the store with every smaller
+    staircase it reduces to."""
+    ranks = _once(k, "staircase", dict)
+    key = (r, a, b)
+    if key not in ranks:
+        if r <= 1:
+            ranks[key] = _block_ranks(k)["delbar"].get((a, b), 0) if r else 0
+        elif not k.dimension(a, b):
+            # x_0 is empty, so its row is zero: the rest is M_{r-1}(a+1, b-1).
+            ranks[key] = _staircase_rank(k, r - 1, a + 1, b - 1)
+        elif not k.dimension(a + r - 1, b - r + 2):
+            # The last row is empty, so x_{r-1}, which only meets it, is
+            # a zero column: the rest is M_{r-1}(a, b).
+            ranks[key] = _staircase_rank(k, r - 1, a, b)
+        else:
+            ranks[key] = rank(_staircase(k, r, a, b))
+    return ranks[key]
+
+
+def _staircase(k, r, a, b):
+    """The matrix M_r(a, b) of :func:`frolicher_pages`, placed from the
+    stored blocks of ``k``."""
+    cols = [k.dimension(a + i, b - i) for i in range(r)]
+    rows = [k.dimension(a + j, b - j + 1) for j in range(r)]
+    col_at = [sum(cols[:i]) for i in range(r)]
+    row_at = [sum(rows[:j]) for j in range(r)]
+    dels, delbars = k.del_blocks(), k.delbar_blocks()
+    blocks = []
+    for j in range(r):
+        m = delbars.get((a + j, b - j))
+        if m is not None:
+            blocks.append((row_at[j], col_at[j], m))
+        m = dels.get((a + j - 1, b - j + 1)) if j else None
+        if m is not None:
+            blocks.append((row_at[j], col_at[j - 1], m))
+    return place_blocks(sum(rows), sum(cols), blocks)
+
+
 def frolicher_pages(k):
     """Spectral-sequence pages for the filtration by horizontal degree.
 
-    Page 1 is the Dolbeault table; the limit page refines de Rham
-    (anti-diagonal sums of the limit equal the Betti numbers).  Page r is
-    the subquotient of elements extendable to a length-r staircase divided
-    by staircase boundaries; both chains are computed by iterated
-    image/preimage steps, so every page dimension is exact.
+    Page r is counted from the ranks of staircase matrices.  M_r(a, b)
+    has column blocks x_i in A^{a+i, b-i} for i < r and row blocks
+    A^{a+j, b-j+1} for j < r; its diagonal block (j, j) is delbar out of
+    (a+j, b-j) and its block (j, j-1) is del out of (a+j-1, b-j+1), so
+    its rows are delbar x_0, del x_0 + delbar x_1, ...,
+    del x_{r-2} + delbar x_{r-1}.  M_0 = 0 and M_1(a, b) is delbar out of
+    (a, b), a block rank of the store.  Writing R_r for rk M_r, at (p, q):
 
-    The store seeds the chase: level-2 extendable elements are those whose
-    del lies in im delbar, and level-1 absorbable ones are the Dolbeault
-    cocycles.  After that, a step recomputes a chain entry only where its
-    neighbour moved in the last step, and a page entry only where one of
-    the chain entries it reads moved; the others repeat the last page.
-    Pages past ``r_stab`` are omitted, since they repeat it.
+    * Z_r, the x_0 of the kernel of M_r(p, q), has dimension
+      dim A^{p,q} - R_r(p, q) + R_{r-1}(p+1, q-1), since the kernel
+      vectors with x_0 = 0 are the kernel of M_{r-1}(p+1, q-1);
+    * B_r, the image of the last row of M_r(p-r+1, q+r-2) on the kernel
+      of the rows above it, has dimension
+      R_r(p-r+1, q+r-2) - R_{r-1}(p-r+1, q+r-2);
+    * the page is dim Z_r - dim B_r, so page 1 is the Dolbeault table.
+
+    Each rank is counted once per complex (``_staircase_rank``).  Pages
+    weakly decrease pointwise and the limit sums along anti-diagonals to
+    the Betti numbers, so the first page whose anti-diagonal totals equal
+    de Rham is the limit, ``r_stab``, and the loop stops there.  Page
+    p-width + 1 is the limit of any valid bounded complex; a complex that
+    has not reached de Rham by then raises LinAlgError instead of
+    looping.  Pages past ``r_stab`` are omitted, since they repeat it.
     """
-    dol = _pairs(k, "dolbeault")
     support = k.support()
     if not support:
         return FrolicherPages(pages={1: {}})
     p_values = [p for p, _ in support]
     hard_stop = max(p_values) - min(p_values) + 1
-    # extendable[(p,q)]: elements whose horizontal image can be chased
-    # through r-1 further anti-diagonal steps; absorbable mirrors it for
-    # boundaries.  Level 1 extendable = everything; level 0 absorbable = 0.
-    extendable = {bid: Subspace.full(k.dimension(*bid)) for bid in support}
-    absorbable = {bid: Subspace.zero(k.dimension(*bid)) for bid in support}
-    dims = {bid: z.dim - b.dim for bid, (z, b) in dol.items()}
-    dims_per_page = [dims]
-    while len(dims_per_page) < hard_stop:
-        if len(dims_per_page) == 1:
-            new_ext = {(p, q): preimage(
-                k.del_map(p, q), _subspace(k, "im_delbar", (p + 1, q)))
-                for (p, q) in support}
-            new_abs = {bid: z for bid, (z, _) in dol.items()}
-        else:
-            # An entry reads only its neighbour's previous level.
-            new_ext = {(p, q): preimage(k.del_map(p, q), image_basis(
-                k.delbar_map(p + 1, q - 1) @ extendable[(p + 1, q - 1)].basis))
-                for (p, q) in support if (p + 1, q - 1) in moved_ext}
-            new_abs = {(p, q): preimage(k.delbar_map(p, q), image_basis(
-                k.del_map(p - 1, q + 1) @ absorbable[(p - 1, q + 1)].basis))
-                for (p, q) in support if (p - 1, q + 1) in moved_abs}
-        # Subspaces are canonical, so != is exact: once neither chain
-        # moves, every later page repeats the last one.
-        moved_ext = {bid for bid, s in new_ext.items() if s != extendable[bid]}
-        moved_abs = {bid for bid, s in new_abs.items() if s != absorbable[bid]}
-        if not (moved_ext or moved_abs):
-            break
-        extendable.update(new_ext)
-        absorbable.update(new_abs)
-        dims = dict(dims)
-        for (p, q) in support:
-            if (p, q) not in moved_ext and (p - 1, q) not in moved_abs:
-                continue
-            z_dol, b = dol[(p, q)]
-            z = subspace_intersect(z_dol, extendable[(p, q)])
-            boundary_src = absorbable.get((p - 1, q))
-            if boundary_src is not None and boundary_src.dim:
-                b = subspace_sum(b, image_basis(
-                    k.del_map(p - 1, q) @ boundary_src.basis))
-            dims[(p, q)] = quotient_dim(z, b)
-        dims_per_page.append(dims)
-    r_stab = dims_per_page.index(dims_per_page[-1]) + 1  # first limit page
-    return FrolicherPages(pages=dict(enumerate(dims_per_page[:r_stab],
-                                               start=1)))
+    betti = de_rham(k).dims
+    pages = {}
+
+    def rk(r, a, b):
+        return _staircase_rank(k, r, a, b)
+
+    for r in range(1, hard_stop + 1):
+        pages[r] = page = {
+            (p, q): k.dimension(p, q) - rk(r, p, q) + rk(r - 1, p + 1, q - 1)
+            - rk(r, p - r + 1, q + r - 2) + rk(r - 1, p - r + 1, q + r - 2)
+            for (p, q) in support}
+        sums = _by_degree(page)
+        if all(sums.get(deg, 0) == d for deg, d in betti.items()):
+            return FrolicherPages(pages=pages)
+    raise LinAlgError(f"Frolicher pages did not reach de Rham by page "
+                      f"{hard_stop}, the p-width + 1")
 
 
 def _map_ranks(k, source, target):

@@ -704,6 +704,33 @@ class TestCliPlumbing:
                           "--bogus"]) == EXIT_USAGE
         assert clio.main(["frobnicate"]) == EXIT_USAGE
 
+    def test_parser_is_built_once(self):
+        assert clio.build_parser() is clio.build_parser()
+
+    def test_usage_error_after_a_successful_call(self, capsys):
+        """The shared parser still refuses bad flags after a call that
+        parsed cleanly."""
+        assert clio.main(["validate", "--preset", "iwasawa"]) == EXIT_OK
+        assert clio.main(["check"]) == EXIT_USAGE
+        assert clio.main(["check", "--preset", "torus1",
+                          "--bogus"]) == EXIT_USAGE
+        assert clio.main(["validate", "--preset", "iwasawa"]) == EXIT_OK
+
+    def test_no_flag_state_leaks_between_calls(self, tmp_path):
+        """render --no-hide-squares does not change the next render's
+        default."""
+        def render(*flags):
+            assert clio.main(["render", "--preset", "iwasawa", "--format",
+                              "dot", *flags, "--out", str(tmp_path)]) \
+                == EXIT_OK
+            return (tmp_path / "diagram.dot").read_text()
+
+        hidden = render()
+        assert "square (1,1)" in render("--no-hide-squares")
+        assert render() == hidden
+        assert "square" not in hidden
+        assert clio.parse_args(["render", "--preset", "iwasawa"]).hide_squares
+
     def test_convert_bba_to_json(self, tmp_path, capsys):
         rc = clio.main(["convert", "--in", str(DATA_BBA),
                         "--out", str(tmp_path)])

@@ -29,12 +29,13 @@ Hand-derived frozen values used below:
 """
 
 import math
+import sys
 from collections import Counter
 from dataclasses import fields
 
 import pytest
 
-from bicomplex_lab import checkers, cohomology
+from bicomplex_lab import checkers, clio, cohomology
 from bicomplex_lab.bicomplex import Bicomplex, ensure_valid, totalize
 from bicomplex_lab.checkers import run_all_checks
 from bicomplex_lab.clio import PRESETS
@@ -54,6 +55,7 @@ from bicomplex_lab.cohomology import (
     representatives,
 )
 from bicomplex_lab.exactla import (
+    LinAlgError,
     Matrix,
     Subspace,
     image_basis,
@@ -336,10 +338,18 @@ def _scrambled(part, seed):
     return apply_basis_change(k, scramble_matrices(k, seed))
 
 
+def scrambled_singles():
+    """Scrambled as the ddbar-Lemma tests scramble them, a square, a dot
+    and every zigzag of 2 to 5 dots in [0, 3]^2, with their labels."""
+    singles = [Square((1, 1)), Zigzag(((2, 0),))] \
+        + zigzags_in_box(3, range(2, 6))
+    return [(repr(part), lambda part=part, seed=seed: _scrambled(part, seed))
+            for seed, part in enumerate(singles)]
+
+
 def rank_nullity_inputs():
     """Every preset, nil4, nil5, random complexes (seeds 0-99, plain and
-    symmetric) and, scrambled as the ddbar-Lemma tests scramble them, a
-    square, a dot and every zigzag of 2 to 5 dots in [0, 3]^2."""
+    symmetric) and the scrambled singles."""
     inputs = [(name, make) for name, make in sorted(PRESETS.items())]
     inputs += [("nil4", nil4), ("nil5", nil5)]
     for symmetric in (False, True):
@@ -347,12 +357,7 @@ def rank_nullity_inputs():
                     lambda seed=seed, symmetric=symmetric: random_bicomplex(
                         seed, symmetric=symmetric).bicomplex)
                    for seed in range(100)]
-    singles = [Square((1, 1)), Zigzag(((2, 0),))] \
-        + zigzags_in_box(3, range(2, 6))
-    inputs += [(repr(part),
-                lambda part=part, seed=seed: _scrambled(part, seed))
-               for seed, part in enumerate(singles)]
-    return inputs
+    return inputs + scrambled_singles()
 
 
 class TestTablesFromKernelRanks:
@@ -546,7 +551,8 @@ class TestStructureModels:
 
 @pytest.fixture(scope="module")
 def page_inputs():
-    inputs = [*EXAMPLES, nil4()]
+    inputs = [*EXAMPLES, nil4(), nil5()]
+    inputs += [make() for _, make in scrambled_singles()]
     inputs += [random_bicomplex(seed)[0] for seed in range(300)]
     inputs += [random_bicomplex(seed, symmetric=True)[0]
                for seed in range(100)]
@@ -584,6 +590,9 @@ class TestFrolicherPages:
                     assert d <= pages.pages[r - 1][bid]
 
     def test_limit_refines_de_rham(self):
+        """Implied by the stop rule, which ends the pages at the first one
+        whose anti-diagonal totals equal de Rham; kept as a plain
+        statement of the limit."""
         for k in EXAMPLES:
             limit = frolicher_pages(k).e_infinity
             betti = de_rham(k).dims
@@ -605,43 +614,81 @@ class TestFrolicherPages:
             assert frolicher_pages(k) == reference_frolicher_pages(k), \
                 k.label
 
-    def test_page_loop_stops_once_both_chains_are_stable(self, monkeypatch):
-        """On nil4 (support p-width 5) the page chains settle after three
-        steps; no page past that is chased, so each support bidegree gets
-        at most two preimages per page up to one past r_stab."""
-        k = nil4()
-        calls = []
-
-        def counted(m, w, _original=cohomology.preimage):
-            calls.append(m)
-            return _original(m, w)
-
-        monkeypatch.setattr(cohomology, "preimage", counted)
-        pages = frolicher_pages(k)
-        assert pages.r_stab == 2
-        assert len(calls) <= 2 * len(k.support()) * (pages.r_stab + 1)
-
-    @pytest.mark.parametrize("make, preimages, intersections",
-                             [(nil4, 59, 31), (iwasawa, 29, 13)],
+    @pytest.mark.parametrize("make, r_stab, staircases",
+                             [(nil4, 2, 20), (iwasawa, 2, 12)],
                              ids=["nil4", "iwasawa"])
-    def test_only_moved_entries_are_chased(self, monkeypatch, make,
-                                           preimages, intersections):
-        """With the Dolbeault pairs in the store, the chase takes only the
-        preimages and intersections of chain and page entries that moved.
-        Recomputing every entry on every page took 150 preimages and 75
-        intersections on nil4, and 96 and 48 on iwasawa."""
+    def test_staircase_ranks_are_pinned(self, monkeypatch, make, r_stab,
+                                        staircases):
+        """With the tables in the store, the pages rank only staircases
+        M_r with r >= 2, each one once: M_1 is a stored block rank, and
+        an empty first column or last row reduces M_r to a smaller
+        staircase.  The subspace chase took 59 preimages and 31
+        intersections on nil4, and 29 and 13 on iwasawa."""
         k = make()
-        dolbeault(k)
-        calls = {"preimage": 0, "subspace_intersect": 0}
-        for name in calls:
-            def counted(*args, _original=getattr(cohomology, name),
-                        _name=name):
-                calls[_name] += 1
-                return _original(*args)
-            monkeypatch.setattr(cohomology, name, counted)
+        for theory in THEORIES:
+            cohomology._table(k, theory)
+        built, ranked = [], []
+
+        def counted_staircase(k, r, a, b, _original=cohomology._staircase):
+            built.append((r, a, b))
+            return _original(k, r, a, b)
+
+        def counted_rank(m, _original=cohomology.rank):
+            ranked.append(m)
+            return _original(m)
+
+        monkeypatch.setattr(cohomology, "_staircase", counted_staircase)
+        monkeypatch.setattr(cohomology, "rank", counted_rank)
+        pages = frolicher_pages(k)
+        assert pages.r_stab == r_stab
+        assert len(built) == len(set(built)) == len(ranked) == staircases
+        assert min(r for r, _, _ in built) == 2
         frolicher_pages(k)
-        assert calls == {"preimage": preimages,
-                         "subspace_intersect": intersections}
+        assert len(built) == staircases
+
+    def test_pages_build_no_subspace(self, monkeypatch):
+        """The pages and all_tables count from ranks alone: every subspace
+        routine raises, in every module of the package."""
+        def refuse(*args):
+            raise AssertionError("a subspace was built")
+
+        for module in [module for name, module in sys.modules.items()
+                       if name.startswith("bicomplex_lab")]:
+            for name in ("kernel_basis", "image_basis", "complete_basis",
+                         "subspace_intersect", "subspace_sum", "preimage",
+                         "quotient_dim"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        for name in ("full", "zero", "from_columns"):
+            monkeypatch.setattr(Subspace, name, refuse)
+        subspaces = set(cohomology._SUBSPACES) \
+            | set(cohomology._TOTAL_SUBSPACES)
+        for k in [nil4(), iwasawa(), kodaira_surface(),
+                  *(random_bicomplex(seed).bicomplex for seed in range(20))]:
+            assert frolicher_pages(k) == all_tables(k).frolicher
+            names = {key[0] for key in k._store if isinstance(key, tuple)}
+            assert not names & subspaces, k.label
+
+    def test_stop_guard_raises_on_a_wrong_de_rham(self, monkeypatch, capsys):
+        """No page of kodaira sums to Betti numbers one too large, so the
+        loop stops at page p-width + 1 with LinAlgError, which the CLI
+        maps to the internal-error exit."""
+        table = cohomology._table
+
+        def wrong(k, theory):
+            right = table(k, theory)
+            if theory != "de_rham":
+                return right
+            return cohomology.CohomologyTable(
+                theory="de_rham",
+                dims={deg: d + 1 for deg, d in right.dims.items()})
+
+        monkeypatch.setattr(cohomology, "_table", wrong)
+        with pytest.raises(LinAlgError, match="page 3"):
+            frolicher_pages(kodaira_surface())
+        assert clio.main(["cohomology", "--preset", "kodaira",
+                          "--format", "json"]) == clio.EXIT_INTERNAL
+        assert "LinAlgError" in capsys.readouterr().err
 
 
 class TestNaturalMaps:
@@ -767,9 +814,11 @@ class TestStore:
                                       lambda: random_bicomplex(6)[0]],
                              ids=["iwasawa", "random-seed-6"])
     def test_each_block_is_reduced_once(self, monkeypatch, make):
-        """all_tables then run_all_checks pass no matrix to the kernel or
-        image routine twice, and take at most three kernels per bidegree
-        plus one per total degree."""
+        """all_tables takes no kernel and no image.  run_all_checks then
+        takes them only for the Bott-Chern representatives, which the
+        pairing check reads: one kernel of [del; delbar] and one image of
+        del delbar per support bidegree where the complex carries
+        pairings, none otherwise, and no matrix twice."""
         k = make()
         calls = {"kernel_basis": [], "image_basis": []}
         for name, seen in calls.items():
@@ -778,12 +827,11 @@ class TestStore:
                 return _original(m)
             monkeypatch.setattr(cohomology, name, counted)
         all_tables(k)
+        assert calls == {"kernel_basis": [], "image_basis": []}
         run_all_checks(k)
+        expected = len(k.support()) if k.pairings is not None else 0
         for name, seen in calls.items():
-            assert seen, name
-            assert len({id(m) for m in seen}) == len(seen), name
-        assert len(calls["kernel_basis"]) \
-            <= 3 * len(k.support()) + len(totalize(k).degrees())
+            assert len({id(m) for m in seen}) == len(seen) == expected, name
 
     def test_ddbar_is_built_once_per_bidegree(self, monkeypatch):
         """ker ddbar at (p, q), im ddbar at (p + 1, q + 1) and the square
