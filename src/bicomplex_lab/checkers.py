@@ -336,9 +336,10 @@ def run_all_checks(k):
 
     They share the complex's store, so the five tables, their
     anti-diagonal totals, the Bott-Chern to Aeppli map and the
-    real-structure verdict are computed once for all of them, the Bott-Chern representatives only when the pairing
-    check applies, and the Frolicher pages, the other six maps, the
-    other theories' representatives and a decomposition not at all.
+    real-structure verdict are computed once for all of them, the
+    Bott-Chern representatives only when the pairing check applies, and
+    the Frolicher pages, the other six maps, the other theories'
+    representatives and a decomposition not at all.
     """
     return (frolicher_check(k), non_ddbar_degrees(k), upper_bound_check(k),
             char_minus_check(k), ddbar_lemma_check(k),

@@ -100,6 +100,7 @@ subspace unless the complex carries pairings.
 """
 
 from dataclasses import dataclass, fields, make_dataclass
+from itertools import accumulate
 
 from .bicomplex import ensure_valid, totalize
 from .exactla import (
@@ -411,10 +412,13 @@ def _staircase_rank(k, r, a, b):
     ranks = _once(k, "staircase", dict)
     key = (r, a, b)
     if key not in ranks:
-        if r <= 1:
-            ranks[key] = _block_ranks(k)["delbar"].get((a, b), 0) if r else 0
+        if r == 0:
+            ranks[key] = 0
+        elif r == 1:
+            ranks[key] = _block_ranks(k)["delbar"].get((a, b), 0)
         elif not k.dimension(a, b):
-            # x_0 is empty, so its row is zero: the rest is M_{r-1}(a+1, b-1).
+            # x_0 is empty, so its row is zero: the rest is
+            # M_{r-1}(a+1, b-1).
             ranks[key] = _staircase_rank(k, r - 1, a + 1, b - 1)
         elif not k.dimension(a + r - 1, b - r + 2):
             # The last row is empty, so x_{r-1}, which only meets it, is
@@ -428,10 +432,9 @@ def _staircase_rank(k, r, a, b):
 def _staircase(k, r, a, b):
     """The matrix M_r(a, b) of :func:`frolicher_pages`, placed from the
     stored blocks of ``k``."""
-    cols = [k.dimension(a + i, b - i) for i in range(r)]
-    rows = [k.dimension(a + j, b - j + 1) for j in range(r)]
-    col_at = [sum(cols[:i]) for i in range(r)]
-    row_at = [sum(rows[:j]) for j in range(r)]
+    col_at = [0, *accumulate(k.dimension(a + i, b - i) for i in range(r))]
+    row_at = [0, *accumulate(k.dimension(a + j, b - j + 1)
+                             for j in range(r))]
     dels, delbars = k.del_blocks(), k.delbar_blocks()
     blocks = []
     for j in range(r):
@@ -441,7 +444,7 @@ def _staircase(k, r, a, b):
         m = dels.get((a + j - 1, b - j + 1)) if j else None
         if m is not None:
             blocks.append((row_at[j], col_at[j - 1], m))
-    return place_blocks(sum(rows), sum(cols), blocks)
+    return place_blocks(row_at[-1], col_at[-1], blocks)
 
 
 def frolicher_pages(k):

@@ -6,8 +6,10 @@ intersections/sums via stacked and concatenated matrices), written before
 the implementation, which now counts its tables from block ranks too.  The
 cross-checks against a different derivation are the store's canonical
 subspaces: each table must equal dim cocycles - dim coboundaries over
-them, and each natural map the elimination rule dim((Z + B) / B) of
-``reference_natural_maps``.
+them, each natural map the elimination rule dim((Z + B) / B) of
+``reference_natural_maps``, and the Frolicher pages, counted from
+staircase ranks, the preimage/intersection chase of
+``reference_frolicher_pages``.
 
 Hand-derived frozen values used below:
 
@@ -214,7 +216,7 @@ def nil5():
 
 
 # --------------------------------------------------------------------------
-# Reference page loop: every chain and page entry recomputed on every page.
+# Reference page loop: the subspace chase the library no longer runs.
 # --------------------------------------------------------------------------
 
 def _map_image(m, sub):
@@ -225,7 +227,10 @@ def _map_image(m, sub):
 
 
 def reference_frolicher_pages(k):
-    """The full-recompute page loop, with Dolbeault pairs of its own."""
+    """The page chase, every chain and page entry recomputed on every page
+    over Dolbeault pairs of its own: page r is the Dolbeault cocycles
+    whose del extends along a length-r staircase, modulo the images of
+    staircase boundaries.  It stops once neither chain moves."""
     support = k.support()
     if not support:
         return FrolicherPages(pages={1: {}})
