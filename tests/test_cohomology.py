@@ -30,10 +30,12 @@ Hand-derived frozen values used below:
   divided out: Bott-Chern is 2 there, and by conjugation 2 at (0,1).
 """
 
+import hashlib
+import json
 import math
 import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import pytest
 
@@ -213,6 +215,12 @@ def nil4():
 def nil5():
     return from_structure_equations(parse_structure_text(
         "n = 5\nd w3 = -1* w1^w2\nd w4 = w1^cw1\nd w5 = w1^w3\n"))
+
+
+def nil6():
+    return from_structure_equations(parse_structure_text(
+        "n = 6\nd w3 = -1* w1^w2\nd w4 = w1^cw1\nd w5 = w1^w3\n"
+        "d w6 = w1^w4\n"))
 
 
 # --------------------------------------------------------------------------
@@ -552,6 +560,34 @@ class TestStructureModels:
         for theory in ("bott_chern", "aeppli"):
             dims = TABLES[theory](preset).dims
             assert all(dims[(p, q)] == dims[(q, p)] for (p, q) in dims)
+
+
+LADDER_DIGEST = ("dd2f74cdaf58cc3670883d1ef63f98a2"
+                 "f0f9ff053f405a1bb9dc940de39cbd95")
+
+
+def _plain(obj):
+    """Dataclasses as dicts and tuple keys as "p,q", for ``json.dumps``."""
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {",".join(map(str, key)) if isinstance(key, tuple)
+                else str(key): _plain(value) for key, value in obj.items()}
+    return obj
+
+
+def test_ladder_outputs_are_pinned():
+    """SHA-256 over the JSON of ``all_tables`` (the five tables, the
+    Frolicher pages and the natural-map ranks) and of ``run_all_checks``,
+    each on a fresh nil5 (dim 1024) and nil6 (dim 4096): the large blocks
+    that no preset reaches."""
+    h = hashlib.sha256()
+    for make in (nil5, nil6):
+        outputs = {"all_tables": _plain(all_tables(make())),
+                   "run_all_checks": [report.to_json_dict()
+                                      for report in run_all_checks(make())]}
+        h.update(json.dumps(outputs, sort_keys=True).encode())
+    assert h.hexdigest() == LADDER_DIGEST
 
 
 @pytest.fixture(scope="module")
