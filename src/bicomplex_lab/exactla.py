@@ -379,20 +379,21 @@ def place_blocks(rows, cols, blocks):
     return Matrix._from_sparse(rows, cols, data)
 
 
-def _echelon(work):
-    """Reduced column echelon of the sparse columns ``work``, in place.
+def _forward(work):
+    """Forward elimination of the sparse columns ``work``, in place.
 
-    The module's one elimination: ``rce`` and ``rank`` run it on the
-    columns of a matrix, ``kernel_basis`` and ``solve`` on its rows.
-    Returns ``(pivot_row, column)`` pairs sorted by pivot row, each column
-    1 in its own pivot row and 0 in the others.
+    The module's one elimination loop.  Returns ``(pivot_row, column)``
+    pairs in pivot order: each column leads at its own pivot row, which no
+    later column reaches, so their number is the rank.  Pivots are not
+    scaled, and later columns are left uncleared in earlier pivot rows.
 
     Every remaining column is zero in all rows above ``r`` when row ``r`` is
     reached, so a column's lead (its least stored row) tells at once whether
     it is nonzero in row ``r``.  The columns are kept in buckets by lead, and
     a heap holds the leads: the pivot for row ``r`` is the lowest index in
     its bucket, rows that no lead reaches have no pivot, and only the
-    columns eliminated at ``r`` move to a new bucket.
+    columns eliminated at ``r`` move to a new bucket.  A bucket of one
+    column is its own pivot and needs no work.
     """
     buckets = {}
     for j, c in enumerate(work):
@@ -406,14 +407,15 @@ def _echelon(work):
         bucket = buckets.pop(r)
         j = min(bucket)
         col = work[j]
-        piv = col[r]
-        if not (piv.re == 1 and not piv.im):
-            col = _scale(col, piv.inverse())
+        out.append((r, col))
+        if len(bucket) == 1:
+            continue
+        ninv = -col[r].inverse()
         for k in bucket:
             if k == j:
                 continue
             c = work[k]
-            _add_scaled(c, -c[r], col)
+            _add_scaled(c, c[r] * ninv, col)
             if c:
                 lead = min(c)
                 moved = buckets.get(lead)
@@ -422,22 +424,38 @@ def _echelon(work):
                     heappush(heap, lead)
                 else:
                     moved.append(k)
-        for _, c in out:
-            f = c.get(r)
-            if f is not None:
-                _add_scaled(c, -f, col)
-        out.append((r, col))
     return out
+
+
+def _echelon(work):
+    """Reduced column echelon of the sparse columns ``work``.
+
+    ``rce`` runs it on the columns of a matrix, ``kernel_basis`` and
+    ``solve`` on its rows.  Returns ``(pivot_row, column)`` pairs sorted by
+    pivot row, each column 1 in its own pivot row and 0 in the others.
+
+    :func:`_forward` finds the pivots; one back-substitution then walks
+    them from the last up, scaling each column to 1 and reducing it by the
+    columns already finished (``_reduce``), which visits only the pivot
+    rows the column stores.
+    """
+    done = {}
+    for r, col in reversed(_forward(work)):
+        piv = col[r]
+        if not (piv.re == 1 and not piv.im):
+            col = _scale(col, piv.inverse())
+        done[r] = _reduce(col, done)
+    return sorted(done.items())
 
 
 def _reduce(v, pivots):
     """Reduce the sparse column ``v`` in place by reduced echelon columns.
 
     ``pivots`` maps each pivot row to its column, as
-    :meth:`Subspace._pivots` returns it; the result, also returned, is zero
-    in every pivot row.  Only the pivot rows ``v`` stores are visited: an
-    echelon column is zero in every other pivot row, so subtracting it
-    never touches them.
+    :meth:`Subspace._pivots` returns it or as ``_echelon`` finishes them;
+    the result, also returned, is zero in every pivot row.  Only the pivot
+    rows ``v`` stores are visited: an echelon column is zero in every
+    other pivot row, so subtracting it never touches them.
     """
     for prow in [r for r in v if r in pivots]:
         _add_scaled(v, -v[prow], pivots[prow])
@@ -453,9 +471,10 @@ def rce(m):
 
 
 def rank(m):
+    """The rank of ``m``: the number of pivots of the forward pass alone."""
     if m.is_zero():
         return 0
-    return len(_echelon([dict(c) for c in m._data]))
+    return len(_forward([dict(c) for c in m._data]))
 
 
 class Subspace:

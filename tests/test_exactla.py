@@ -125,11 +125,12 @@ class TestKernelImageSolve:
     @pytest.mark.parametrize("cols", [0, 1, 3])
     def test_zero_matrix_needs_no_elimination(self, monkeypatch, rows, cols):
         """A matrix that stores no entry gets the canonical kernel, image
-        and rank without a call to the elimination."""
-        def no_echelon(work):
-            raise AssertionError("_echelon called on a zero matrix")
+        and rank without a call to either pass of the elimination."""
+        def no_elimination(work):
+            raise AssertionError("elimination called on a zero matrix")
 
-        monkeypatch.setattr(exactla, "_echelon", no_echelon)
+        monkeypatch.setattr(exactla, "_echelon", no_elimination)
+        monkeypatch.setattr(exactla, "_forward", no_elimination)
         zero = Matrix.zero(rows, cols)
         assert kernel_basis(zero) == Subspace.full(cols)
         assert image_basis(zero) == Subspace.zero(rows)
@@ -626,6 +627,23 @@ class TestAgainstTextbookElimination:
     @given(bucketed_matrices())
     def test_rce(self, m):
         assert rce(m) == textbook_rce(m)
+
+    @settings(max_examples=80, deadline=None)
+    @given(bucketed_matrices())
+    def test_rank(self, m):
+        # The pivots are not scaled in the forward pass, so non-unit
+        # pivots such as 1/2 + 1/3 i reach the elimination factor.
+        assert rank(m) == textbook_rce(m).cols
+
+    @settings(max_examples=40, deadline=None)
+    @given(bucketed_matrices())
+    def test_rank_never_back_substitutes(self, m):
+        def no_echelon(work):
+            raise AssertionError("rank called _echelon")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exactla, "_echelon", no_echelon)
+            rank(m)
 
     @settings(max_examples=80, deadline=None)
     @given(bucketed_matrices())
