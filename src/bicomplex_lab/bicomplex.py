@@ -458,6 +458,8 @@ def from_json_dict(obj, *, default_label=""):
                 continue
             columns = [{} for _ in range(width)]
             for i, row in enumerate(rows):
+                if row.count("0") == width:  # an all-zero row stores nothing
+                    continue
                 for j, cell in enumerate(row):
                     if cell == "0":  # most cells; sparse columns skip zeros
                         continue

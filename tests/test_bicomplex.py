@@ -309,6 +309,22 @@ class TestJson:
         assert k.del_map(0, 0) == Matrix.from_rows(
             [[half, scalar(0)], [scalar(0), half]])
 
+    @pytest.mark.parametrize("cell", [0, 1, None])
+    def test_rejects_non_string_cell_with_location(self, cell):
+        """An int 0 is not the string "0": a row of zeros and one such cell
+        is not skipped as all-zero, and the cell reaches the type check."""
+        with pytest.raises(BicomplexFormatError,
+                           match=r"del block at \(0,0\), row 1, column 0: "
+                                 r"entries must be scalar strings"):
+            from_json_dict({"spaces": {"0,0": 2, "1,0": 2},
+                            "del": {"0,0": [["1", "0"], [cell, "0"]]}})
+
+    def test_all_zero_rows_store_nothing(self):
+        k = from_json_dict({"spaces": {"0,0": 2, "1,0": 3},
+                            "del": {"0,0": [["0", "0"], ["0", "i"],
+                                            ["0", "0"]]}})
+        assert k.del_map(0, 0)._data == [{}, {1: scalar(0, 1)}]
+
     @pytest.mark.parametrize("obj, key", [
         ({"n": True, "spaces": {}}, "n must be"),
         ({"spaces": {"0,0": True}}, "spaces['0,0']"),

@@ -139,6 +139,16 @@ class TestParseBicomplexFile:
         err = capsys.readouterr().err
         assert "del block at (0,0)" in err and "row 1" in err
 
+    @pytest.mark.parametrize("cell", [0, 1, None])
+    def test_non_string_cell_is_input_error(self, tmp_path, capsys, cell):
+        path = tmp_path / "cell.json"
+        path.write_text(json.dumps({"spaces": {"0,0": 2, "1,0": 2},
+                                    "del": {"0,0": [["1", "0"],
+                                                    [cell, "0"]]}}))
+        assert clio.main(["validate", "--in", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "row 1, column 0: entries must be scalar strings" in err
+
     def test_json_boolean_dimension_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bool.json"
         path.write_text(json.dumps({"n": 1, "spaces": {"0,0": True}}))
