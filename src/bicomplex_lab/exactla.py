@@ -12,14 +12,16 @@ entries, while the public constructor and accessors keep speaking dense
 lists of scalars.  A subspace is represented by its reduced column echelon
 basis (leading entry of each column is 1, pivot rows strictly increasing,
 pivot rows cleared in all other columns), which is unique per subspace and
-therefore usable for equality tests.  Every such basis comes out of one
-pass of the one elimination, ``_echelon``: run on the columns of a matrix
-for images and ranks, and on its rows for kernels, preimages,
-intersections and solves.  Its bookkeeping scales with stored entries: a
-heap of lead rows picks each pivot, and a reduction visits only the pivot
-rows a vector actually has.  A matrix that stores no entry skips it:
-``rce``, ``rank`` and ``kernel_basis`` return their canonical answer at
-once.
+therefore usable for equality tests.  There is one elimination, in two
+passes.  The forward pass, ``_forward``, finds the pivots; a rank is
+their number, so ``rank`` runs nothing else.  ``_echelon`` follows it with
+one back-substitution from the last pivot up, and every basis comes out
+of it: run on the columns of a matrix for images, and on its rows for
+kernels, preimages, intersections and solves.  Both passes scale with
+stored entries: a heap of lead rows picks each pivot, and a reduction
+visits only the pivot rows a vector actually has.  A matrix that stores no
+entry skips both: ``rce``, ``rank`` and ``kernel_basis`` return their
+canonical answer at once.
 """
 
 import re as _re_module
@@ -330,9 +332,12 @@ class Matrix:
         if self.cols != other.rows:
             raise LinAlgError("matmul dimension mismatch")
         out = [{} for _ in other._data]
+        data = self._data
         for col, vec in zip(out, other._data):
             for j, f in vec.items():
-                _add_scaled(col, f, self._data[j])
+                src = data[j]
+                if src:  # a zero column adds nothing
+                    _add_scaled(col, f, src)
         return Matrix._from_sparse(self.rows, other.cols, out)
 
     def __add__(self, other):
@@ -379,13 +384,15 @@ def place_blocks(rows, cols, blocks):
     return Matrix._from_sparse(rows, cols, data)
 
 
-def _forward(work):
-    """Forward elimination of the sparse columns ``work``, in place.
+def _forward(columns):
+    """Forward elimination of the sparse columns ``columns``.
 
     The module's one elimination loop.  Returns ``(pivot_row, column)``
-    pairs in pivot order: each column leads at its own pivot row, which no
-    later column reaches, so their number is the rank.  Pivots are not
-    scaled, and later columns are left uncleared in earlier pivot rows.
+    pairs by increasing pivot row, each column leading at its own pivot
+    row, so their number is the rank.  Pivots are not scaled, and a column
+    is not cleared in the pivot rows below its own.  ``columns`` is left
+    as it is: the pass copies a column before it eliminates it, so a
+    column that is only ever a pivot comes back as given.
 
     Every remaining column is zero in all rows above ``r`` when row ``r`` is
     reached, so a column's lead (its least stored row) tells at once whether
@@ -395,6 +402,7 @@ def _forward(work):
     columns eliminated at ``r`` move to a new bucket.  A bucket of one
     column is its own pivot and needs no work.
     """
+    work = list(columns)
     buckets = {}
     for j, c in enumerate(work):
         if c:
@@ -414,7 +422,7 @@ def _forward(work):
         for k in bucket:
             if k == j:
                 continue
-            c = work[k]
+            c = work[k] = dict(work[k])
             _add_scaled(c, c[r] * ninv, col)
             if c:
                 lead = min(c)
@@ -427,12 +435,13 @@ def _forward(work):
     return out
 
 
-def _echelon(work):
-    """Reduced column echelon of the sparse columns ``work``.
+def _echelon(columns):
+    """Reduced column echelon of the sparse columns ``columns``.
 
     ``rce`` runs it on the columns of a matrix, ``kernel_basis`` and
     ``solve`` on its rows.  Returns ``(pivot_row, column)`` pairs sorted by
     pivot row, each column 1 in its own pivot row and 0 in the others.
+    The columns are new dicts; ``columns`` is left as it is.
 
     :func:`_forward` finds the pivots; one back-substitution then walks
     them from the last up, scaling each column to 1 and reducing it by the
@@ -440,10 +449,10 @@ def _echelon(work):
     rows the column stores.
     """
     done = {}
-    for r, col in reversed(_forward(work)):
+    for r, col in reversed(_forward(columns)):
         piv = col[r]
-        if not (piv.re == 1 and not piv.im):
-            col = _scale(col, piv.inverse())
+        col = (dict(col) if piv.re == 1 and not piv.im
+               else _scale(col, piv.inverse()))
         done[r] = _reduce(col, done)
     return sorted(done.items())
 
@@ -451,11 +460,12 @@ def _echelon(work):
 def _reduce(v, pivots):
     """Reduce the sparse column ``v`` in place by reduced echelon columns.
 
-    ``pivots`` maps each pivot row to its column, as
-    :meth:`Subspace._pivots` returns it or as ``_echelon`` finishes them;
-    the result, also returned, is zero in every pivot row.  Only the pivot
-    rows ``v`` stores are visited: an echelon column is zero in every
-    other pivot row, so subtracting it never touches them.
+    ``pivots`` maps each pivot row to its column: a subspace's basis, as
+    :meth:`Subspace._pivots` returns it, or the columns ``_echelon`` has
+    finished, which all lead below ``v``'s own pivot.  The result, also
+    returned, is zero in every pivot row.  Only the pivot rows ``v``
+    stores are visited: an echelon column is zero in every other pivot
+    row, so subtracting it never touches them.
     """
     for prow in [r for r in v if r in pivots]:
         _add_scaled(v, -v[prow], pivots[prow])
@@ -466,7 +476,7 @@ def rce(m):
     """Canonical reduced column echelon form (zero columns dropped)."""
     if m.is_zero():
         return Matrix.zero(m.rows, 0)
-    pivots = _echelon([dict(c) for c in m._data])
+    pivots = _echelon(m._data)
     return Matrix._from_sparse(m.rows, len(pivots), [c for _, c in pivots])
 
 
@@ -474,7 +484,7 @@ def rank(m):
     """The rank of ``m``: the number of pivots of the forward pass alone."""
     if m.is_zero():
         return 0
-    return len(_forward([dict(c) for c in m._data]))
+    return len(_forward(m._data))
 
 
 class Subspace:
