@@ -332,12 +332,9 @@ class Matrix:
         if self.cols != other.rows:
             raise LinAlgError("matmul dimension mismatch")
         out = [{} for _ in other._data]
-        data = self._data
         for col, vec in zip(out, other._data):
             for j, f in vec.items():
-                src = data[j]
-                if src:  # a zero column adds nothing
-                    _add_scaled(col, f, src)
+                _add_scaled(col, f, self._data[j])
         return Matrix._from_sparse(self.rows, other.cols, out)
 
     def __add__(self, other):

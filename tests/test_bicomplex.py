@@ -319,12 +319,6 @@ class TestJson:
             from_json_dict({"spaces": {"0,0": 2, "1,0": 2},
                             "del": {"0,0": [["1", "0"], [cell, "0"]]}})
 
-    def test_all_zero_rows_store_nothing(self):
-        k = from_json_dict({"spaces": {"0,0": 2, "1,0": 3},
-                            "del": {"0,0": [["0", "0"], ["0", "i"],
-                                            ["0", "0"]]}})
-        assert k.del_map(0, 0)._data == [{}, {1: scalar(0, 1)}]
-
     @pytest.mark.parametrize("obj, key", [
         ({"n": True, "spaces": {}}, "n must be"),
         ({"spaces": {"0,0": True}}, "spaces['0,0']"),
