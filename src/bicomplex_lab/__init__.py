@@ -17,8 +17,8 @@ from .checkers import (ALL_CHECK_NAMES, THEOREM_CHECK_NAMES, CheckReport,
                        schweitzer_pairing_check, upper_bound_check)
 from .cohomology import (AllTables, CohomologyTable, FrolicherPages,
                          NaturalMapRanks, aeppli, all_tables, bott_chern,
-                         conj_dolbeault, de_rham, dolbeault, frolicher_pages,
-                         natural_maps, representatives)
+                         bott_chern_representatives, conj_dolbeault, de_rham,
+                         dolbeault, frolicher_pages, natural_maps)
 from .exactla import ExactScalar, Matrix, Subspace
 from .models import (from_structure_equations, iwasawa, kodaira_surface,
                      parse_structure_text, random_bicomplex, torus)
@@ -35,13 +35,14 @@ __all__ = [
     "ExactScalar", "FrolicherPages", "Matrix", "NaturalMapRanks",
     "Square", "Subspace",
     "THEOREM_CHECK_NAMES", "Violation", "Zigzag", "aeppli", "all_tables",
-    "bott_chern", "char_minus_check", "check_real_structure",
-    "conj_dolbeault", "count_cohomology_from_zigzags", "ddbar_lemma_check",
+    "bott_chern", "bott_chern_representatives", "char_minus_check",
+    "check_real_structure", "conj_dolbeault",
+    "count_cohomology_from_zigzags", "ddbar_lemma_check",
     "de_rham", "decompose", "dolbeault", "duality_check", "ensure_valid",
     "frolicher_check", "frolicher_pages", "from_structure_equations",
     "iwasawa", "kodaira_surface", "mirror_part", "natural_maps",
     "non_ddbar_degrees", "parse_structure_text", "random_bicomplex",
-    "representatives", "run_all_checks", "schweitzer_pairing_check",
-    "scramble_matrices", "standard_conjugation", "synthesize", "torus",
+    "run_all_checks", "schweitzer_pairing_check", "scramble_matrices",
+    "standard_conjugation", "synthesize", "torus",
     "totalize", "upper_bound_check", "validate", "verify_decomposition",
 ]

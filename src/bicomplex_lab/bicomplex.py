@@ -17,6 +17,7 @@ by bidegree; :class:`Bicomplex` states their conventions.
 import json
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .exactla import ExactScalar, Matrix, place_blocks
 
@@ -251,19 +252,15 @@ def ensure_valid(k):
 class TotalComplex:
     """Totalization: degree k is the direct sum of the (p, q) with p+q = k.
 
-    Within one degree, blocks are ordered by ascending p; ``offsets[k]``
-    records the starting coordinate of each bidegree block.  ``dims`` covers
-    the whole contiguous degree range of the support (zeros included).
-    ``differentials[k]`` maps degree k to degree k+1 and equals the sum of
-    the two differentials on each block.
+    ``dims`` covers the whole contiguous degree range of the support
+    (zeros included).  ``differentials[k]`` maps degree k to degree k+1,
+    with the blocks of each degree in ascending p, and equals the sum of
+    the two differentials on each block; it is omitted where either side
+    is zero.
     """
 
     dims: dict
     differentials: dict
-    offsets: dict
-
-    def degrees(self):
-        return sorted(self.dims)
 
     def differential(self, k):
         m = self.differentials.get(k)
@@ -272,40 +269,66 @@ class TotalComplex:
         return m
 
 
+def _total_dims(k):
+    """The dimension of each total degree of ``k``, over the contiguous
+    degree range of its support, zeros included."""
+    support = k.support()
+    if not support:
+        return {}
+    degrees = [p + q for p, q in support]
+    dims = dict.fromkeys(range(min(degrees), max(degrees) + 1), 0)
+    for p, q in support:
+        dims[p + q] += k.dimension(p, q)
+    return dims
+
+
+def _staircase(k, r, a, b):
+    """The staircase M_r(a, b): column blocks x_i in A^{a+i, b-i} and row
+    blocks A^{a+j, b-j+1} for i, j < r, with delbar out of (a+j, b-j) on
+    the diagonal block (j, j) and del out of (a+j-1, b-j+1) on the block
+    (j, j-1) below it, placed from the stored blocks of ``k``.
+
+    Its rows are delbar x_0, del x_0 + delbar x_1, ...,
+    del x_{r-2} + delbar x_{r-1}.
+    """
+    col_at = [0, *accumulate(k.dimension(a + i, b - i) for i in range(r))]
+    row_at = [0, *accumulate(k.dimension(a + j, b - j + 1)
+                             for j in range(r))]
+    dels, delbars = k._del, k._delbar
+    blocks = []
+    for j in range(r):
+        m = delbars.get((a + j, b - j))
+        if m is not None:
+            blocks.append((row_at[j], col_at[j], m))
+        m = dels.get((a + j - 1, b - j + 1)) if j else None
+        if m is not None:
+            blocks.append((row_at[j], col_at[j - 1], m))
+    return place_blocks(row_at[-1], col_at[-1], blocks)
+
+
+def _d_staircases(k):
+    """Per total degree where both it and the next degree are nonzero, the
+    (r, a, b) of the staircase M_r(a, b) that is d out of it; d is zero
+    out of every other degree.  With p_min and p_max the least and the
+    largest p of the support, M_{p_max-p_min+1}(p_min, deg - p_min) spans
+    every bidegree of degrees deg and deg+1, in ascending p: del out of
+    p_max would land at p_max+1, where there is nothing."""
+    dims = _total_dims(k)
+    if not dims:
+        return {}
+    p_values = [p for p, _ in k.support()]
+    p_min, p_max = min(p_values), max(p_values)
+    return {deg: (p_max - p_min + 1, p_min, deg - p_min)
+            for deg in dims if dims[deg] and dims.get(deg + 1)}
+
+
 def totalize(k):
-    """Collapse a valid double complex to its total singly-graded complex."""
+    """Collapse a valid double complex to its total singly-graded complex.
+
+    d out of each degree is one :func:`_staircase`."""
     ensure_valid(k)
-    if not k.support():
-        return TotalComplex({}, {}, {})
-    by_degree = {}
-    for (p, q) in k.support():
-        by_degree.setdefault(p + q, []).append((p, q))
-    lo, hi = min(by_degree), max(by_degree)
-    dims = {}
-    offsets = {}
-    for deg in range(lo, hi + 1):
-        blocks = sorted(by_degree.get(deg, []))
-        offs = {}
-        at = 0
-        for (p, q) in blocks:
-            offs[(p, q)] = at
-            at += k.dimension(p, q)
-        dims[deg] = at
-        offsets[deg] = offs
-    differentials = {}
-    for deg in range(lo, hi):
-        rows = dims[deg + 1]
-        cols = dims[deg]
-        if rows == 0 or cols == 0:
-            continue
-        targets = offsets[deg + 1]
-        blocks = [(targets[tgt], off, block)
-                  for (p, q), off in offsets[deg].items()
-                  for tgt, block in (((p + 1, q), k.del_map(p, q)),
-                                     ((p, q + 1), k.delbar_map(p, q)))
-                  if tgt in targets]
-        differentials[deg] = place_blocks(rows, cols, blocks)
-    return TotalComplex(dims, differentials, offsets)
+    return TotalComplex(_total_dims(k), {
+        deg: _staircase(k, *key) for deg, key in _d_staircases(k).items()})
 
 
 def check_real_structure(k):

@@ -44,8 +44,7 @@ The checks, roughly in logical order:
   on Bott-Chern representatives implies the lemma.  The pairing is the
   complex's matrix per complementary bidegree pair, so each pair costs
   one Gram product and one rank; well-definedness is re-verified, not
-  assumed.  It is the only check that reads representatives, and it
-  asks the store for the Bott-Chern ones alone.
+  assumed.  It is the only check that reads representatives.
 * ``duality_check`` - Betti/Serre/Bott-Chern-vs-Aeppli dualities and
   conjugation symmetries, gated on the structures that make them
   meaningful.
@@ -55,8 +54,8 @@ from dataclasses import dataclass
 
 from .bicomplex import check_real_structure
 from .cohomology import (_block_ranks, _natural_map, _once, _subspace,
-                         aeppli, bott_chern, conj_dolbeault, de_rham,
-                         dolbeault, representatives, totals)
+                         aeppli, bott_chern, bott_chern_representatives,
+                         conj_dolbeault, de_rham, dolbeault, totals)
 from .exactla import Matrix, rank
 
 THEOREM_CHECK_NAMES = ("frolicher_inequality", "non_ddbar_degrees",
@@ -254,7 +253,7 @@ def schweitzer_pairing_check(k):
     if k.n is None:
         return skip("no declared n")
     n = k.n
-    reps = representatives(k, "bott_chern")
+    reps = bott_chern_representatives(k)
     dims = bott_chern(k).dims
 
     def basis(bid):
@@ -336,10 +335,10 @@ def run_all_checks(k):
 
     They share the complex's store, so the five tables, their
     anti-diagonal totals, the Bott-Chern to Aeppli map and the
-    real-structure verdict are computed once for all of them, the
-    Bott-Chern representatives only when the pairing check applies, and
-    the Frolicher pages, the other six maps, the other theories'
-    representatives and a decomposition not at all.
+    real-structure verdict are computed once for all of them, from block
+    and staircase ranks, and the Bott-Chern representatives only when the
+    pairing check applies.  The Frolicher pages, the other six maps, the
+    totalization and a decomposition are not computed at all.
     """
     return (frolicher_check(k), non_ddbar_degrees(k), upper_bound_check(k),
             char_minus_check(k), ddbar_lemma_check(k),

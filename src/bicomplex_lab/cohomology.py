@@ -6,7 +6,7 @@ module computes, with exact arithmetic throughout:
 
 * Dolbeault cohomology        ker delbar / im delbar     (per bidegree)
 * conjugate Dolbeault         ker del / im del           (per bidegree)
-* de Rham cohomology          ker d / im d on the totalization (per degree)
+* de Rham cohomology          ker d / im d, d = del + delbar (per degree)
 * Bott-Chern cohomology       (ker del ∩ ker delbar) / im (del delbar)
 * Aeppli cohomology           ker (del delbar) / (im del + im delbar)
 
@@ -14,9 +14,9 @@ together with the pages of the Frolicher spectral sequence, the one of
 the filtration by horizontal degree (first page = Dolbeault, converging
 to de Rham), and the ranks of the seven maps
 induced by the identity between these theories.  A table holds only the
-dimensions, dim cocycles - dim coboundaries; :func:`representatives`
-gives, for one theory on demand, a canonical subspace of cocycles that
-projects to a basis of each quotient.
+dimensions, dim cocycles - dim coboundaries;
+:func:`bott_chern_representatives` gives, on demand, a canonical subspace
+of Bott-Chern cocycles that projects to a basis of each quotient.
 
 Every table and every map rank is counted from the ranks of single
 blocks, which the store computes once per complex (``_block_ranks``).
@@ -28,9 +28,11 @@ At each support bidegree b they are the ranks of
 * [del | delbar] into b, whose image is the Aeppli coboundaries
   im del + im delbar,
 
-and in each total degree the rank of d.  A block that is absent has
-rank 0 and builds no matrix; a stack or a pair with one absent side has
-the rank of the other side.
+A block that is absent has rank 0 and builds no matrix; a stack or a
+pair with one absent side has the rank of the other side.  In each total
+degree k the rank of d out of k is the rank of one staircase matrix
+(below), which holds every del and delbar block out of degree k, so no
+table totalizes the complex.
 
 A table is the dimension less two ranks: that of the map S whose kernel
 is the cocycles, out of the key, and that of the map A whose image is
@@ -71,20 +73,20 @@ rank is the table.
 
 The Frolicher pages are counted the same way, from the ranks of
 staircase matrices: del and delbar blocks placed along an anti-diagonal
-strip, the first one being delbar, a block rank.  The formulas and the
-stop rule are in :func:`frolicher_pages`.  So ``all_tables`` builds no
-subspace.
+strip, the first one being delbar, a block rank.  The one builder of
+these matrices is :func:`.bicomplex._staircase`, which also builds
+``totalize``'s differentials.  The formulas and the stop rule are in
+:func:`frolicher_pages`.  So ``all_tables`` builds no subspace.
 
-Subspaces are built only where subspaces are read: ``representatives``
-(the pairing check reads the Bott-Chern ones) and the square splitting
-of the decomposition.  They are the kernels and images of del, delbar,
-del delbar and d, the Bott-Chern cocycles (the kernel of the stack
-[del; delbar]) and the Aeppli coboundaries (``_SUBSPACES``).  A private
-store in the complex's ``_store`` slot is the one cache of a complex.
-Beside the validity verdict and the zero matrices of absent blocks, it
-computes the block ranks, the staircase ranks, each of these subspaces,
-the del delbar composites, the totalization, every table and its
-anti-diagonal totals, every theory's representatives and every natural
+Subspaces are built only where subspaces are read (``_SUBSPACES``): the
+Bott-Chern cocycles (the kernel of the stack [del; delbar]) and
+im del delbar for the Bott-Chern representatives, which the pairing
+check reads, and ker del delbar for the square splitting of the
+decomposition.  A private store in the complex's ``_store`` slot is the
+one cache of a complex.  Beside the validity verdict and the zero
+matrices of absent blocks, it computes the block ranks, the staircase
+ranks, these subspaces, the del delbar composites, every table and its
+anti-diagonal totals, the Bott-Chern representatives and every natural
 map's ranks at most once, on first use.
 ``THEORIES`` is the one list of theories and the fields of
 :class:`NaturalMapRanks` the one list of maps: the table bundles, the
@@ -100,9 +102,8 @@ subspace unless the complex carries pairings.
 """
 
 from dataclasses import dataclass, fields, make_dataclass
-from itertools import accumulate
 
-from .bicomplex import ensure_valid, totalize
+from .bicomplex import _d_staircases, _staircase, _total_dims, ensure_valid
 from .exactla import (
     LinAlgError,
     Subspace,
@@ -182,35 +183,13 @@ AllTables = make_dataclass(
 
 
 # The subspaces the store builds where subspaces are read (see the module
-# docstring): "ker_*" are kernels out of (p, q), "im_*" images landing in
-# (p, q).  The Bott-Chern cocycles ker del ∩ ker delbar are one kernel
-# of [del; delbar], and the Aeppli coboundaries im del + im delbar are
-# one echelon of [del | delbar].
+# docstring), at (p, q): ker del delbar out of it for decompose, and the
+# Bott-Chern cocycles ker del ∩ ker delbar (one kernel of [del; delbar])
+# and im del delbar into it for the Bott-Chern representatives.
 _SUBSPACES = {
-    "ker_del": lambda k, p, q: kernel_basis(k.del_map(p, q)),
-    "ker_delbar": lambda k, p, q: kernel_basis(k.delbar_map(p, q)),
     "ker_ddbar": lambda k, p, q: kernel_basis(_ddbar(k, (p, q))),
     "bc_cocycles": lambda k, p, q: kernel_basis(_stack(k, (p, q))),
-    "im_del": lambda k, p, q: image_basis(k.del_map(p - 1, q)),
-    "im_delbar": lambda k, p, q: image_basis(k.delbar_map(p, q - 1)),
     "im_ddbar": lambda k, p, q: image_basis(_ddbar(k, (p - 1, q - 1))),
-    "aeppli_coboundaries": lambda k, p, q: image_basis(
-        k.del_map(p - 1, q).hstack(k.delbar_map(p, q - 1))),
-}
-
-# The same for the total differential d, per total degree.
-_TOTAL_SUBSPACES = {
-    "ker_d": lambda t, deg: kernel_basis(t.differential(deg)),
-    "im_d": lambda t, deg: image_basis(t.differential(deg - 1)),
-}
-
-# Each theory's (cocycles, coboundaries), as names of the subspaces above.
-_PAIRS = {
-    "de_rham": ("ker_d", "im_d"),
-    "dolbeault": ("ker_delbar", "im_delbar"),
-    "conj_dolbeault": ("ker_del", "im_del"),
-    "bott_chern": ("bc_cocycles", "im_ddbar"),
-    "aeppli": ("ker_ddbar", "aeppli_coboundaries"),
 }
 
 # Each theory's cocycles and coboundaries as block ranks: the name of the
@@ -259,17 +238,9 @@ def _ddbar(k, bid):
                  lambda: k.del_map(p, q + 1) @ k.delbar_map(p, q))
 
 
-def _subspace(k, name, key):
-    """One of the ``_SUBSPACES`` of ``k`` at bidegree ``key``, or of the
-    ``_TOTAL_SUBSPACES`` at total degree ``key``."""
-    if name in _TOTAL_SUBSPACES:
-        return _once(k, (name, key),
-                     lambda: _TOTAL_SUBSPACES[name](_total(k), key))
-    return _once(k, (name, key), lambda: _SUBSPACES[name](k, *key))
-
-
-def _total(k):
-    return _once(k, "total", lambda: totalize(k))
+def _subspace(k, name, bid):
+    """One of the ``_SUBSPACES`` of ``k`` at bidegree ``bid``."""
+    return _once(k, (name, bid), lambda: _SUBSPACES[name](k, *bid))
 
 
 def _stack(k, bid):
@@ -289,16 +260,16 @@ def _by_degree(dims):
 
 def _block_ranks(k):
     """The block ranks of ``k`` (see the module docstring), by name:
-    "del", "delbar", "ddbar", "stack" and "join" per support bidegree,
-    "d" per total degree.  A key that is missing has rank 0."""
+    "del", "delbar", "ddbar", "stack" and "join" per support bidegree.
+    A key that is missing has rank 0.  The ranks of d are counted apart,
+    by ``_d_ranks``: they are staircase ranks, which read the delbar
+    ranks here."""
 
     def count():
         dels, delbars = k.del_blocks(), k.delbar_blocks()
         ranks = {"del": {bid: rank(m) for bid, m in dels.items()},
                  "delbar": {bid: rank(m) for bid, m in delbars.items()},
-                 "ddbar": {}, "stack": {}, "join": {},
-                 "d": {deg: rank(m)
-                       for deg, m in _total(k).differentials.items()}}
+                 "ddbar": {}, "stack": {}, "join": {}}
         rk_del, rk_delbar = ranks["del"], ranks["delbar"]
         for bid in k.support():
             p, q = bid
@@ -317,21 +288,31 @@ def _block_ranks(k):
     return _once(k, "ranks", count)
 
 
+def _d_ranks(k):
+    """rk d per total degree, the rank of the staircase that
+    ``bicomplex._d_staircases`` names for it; a degree that is missing
+    has rank 0."""
+    return _once(k, "d_ranks", lambda: {
+        deg: _staircase_rank(k, *key)
+        for deg, key in _d_staircases(k).items()})
+
+
 def _dims(k, by_degree):
-    """The dimension per key of a table: per total degree when
-    ``by_degree`` (de Rham), else per support bidegree."""
+    """The dimension per key of a table: per total degree of the support's
+    contiguous range when ``by_degree`` (de Rham), else per support
+    bidegree."""
     if by_degree:
-        return _total(k).dims
+        return _total_dims(k)
     return {bid: k.dimension(*bid) for bid in k.support()}
 
 
 def _keyed(k, name, by_degree):
     """The block ranks ``name``, summed over anti-diagonals when
-    ``by_degree`` (the ranks of d are per degree already)."""
+    ``by_degree``; "d" is the ranks of d, per degree already."""
+    if name == "d":
+        return _d_ranks(k)
     ranks = _block_ranks(k)[name]
-    if not by_degree or name == "d":
-        return ranks
-    return _by_degree(ranks)
+    return _by_degree(ranks) if by_degree else ranks
 
 
 def _count(k, source, target, by_degree):
@@ -343,13 +324,6 @@ def _count(k, source, target, by_degree):
     into = _keyed(k, coboundaries, by_degree)
     return {key: dim - out.get(key, 0) - into.get(at(key), 0)
             for key, dim in _dims(k, by_degree).items()}
-
-
-def _pairs(k, theory):
-    """Per key of the theory's table, its (cocycles, coboundaries) pair."""
-    cocycles, coboundaries = _PAIRS[theory]
-    return {key: (_subspace(k, cocycles, key), _subspace(k, coboundaries, key))
-            for key in _dims(k, theory == "de_rham")}
 
 
 def _table(k, theory):
@@ -366,18 +340,24 @@ def totals(k, theory):
     return _once(k, ("totals", theory), lambda: _table(k, theory).totals())
 
 
-def representatives(k, theory):
-    """Per key of the theory's table, a subspace of cocycles that projects
-    to a basis of the quotient: the columns of the cocycles' reduced
-    echelon basis that complete the coboundaries, so it is canonical.
+def bott_chern_representatives(k):
+    """Per support bidegree, a subspace of Bott-Chern cocycles that
+    projects to a basis of the Bott-Chern cohomology there: the columns
+    of the cocycles' reduced echelon basis that complete im del delbar,
+    so it is canonical.
 
-    Kept in the store per theory; no table computes it, so a caller pays
-    for it only for the theory it reads.  Raises ValueError for an
-    invalid complex.
+    Kept in the store; no table computes it, so only a caller that reads
+    it pays for it.  Raises ValueError for an invalid complex.
     """
-    return _once(k, ("reps", theory), lambda: {
-        key: Subspace(z.ambient_dim, complete_basis(b, z))
-        for key, (z, b) in _pairs(k, theory).items()})
+    def build():
+        reps = {}
+        for bid in k.support():
+            cocycles = _subspace(k, "bc_cocycles", bid)
+            basis = complete_basis(_subspace(k, "im_ddbar", bid), cocycles)
+            reps[bid] = Subspace(cocycles.ambient_dim, basis)
+        return reps
+
+    return _once(k, "reps", build)
 
 
 def dolbeault(k):
@@ -406,9 +386,9 @@ def de_rham(k):
 
 
 def _staircase_rank(k, r, a, b):
-    """rk M_r(a, b), the staircase of :func:`frolicher_pages`, counted at
-    most once per complex and kept in the store with every smaller
-    staircase it reduces to."""
+    """rk M_r(a, b), the staircase of :func:`.bicomplex._staircase`,
+    counted at most once per complex and kept in the store with every
+    smaller staircase it reduces to."""
     ranks = _once(k, "staircase", dict)
     key = (r, a, b)
     if key not in ranks:
@@ -429,32 +409,12 @@ def _staircase_rank(k, r, a, b):
     return ranks[key]
 
 
-def _staircase(k, r, a, b):
-    """The matrix M_r(a, b) of :func:`frolicher_pages`, placed from the
-    stored blocks of ``k``."""
-    col_at = [0, *accumulate(k.dimension(a + i, b - i) for i in range(r))]
-    row_at = [0, *accumulate(k.dimension(a + j, b - j + 1)
-                             for j in range(r))]
-    dels, delbars = k.del_blocks(), k.delbar_blocks()
-    blocks = []
-    for j in range(r):
-        m = delbars.get((a + j, b - j))
-        if m is not None:
-            blocks.append((row_at[j], col_at[j], m))
-        m = dels.get((a + j - 1, b - j + 1)) if j else None
-        if m is not None:
-            blocks.append((row_at[j], col_at[j - 1], m))
-    return place_blocks(row_at[-1], col_at[-1], blocks)
-
-
 def frolicher_pages(k):
     """Spectral-sequence pages for the filtration by horizontal degree.
 
-    Page r is counted from the ranks of staircase matrices.  M_r(a, b)
-    has column blocks x_i in A^{a+i, b-i} for i < r and row blocks
-    A^{a+j, b-j+1} for j < r; its diagonal block (j, j) is delbar out of
-    (a+j, b-j) and its block (j, j-1) is del out of (a+j-1, b-j+1), so
-    its rows are delbar x_0, del x_0 + delbar x_1, ...,
+    Page r is counted from the ranks of the staircase matrices M_r(a, b)
+    of :func:`.bicomplex._staircase`: for x_i in A^{a+i, b-i}, i < r,
+    the rows of M_r(a, b) are delbar x_0, del x_0 + delbar x_1, ...,
     del x_{r-2} + delbar x_{r-1}.  M_0 = 0 and M_1(a, b) is delbar out of
     (a, b), a block rank of the store.  Writing R_r for rk M_r, at (p, q):
 

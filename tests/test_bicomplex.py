@@ -122,8 +122,8 @@ class TestValidate:
 
     def test_recorded_violations_still_gate_the_store(self):
         """A verdict that ``validate`` already recorded keeps every derived
-        value out of reach; ``bott_chern`` never totalizes, so only the
-        store's own gate can refuse it."""
+        value out of reach; no table totalizes, so only the store's own
+        gate can refuse ``bott_chern``."""
         k = square_complex(flip_sign=True)
         assert validate(k) != []
         with pytest.raises(ValueError, match="anticommute"):
@@ -164,14 +164,17 @@ class TestTotalize:
 
     def test_square_totalizes_to_exact_complex(self):
         t = totalize(square_complex())
-        assert [t.dims[k] for k in t.degrees()] == [1, 2, 1]
+        assert [t.dims[k] for k in sorted(t.dims)] == [1, 2, 1]
         d0, d1 = t.differential(0), t.differential(1)
         assert (d1 @ d0).is_zero()
         assert rank(d0) == 1 and rank(d1) == 1
 
     def test_block_layout_orders_by_p(self):
+        """Degree 1 holds (0,1) before (1,0), so d(1) reads del out of
+        (0,1), then delbar out of (1,0)."""
         t = totalize(square_complex())
-        assert t.offsets[1] == {(0, 1): 0, (1, 0): 1}
+        assert t.differentials[1] == Matrix.from_rows(
+            [[scalar(-1), scalar(1)]])
 
     def test_gap_degrees_filled_with_zero(self):
         t = totalize(Bicomplex({(0, 0): 1, (2, 0): 1}, {}, {}))
@@ -183,7 +186,7 @@ class TestTotalize:
 
     def test_empty_complex(self):
         t = totalize(Bicomplex({}, {}, {}))
-        assert t == TotalComplex({}, {}, {})
+        assert t == TotalComplex({}, {})
 
 
 class TestRealStructure:

@@ -630,8 +630,8 @@ def _pin_inputs():
 class TestChecksReadOnlyWhatTheyNeed:
     """The checks read the five tables, the Bott-Chern to Aeppli map and
     the Bott-Chern representatives from the complex's store, so neither
-    run_all_checks nor a check alone computes the Frolicher pages, the
-    other six natural maps or any other theory's representatives."""
+    run_all_checks nor a check alone computes the Frolicher pages or the
+    other six natural maps."""
 
     @staticmethod
     def _forbid_unread(monkeypatch):
@@ -668,77 +668,52 @@ class TestChecksReadOnlyWhatTheyNeed:
 
     @staticmethod
     def _count_representatives(monkeypatch):
-        """Count ``complete_basis`` calls and list the theories whose
-        representatives are asked for."""
-        calls = {"complete_basis": 0, "theories": []}
+        """Count ``complete_basis`` calls and the calls for the Bott-Chern
+        representatives."""
+        calls = {"complete_basis": 0, "representatives": 0}
         complete = cohomology.complete_basis
-        reps = checkers.representatives
+        reps = checkers.bott_chern_representatives
 
         def counted_complete(*args):
             calls["complete_basis"] += 1
             return complete(*args)
 
-        def counted_reps(k, theory):
-            calls["theories"].append(theory)
-            return reps(k, theory)
+        def counted_reps(k):
+            calls["representatives"] += 1
+            return reps(k)
 
         monkeypatch.setattr(cohomology, "complete_basis", counted_complete)
-        monkeypatch.setattr(checkers, "representatives", counted_reps)
+        monkeypatch.setattr(checkers, "bott_chern_representatives",
+                            counted_reps)
         return calls
-
-    @staticmethod
-    def _reps_keys(k):
-        return {key for key in k._store
-                if isinstance(key, tuple) and key[0] == "reps"}
 
     def test_plain_complex_computes_no_representatives(self, monkeypatch):
         calls = self._count_representatives(monkeypatch)
         k = random_bicomplex(3).bicomplex
         run_all_checks(k)
-        assert calls == {"complete_basis": 0, "theories": []}
-        assert self._reps_keys(k) == set()
+        assert calls == {"complete_basis": 0, "representatives": 0}
+        assert "reps" not in k._store
 
     def test_pairing_reads_only_bott_chern_representatives(self,
                                                            monkeypatch):
         calls = self._count_representatives(monkeypatch)
         k = iwasawa()
         run_all_checks(k)
-        assert calls["theories"] == ["bott_chern"]
-        assert calls["complete_basis"] == len(k.support())
-        assert self._reps_keys(k) == {("reps", "bott_chern")}
-
-    def test_tables_build_only_the_aeppli_images(self, monkeypatch):
-        """The tables count coboundaries by rank-nullity from the store
-        kernels, so on a complex without pairings the checks build no
-        image of del, delbar, del delbar or d, and at most one image per
-        support bidegree: the Aeppli coboundaries."""
-        images = []
-        image_basis = cohomology.image_basis
-
-        def counted(m):
-            images.append(m)
-            return image_basis(m)
-
-        monkeypatch.setattr(cohomology, "image_basis", counted)
-        for seed in range(20):
-            k = random_bicomplex(seed).bicomplex
-            images.clear()
-            run_all_checks(k)
-            assert len(images) <= len(k.support()), seed
-            names = {key[0] for key in k._store if isinstance(key, tuple)}
-            assert not names & {"im_del", "im_delbar", "im_ddbar", "im_d"}, \
-                seed
+        assert calls == {"complete_basis": len(k.support()),
+                         "representatives": 1}
+        assert "reps" in k._store
 
     def test_checks_build_no_subspace(self, monkeypatch):
         """The tables and the Bott-Chern to Aeppli map are counted from
-        block ranks, so on a complex without pairings the checks take no
-        kernel, image, intersection or preimage, and leave no subspace in
-        the store."""
+        block and staircase ranks, so on a complex without pairings the
+        checks take no kernel, image, intersection or preimage, do not
+        totalize, and leave no subspace and no totalization in the
+        store."""
         calls = Counter()
         modules = [module for name, module in sys.modules.items()
                    if name.startswith("bicomplex_lab")]
         for name in ("kernel_basis", "image_basis", "subspace_intersect",
-                     "preimage"):
+                     "preimage", "totalize"):
             for module in modules:
                 original = getattr(module, name, None)
                 if original is None:
@@ -749,14 +724,13 @@ class TestChecksReadOnlyWhatTheyNeed:
                     return _original(*args)
 
                 monkeypatch.setattr(module, name, counted)
-        subspaces = set(cohomology._SUBSPACES) \
-            | set(cohomology._TOTAL_SUBSPACES)
         for seed in range(20):
             k = random_bicomplex(seed).bicomplex
             run_all_checks(k)
             assert calls == Counter(), seed
             names = {key[0] for key in k._store if isinstance(key, tuple)}
-            assert not names & subspaces, seed
+            assert not names & set(cohomology._SUBSPACES), seed
+            assert "total" not in k._store, seed
 
     def test_real_structure_is_decided_once(self, monkeypatch):
         calls = []

@@ -84,7 +84,7 @@ class TestIwasawa:
 
     def test_totalization_dimensions(self):
         t = totalize(iwasawa())
-        assert [t.dims[k] for k in t.degrees()] == [1, 6, 15, 20, 15, 6, 1]
+        assert [t.dims[k] for k in sorted(t.dims)] == [1, 6, 15, 20, 15, 6, 1]
 
     def test_real_structure(self):
         assert check_real_structure(iwasawa()) is True
@@ -122,7 +122,7 @@ class TestKodairaSurface:
 
     def test_totalization_dimensions(self):
         t = totalize(kodaira_surface())
-        assert [t.dims[k] for k in t.degrees()] == [1, 4, 6, 4, 1]
+        assert [t.dims[k] for k in sorted(t.dims)] == [1, 4, 6, 4, 1]
 
     def test_real_structure_and_product(self):
         k = kodaira_surface()
