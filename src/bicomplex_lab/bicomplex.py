@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .exactla import ExactScalar, Matrix, place_blocks
+from .exactla import SC_ONE, ExactScalar, Matrix, place_blocks
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,12 @@ class BicomplexFormatError(ValueError):
 
 
 # Largest n of a structure-equation model, whose total dimension is 4^n.
-# Each step in n multiplies every later cost by at least 4; n = 7 (total
-# dimension 16384) builds in under a second.  Every input format rejects a
-# larger size before it builds any block.
+# Each step in n multiplies every later cost by at least 4.  The n = 7
+# model with d w3 = -w1^w2, d w4 = w1^cw1 and d wk = w1^w(k-2) for k = 5..7
+# (total dimension 16384) builds and validates in 0.13-0.26 s (the best of
+# two builds in each of six processes; CPython 3.11, Fraction rationals, a
+# shared 2-core host).
+# Every input format rejects a larger size before it builds any block.
 MAX_N = 7
 MAX_TOTAL_DIM = 4 ** MAX_N
 
@@ -334,41 +337,49 @@ def totalize(k):
 def check_real_structure(k):
     """True iff the carried conjugation is a genuine antilinear symmetry.
 
-    Verifies per support bidegree: the conjugation matrix has the mirrored
-    shape, composing it with its mirror (with scalar conjugation in
-    between) gives the identity, and conjugating the horizontal
-    differential yields the vertical one.
+    First the shapes: every stored block maps (p, q) to (q, p), mirror
+    bidegrees of the support have equal dimensions, and each support
+    bidegree carries a block (an absent block off the support is the zero
+    map).  Then per support bidegree (p, q), with C its block and M the
+    block at (q, p): composing with the mirror gives the identity,
+    M conj(C) = I, and conjugating the horizontal differential yields the
+    vertical one, delbar(p, q) = L conj(del(q, p) C) with L the block at
+    (q+1, p).  A misshapen conjugation block makes the answer False,
+    never an error.
+
+    The involution is tested only where p <= q, which covers (q, p) too.
+    For square A and B over a field, A conj(B) = I implies B conj(A) = I:
+    conj(B) is a right inverse of the square matrix A, hence its two-sided
+    inverse, so conj(B) A = I, and conjugating every entry gives
+    B conj(A) = I.  With A = M and B = C this is the test at (q, p).
     """
     if k.conj is None:
         raise ValueError("complex carries no conjugation structure")
-
-    def cmat(p, q):
-        m = k.conj.get((p, q))
-        if m is None:
-            if k.dimension(p, q) == 0 or k.dimension(q, p) == 0:
-                return Matrix.zero(k.dimension(q, p), k.dimension(p, q))
-            return None
-        return m
-
-    for (p, q) in k.support():
-        if k.dimension(p, q) != k.dimension(q, p):
+    conj = k.conj
+    for (p, q), m in conj.items():
+        if (m.rows, m.cols) != (k.dimension(q, p), k.dimension(p, q)):
             return False
-        c = cmat(p, q)
-        mirror = cmat(q, p)
-        if c is None or mirror is None:
+    support = k.support()
+    for (p, q) in support:
+        if k.dimension(p, q) != k.dimension(q, p) or (p, q) not in conj:
             return False
-        if (c.rows, c.cols) != (k.dimension(q, p), k.dimension(p, q)):
-            return False
-        if mirror @ c.conjugate_entries() != Matrix.identity(k.dimension(p, q)):
-            return False
-        lift = cmat(q + 1, p)
+    for (p, q) in support:
+        c = conj[(p, q)]
+        if p <= q:
+            columns = (conj[(q, p)] @ c.conjugate_entries())._data
+            if any(col != {j: SC_ONE} for j, col in enumerate(columns)):
+                return False
+        d = k._del.get((q, p))
+        if d is None:
+            if (p, q) in k._delbar:
+                return False
+            continue
+        lift = conj.get((q + 1, p))
         if lift is None:
             return False
-        if (lift.rows, lift.cols) != (k.dimension(p, q + 1),
-                                      k.dimension(q + 1, p)):
-            return False
-        rhs = lift @ k.del_map(q, p).conjugate_entries() @ c.conjugate_entries()
-        if k.delbar_map(p, q) != rhs:
+        # The blocks are invertible wherever the involutions hold, so a
+        # stored del needs a stored delbar.
+        if k._delbar.get((p, q)) != lift @ (d @ c).conjugate_entries():
             return False
     return True
 

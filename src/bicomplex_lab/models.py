@@ -56,97 +56,112 @@ class StructureEquationSpec:
     differentials: dict
 
 
-# A monomial is a pair (I, J) of strictly increasing index tuples: the
-# wedge of the w_i for i in I and the cw_j for j in J, in that order.
+# A monomial w_I ^ cw_J is a pair (a, b) of bitmasks: bit i-1 of a is set
+# when w_i is a factor and bit i-1 of b when cw_i is, the w factors coming
+# first, each group in increasing index.  All signs are parities of popcounts.
 
 
-def _merge_sign(a, b):
-    """Shuffle sign for concatenating two sorted index tuples; None if they
-    overlap."""
-    if set(a) & set(b):
-        return None
-    inversions = sum(1 for x in a for y in b if y < x)
-    merged = tuple(sorted(a + b))
-    return (-1) ** inversions, merged
+def _below(mask):
+    """The XOR, over the bits x of ``mask``, of the mask of the bits below
+    x.  Bit y of the result is set when an odd number of bits of ``mask``
+    lie above y, so for a disjoint mask r, ``(r & _below(mask)).bit_count()``
+    has the parity of the inversions (x in mask, y in r, y < x): the sign
+    of merging the factors of ``mask`` with those of r into one increasing
+    run."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= low - 1
+        mask ^= low
+    return out
 
 
-def _wedge_monomials(m1, m2):
-    """Sign and result of wedging two canonical monomials; None if zero."""
-    (i1, j1), (i2, j2) = m1, m2
-    mi = _merge_sign(i1, i2)
-    if mi is None:
-        return None
-    mj = _merge_sign(j1, j2)
-    if mj is None:
-        return None
-    sign = mi[0] * mj[0] * ((-1) ** (len(j1) * len(i2)))
-    return sign, (mi[1], mj[1])
-
-
-_SIGN_SCALARS = {1: SC_ONE, -1: SC_MINUS_ONE}
+def _wedge_parity(left, right):
+    """Parity of the sign of w_I1^cw_J1 ^ w_I2^cw_J2 = +-w_(I1+I2)^cw_(J1+J2)
+    for two disjoint monomials: the merge of the w factors, the merge of
+    the cw factors, and J1 moved past I2."""
+    (a1, b1), (a2, b2) = left, right
+    return ((a2 & _below(a1)).bit_count() + (b2 & _below(b1)).bit_count()
+            + b1.bit_count() * a2.bit_count()) & 1
 
 
 def _element_diff(diff_gen, element):
     """Apply a generator-level derivation to an element.
 
-    ``diff_gen`` maps a generator to a list of (coefficient, 2-generator
-    monomial) terms; ``element`` maps monomials to coefficients.  The
+    ``diff_gen`` lists (on_cw, bit, terms) for each generator with a
+    nonzero differential: the generator is cw_i (``on_cw``) or w_i, with
+    ``bit`` = 1 << (i-1), and ``terms`` holds (coefficient, its negative,
+    a, b, _below(a), _below(b), |b|) for each 2-generator monomial (a, b)
+    of its differential.  ``element`` maps monomials to coefficients.  The
     derivation pulls each generator to the front of its monomial (sign
-    (-1)^position) and substitutes its differential there.
+    (-1)^position, the factors before it) and wedges its differential
+    with the rest.
     """
     out = {}
-    for (idx_i, idx_j), coeff in element.items():
-        gens = [("w", i) for i in idx_i] + [("cw", j) for j in idx_j]
-        for t, gen in enumerate(gens):
-            terms = diff_gen.get(gen)
-            if not terms:
-                continue
-            if gen[0] == "w":
-                rest = (tuple(x for x in idx_i if x != gen[1]), idx_j)
-            else:
-                rest = (idx_i, tuple(x for x in idx_j if x != gen[1]))
-            for gcoeff, gmono in terms:
-                wedged = _wedge_monomials(gmono, rest)
-                if wedged is None:
+    for (a, b), coeff in element.items():
+        size_a = a.bit_count()
+        for on_cw, bit, terms in diff_gen:
+            if on_cw:
+                if not b & bit:
                     continue
-                sign, mono = wedged
-                if t % 2:
-                    sign = -sign
-                value = out.get(mono, SC_ZERO) + coeff * gcoeff * \
-                    _SIGN_SCALARS[sign]
-                if value:
-                    out[mono] = value
-                elif mono in out:
-                    del out[mono]
+                ra, rb = a, b ^ bit
+                position = size_a + (b & (bit - 1)).bit_count()
+            else:
+                if not a & bit:
+                    continue
+                ra, rb = a ^ bit, b
+                position = (a & (bit - 1)).bit_count()
+            size_ra = ra.bit_count()
+            for gcoeff, gneg, ga, gb, below_a, below_b, size_gb in terms:
+                if ga & ra or gb & rb:
+                    continue
+                odd = (position + (ra & below_a).bit_count()
+                       + (rb & below_b).bit_count() + size_gb * size_ra) & 1
+                value = gneg if odd else gcoeff
+                if coeff is not SC_ONE:  # a basis monomial skips the product
+                    value = coeff * value
+                mono = (ga | ra, gb | rb)
+                old = out.get(mono)
+                if old is not None:
+                    value = old + value
+                    if not value:
+                        del out[mono]
+                        continue
+                out[mono] = value
     return out
 
 
+def _subset_masks(n, size):
+    """Masks of the ``size``-element subsets of n bits, in the order of
+    ``combinations``."""
+    return [sum(1 << i for i in c) for c in combinations(range(n), size)]
+
+
 def _monomial_basis(n, p, q):
-    return [(i, j)
-            for i in combinations(range(1, n + 1), p)
-            for j in combinations(range(1, n + 1), q)]
+    cw_masks = _subset_masks(n, q)
+    return [(a, b) for a in _subset_masks(n, p) for b in cw_masks]
 
 
 def _conjugate(coeff, mono):
     """Conjugate of ``coeff`` times a monomial: conj(w_I^cw_J) = cw_I^w_J
     = (-1)^(|I||J|) w_J^cw_I."""
-    idx_i, idx_j = mono
+    a, b = mono
     c = coeff.conjugate()
-    return (-c if len(idx_i) * len(idx_j) % 2 else c), (idx_j, idx_i)
+    return (-c if a.bit_count() * b.bit_count() % 2 else c), (b, a)
 
 
 def _normalize_terms(spec):
     """Validate and canonicalize d(wk) for every k; returns ``d_gen``, one
-    table from each generator ("w", k) and ("cw", k) with a nonzero
-    differential to its terms (coefficient, 2-generator monomial).  d(cw_k)
-    is the conjugate of d(w_k), so the (2,0) and (1,1) terms of d(w_k)
-    give the (0,2) and (1,1) terms of d(cw_k)."""
+    entry (on_cw, bit, terms) per generator w_k and cw_k with a nonzero
+    differential, in the form :func:`_element_diff` reads.  d(cw_k) is the
+    conjugate of d(w_k), so the (2,0) and (1,1) terms of d(w_k) give the
+    (0,2) and (1,1) terms of d(cw_k)."""
     n = spec.n
     for k in spec.differentials:
         if not (isinstance(k, int) and 1 <= k <= n):
             raise StructureEquationError(
                 f"equation for unknown generator w{k} (n = {n})")
-    d_gen = {}
+    w_gen, cw_gen = [], []
     for k in range(1, n + 1):
         acc = {}
         for coeff, g1, g2 in spec.differentials.get(k, ()):
@@ -162,21 +177,32 @@ def _normalize_terms(spec):
                 raise StructureEquationError(
                     f"d(w{k}) has a conjugate-conjugate term "
                     f"cw{g1[1]}^cw{g2[1]}: integrability fails")
-            wedged = _wedge_monomials(*(((i,), ()) if kind == "w" else
-                                        ((), (i,)) for kind, i in (g1, g2)))
-            if wedged is None:
+            m1, m2 = ((1 << (i - 1), 0) if kind == "w" else (0, 1 << (i - 1))
+                      for kind, i in (g1, g2))
+            if m1 == m2:
                 continue
-            sgn, mono = wedged
-            value = acc.get(mono, SC_ZERO) + coeff * _SIGN_SCALARS[sgn]
+            mono = (m1[0] | m2[0], m1[1] | m2[1])
+            if _wedge_parity(m1, m2):
+                coeff = -coeff
+            value = acc.get(mono, SC_ZERO) + coeff
             if value:
                 acc[mono] = value
             elif mono in acc:
                 del acc[mono]
         if acc:
-            terms = [(c, m) for m, c in sorted(acc.items())]
-            d_gen[("w", k)] = terms
-            d_gen[("cw", k)] = [_conjugate(c, m) for c, m in terms]
-    return d_gen
+            bit = 1 << (k - 1)
+            terms = [(c, m) for m, c in acc.items()]
+            w_gen.append((False, bit, _derivation_terms(terms)))
+            cw_gen.append((True, bit, _derivation_terms(
+                [_conjugate(c, m) for c, m in terms])))
+    return w_gen + cw_gen
+
+
+def _derivation_terms(terms):
+    """The terms (coefficient, monomial) of one generator's differential,
+    with what :func:`_element_diff` reads of each."""
+    return [(c, -c, a, b, _below(a), _below(b), b.bit_count())
+            for c, (a, b) in terms]
 
 
 def from_structure_equations(spec, *, label=""):
@@ -201,20 +227,21 @@ def from_structure_equations(spec, *, label=""):
     d_gen = _normalize_terms(spec)
     # d squared must vanish on every generator; by the derivation property
     # this forces it to vanish on the whole algebra.
-    for kind in ("w", "cw"):
+    d_of = {(on_cw, bit): {(a, b): c for c, _, a, b, *_ in terms}
+            for on_cw, bit, terms in d_gen}
+    for on_cw, kind in ((False, "w"), (True, "cw")):
         for k in range(1, n + 1):
-            if _element_diff(d_gen, {m: c for c, m in
-                                     d_gen.get((kind, k), ())}):
+            if _element_diff(d_gen, d_of.get((on_cw, 1 << (k - 1)), {})):
                 raise StructureEquationError(
                     f"d does not square to zero on {kind}{k}")
     monos = {}
-    index_of = {}
+    position = {}  # monomial -> its index in the basis of its bidegree
     spaces = {}
     for p in range(n + 1):
         for q in range(n + 1):
             basis = _monomial_basis(n, p, q)
             monos[(p, q)] = basis
-            index_of[(p, q)] = {m: i for i, m in enumerate(basis)}
+            position.update((m, i) for i, m in enumerate(basis))
             spaces[(p, q)] = len(basis)
 
     def sparse(target, cols):
@@ -222,20 +249,20 @@ def from_structure_equations(spec, *, label=""):
 
     del_maps, delbar_maps, conj_maps = {}, {}, {}
     for (p, q), basis in monos.items():
-        d_cols = {(p + 1, q): [], (p, q + 1): []}
-        conj_cols = []
+        del_cols, delbar_cols, conj_cols = [], [], []
+        conj_sign = SC_MINUS_ONE if p * q % 2 else SC_ONE
         for mono in basis:
-            for cols in d_cols.values():
-                cols.append({})
+            del_col, delbar_col = {}, {}
             for m, c in _element_diff(d_gen, {mono: SC_ONE}).items():
-                target = (len(m[0]), len(m[1]))
-                d_cols[target][-1][index_of[target][m]] = c
-            c, m = _conjugate(SC_ONE, mono)
-            conj_cols.append({index_of[(q, p)][m]: c})
+                col = del_col if m[0].bit_count() > p else delbar_col
+                col[position[m]] = c
+            del_cols.append(del_col)
+            delbar_cols.append(delbar_col)
+            conj_cols.append({position[mono[::-1]]: conj_sign})
         if p < n:
-            del_maps[(p, q)] = sparse((p + 1, q), d_cols[(p + 1, q)])
+            del_maps[(p, q)] = sparse((p + 1, q), del_cols)
         if q < n:
-            delbar_maps[(p, q)] = sparse((p, q + 1), d_cols[(p, q + 1)])
+            delbar_maps[(p, q)] = sparse((p, q + 1), delbar_cols)
         conj_maps[(p, q)] = sparse((q, p), conj_cols)
 
     # Attach the pairing only when the top functional demonstrably kills
@@ -246,16 +273,19 @@ def from_structure_equations(spec, *, label=""):
     pairings = None
     into_top = (del_maps.get((n - 1, n)), delbar_maps.get((n, n - 1)))
     if all(m is None or m.is_zero() for m in into_top):
-        everything = range(1, n + 1)
+        # The wedge sign with the complement: the merge of each mask with
+        # its complement, read off per mask, and the cw factors moved past
+        # the n - p complementary w factors.
+        full = (1 << n) - 1
+        merge = [((full ^ m) & _below(m)).bit_count() & 1
+                 for m in range(full + 1)]
         pairings = {}
         for (p, q), basis in monos.items():
-            target_index = index_of[(n - p, n - q)]
             cols = []
-            for mono in basis:
-                comp = tuple(tuple(x for x in everything if x not in idx)
-                             for idx in mono)
-                sign, _ = _wedge_monomials(mono, comp)
-                cols.append({target_index[comp]: _SIGN_SCALARS[sign]})
+            for a, b in basis:
+                comp = (full ^ a, full ^ b)
+                odd = merge[a] ^ merge[b] ^ (q * (n - p) & 1)
+                cols.append({position[comp]: SC_MINUS_ONE if odd else SC_ONE})
             pairings[(p, q)] = sparse((n - p, n - q), cols)
     out = Bicomplex(spaces, del_maps, delbar_maps, n=n, label=label,
                     pairings=pairings, conj=conj_maps)

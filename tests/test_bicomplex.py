@@ -218,6 +218,14 @@ class TestRealStructure:
         k = Bicomplex(spaces, d, db, conj=conj)
         assert check_real_structure(k) is False
 
+    def test_scaled_mirror_block_breaks_involution(self):
+        # The scaled block sits at (0,1), the mirror of the one above.
+        spaces, d, db = self.table_complex()
+        conj = self.identity_conj()
+        conj[(0, 1)] = one_by_one(2)
+        k = Bicomplex(spaces, d, db, conj=conj)
+        assert check_real_structure(k) is False
+
     def test_mismatched_differentials_fail_intertwining(self):
         spaces, d, db = self.table_complex()
         db = {(0, 0): one_by_one(-1)}  # still a valid complex, not symmetric
@@ -245,6 +253,13 @@ class TestRealStructure:
         else:
             conj[bid] = block
         k = Bicomplex(spaces, d, db, conj=conj)
+        assert check_real_structure(k) is False
+
+    def test_misshapen_mirror_block_fails_without_raising(self):
+        # The (0,1) block is fine; its mirror at (1,0) is 1x2, not 1x1.
+        k = Bicomplex({(1, 0): 1, (0, 1): 1}, {}, {},
+                      conj={(1, 0): Matrix.zero(1, 2),
+                            (0, 1): Matrix.identity(1)})
         assert check_real_structure(k) is False
 
     def test_asymmetric_dimensions_fail(self):

@@ -285,6 +285,15 @@ class TestUpperBound:
         assert rep.witnesses["Reason"] == \
             "conjugation structure does not validate"
 
+    def test_misshapen_mirror_block_is_not_applicable(self):
+        k = Bicomplex({(1, 0): 1, (0, 1): 1}, {}, {}, n=1,
+                      conj={(1, 0): Matrix.zero(1, 2),
+                            (0, 1): Matrix.identity(1)})
+        rep = upper_bound_check(k)
+        assert rep.verdict == "notApplicable"
+        assert rep.witnesses["Reason"] == \
+            "conjugation structure does not validate"
+
     def test_symmetric_corpus_theorem(self, corpus):
         applicable = 0
         for label, _, reports in corpus:
