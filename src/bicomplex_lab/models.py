@@ -427,11 +427,13 @@ def random_bicomplex(seed, *, kinds=PART_KINDS, symmetric=False):
     """Seeded random complex assembled from indecomposable parts.
 
     Draws 1 to 6 parts (dots, squares, zigzags with 2 to 5 dots) inside
-    [0, 5]^2, stacks them, and scrambles the bases with seeded invertible
-    matrices (a line keeps its basis), each inverted once.  Returns the
-    complex together with the ground-truth multiset of parts
-    (canonically sorted) for round-trip testing.  Identical arguments
-    give bit-identical results.
+    [0, 5]^2, lays them out once, and scrambles the bases with seeded
+    invertible matrices (a line keeps its basis), each inverted once.
+    Returns the one complex built, with the ground-truth multiset of parts
+    (canonically sorted) for round-trip testing; identical arguments give
+    bit-identical results.  It is validated once: the scrambles are exact
+    and invertible, so the scrambled blocks square to zero and anticommute
+    exactly when the unscrambled ones do, and this certifies the layout.
 
     With ``symmetric=True`` the part multiset is closed under mirroring
     across the diagonal, and the result declares n = 5 and carries a
@@ -465,24 +467,19 @@ def random_bicomplex(seed, *, kinds=PART_KINDS, symmetric=False):
             mirrored = zz.mirror_part(part)
             if mirrored != part:
                 parts.append(mirrored)
-    base = zz.synthesize(parts)
-    scramble = zz.scramble_matrices(base, rng.randint(0, 2 ** 31))
+    parts = zz.sort_parts(parts)
+    pattern = zz._pattern(parts)
+    scramble = zz._scrambles(pattern.spaces, rng.randint(0, 2 ** 31))
     inv = {bid: inverse(m) for bid, m in scramble.items()}
-    scrambled = zz._rebase(base, scramble, inv)
-    conj = None
-    if symmetric:
-        # Mirror bidegrees have equal dimensions, so the scramble has a
-        # matrix at both or at neither; a line keeps its conjugation.
-        conj = {(p, q): (inv[(q, p)] @ c0
-                         @ scramble[(p, q)].conjugate_entries()
-                         if (p, q) in scramble else c0)
-                for (p, q), c0 in zz.standard_conjugation(parts).items()}
+    conj = (zz._conjugation(parts, pattern, scramble, inv) if symmetric
+            else None)
     out = Bicomplex(
-        {(p, q): scrambled.dimension(p, q) for (p, q) in scrambled.support()},
-        scrambled.del_blocks(), scrambled.delbar_blocks(),
+        pattern.spaces,
+        zz._rebased(pattern.del_blocks, (1, 0), scramble, inv),
+        zz._rebased(pattern.delbar_blocks, (0, 1), scramble, inv),
         n=_TOP if symmetric else None, label=f"random-{seed}", conj=conj)
     ensure_valid(out)
-    return RandomBicomplex(out, zz.sort_parts(parts))
+    return RandomBicomplex(out, parts)
 
 
 def _zigzag_dots(start, first_role, length):

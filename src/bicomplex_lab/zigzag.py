@@ -270,40 +270,42 @@ def scramble_matrices(k, seed):
     of dimension two or more.  A line keeps its basis: its product would
     be exactly 1 and would draw nothing from the generator, so leaving it
     out changes no scrambled complex."""
+    return _scrambles({bid: k.dimension(*bid) for bid in k.support()}, seed)
+
+
+def _scrambles(spaces, seed):
+    """:func:`scramble_matrices` from the dimensions alone."""
     rng = random.Random(seed)
-    out = {}
-    for bid in k.support():
-        n = k.dimension(*bid)
-        if n > 1:
-            out[bid] = _unitriangular(rng, n, upper=False) \
-                @ _unitriangular(rng, n, upper=True)
-    return out
+    return {bid: _unitriangular(rng, n, upper=False)
+            @ _unitriangular(rng, n, upper=True)
+            for bid, n in sorted(spaces.items()) if n > 1}
 
 
 def apply_basis_change(k, mats):
     """The same complex written in new bases (columns of ``mats``); a
     bidegree that ``mats`` leaves out keeps its basis."""
-    return _rebase(k, mats, {bid: inverse(m) for bid, m in mats.items()})
-
-
-def _rebase(k, mats, inv):
-    """:func:`apply_basis_change`, given the inverses ``inv`` of ``mats``."""
     ensure_valid(k)
+    for bid, m in mats.items():
+        if m.rows != k.dimension(*bid):
+            raise LinAlgError(f"basis change at {bid} has {m.rows} rows")
+    inv = {bid: inverse(m) for bid, m in mats.items()}
+    return Bicomplex({bid: k.dimension(*bid) for bid in k.support()},
+                     _rebased(k.del_blocks(), (1, 0), mats, inv),
+                     _rebased(k.delbar_blocks(), (0, 1), mats, inv),
+                     n=k.n, label=k.label)
 
-    def transformed(m, src, tgt):
+
+def _rebased(blocks, step, mats, inv):
+    """Stored blocks (target ``step`` from the source key) in the bases
+    ``mats`` with inverses ``inv``.  A basis change keeps zero blocks zero
+    and nonzero ones nonzero, so absent blocks need no product."""
+    out = {}
+    for src in sorted(blocks):
+        m, tgt = blocks[src], (src[0] + step[0], src[1] + step[1])
         if src in mats:
             m = m @ mats[src]
-        if tgt in inv:
-            m = inv[tgt] @ m
-        return m
-
-    spaces = {bid: k.dimension(*bid) for bid in k.support()}
-    new_del = {bid: transformed(k.del_map(*bid), bid, (bid[0] + 1, bid[1]))
-               for bid in spaces}
-    new_delbar = {bid: transformed(k.delbar_map(*bid), bid,
-                                   (bid[0], bid[1] + 1))
-                  for bid in spaces}
-    return Bicomplex(spaces, new_del, new_delbar, n=k.n, label=k.label)
+        out[src] = inv[tgt] @ m if tgt in inv else m
+    return out
 
 
 def standard_conjugation(parts):
@@ -316,36 +318,36 @@ def standard_conjugation(parts):
     squares to the identity and intertwines the two differentials.
     """
     parts = sort_parts(parts)
-    pattern = _pattern(parts)
+    return _conjugation(parts, _pattern(parts), {}, {})
+
+
+def _conjugation(parts, pattern, mats, inv):
+    """:func:`standard_conjugation` of sorted ``parts`` laid out as
+    ``pattern``, written in the bases ``mats`` with inverses ``inv``."""
     positions = {}
     for t, part in enumerate(parts):
         positions.setdefault(part, []).append(t)
     partner = {}
     for part, where in positions.items():
-        mirrored = positions.get(mirror_part(part))
-        if mirrored is None or len(mirrored) != len(where):
+        mirrored = positions.get(mirror_part(part), [])
+        if len(mirrored) != len(where):
             raise ValueError("part multiset is not closed under mirroring")
-        for slot, t in enumerate(where):
-            partner[t] = mirrored[slot]
+        partner.update(zip(where, mirrored))
     columns = {bid: [{} for _ in range(dim)]
                for bid, dim in pattern.spaces.items()}
     for t, part in enumerate(parts):
-        u = partner[t]
-        if isinstance(part, Square):
-            p, q = part.anchor
-            corners = (((p, q), (q, p), SC_ONE),
-                       ((p + 1, q), (q, p + 1), SC_ONE),
-                       ((p, q + 1), (q + 1, p), SC_ONE),
-                       ((p + 1, q + 1), (q + 1, p + 1), SC_MINUS_ONE))
-        else:
-            corners = tuple(((p, q), (q, p), SC_ONE)
-                            for (p, q) in part.dots)
-        for src, dst, coeff in corners:
-            columns[src][pattern.index[(t, src)]][
-                pattern.index[(u, dst)]] = coeff
-    return {bid: Matrix._from_sparse(pattern.spaces.get((bid[1], bid[0]), 0),
-                                     len(cols), cols)
-            for bid, cols in columns.items()}
+        top = part.dots[-1] if isinstance(part, Square) else None
+        for (p, q) in part.dots:
+            columns[(p, q)][pattern.index[(t, (p, q))]][
+                pattern.index[(partner[t], (q, p))]] = (
+                    SC_MINUS_ONE if (p, q) == top else SC_ONE)
+    out = {}
+    for (p, q), cols in columns.items():
+        c = Matrix._from_sparse(pattern.spaces.get((q, p), 0), len(cols), cols)
+        # Mirror bidegrees have equal dimensions: a scramble has both or neither.
+        out[(p, q)] = (inv[(q, p)] @ c @ mats[(p, q)].conjugate_entries()
+                       if (p, q) in mats else c)
+    return out
 
 
 # --------------------------------------------------------------------------

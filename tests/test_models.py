@@ -23,7 +23,8 @@ from itertools import combinations
 
 import pytest
 
-from bicomplex_lab import models
+from bicomplex_lab import bicomplex, models
+from bicomplex_lab import zigzag as zz
 from bicomplex_lab.bicomplex import (
     Bicomplex,
     check_real_structure,
@@ -257,6 +258,49 @@ class TestRandomBicomplex:
             h.update(json.dumps(to_json_dict(k), sort_keys=True).encode())
             _hash_matrices(h, "conj", k.conj)
         assert h.hexdigest() == GENERATOR_DIGEST
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_one_build_and_one_validation_per_draw(self, monkeypatch,
+                                                   symmetric):
+        """Each draw constructs one Bicomplex and validates only that one,
+        the complex it returns."""
+        built, checked = [], []
+        construct, check = Bicomplex.__init__, bicomplex.validate
+
+        def counted_init(k, *args, **kwargs):
+            built.append(k)
+            construct(k, *args, **kwargs)
+
+        def counted_validate(k):
+            if "violations" not in k._store:
+                checked.append(k)
+            return check(k)
+
+        monkeypatch.setattr(Bicomplex, "__init__", counted_init)
+        monkeypatch.setattr(bicomplex, "validate", counted_validate)
+        for seed in range(10):
+            built.clear()
+            checked.clear()
+            out = random_bicomplex(seed, symmetric=symmetric).bicomplex
+            assert len(built) == 1 and built[0] is out
+            assert len(checked) == 1 and checked[0] is out
+
+    def test_the_returned_complex_is_validated(self, monkeypatch):
+        """With a square's top arrow drawn +1 instead of -1, its two
+        paths add up instead of cancelling, and the draw must fail on the
+        one validation left."""
+        seed = next(s for s in range(100)
+                    if any(isinstance(p, zz.Square)
+                           for p in random_bicomplex(s).parts))
+        arrows = zz._arrows
+
+        def unsigned(part):
+            return tuple((which, src, tgt, SC_ONE)
+                         for which, src, tgt, _ in arrows(part))
+
+        monkeypatch.setattr(zz, "_arrows", unsigned)
+        with pytest.raises(ValueError, match="anticommute"):
+            random_bicomplex(seed)
 
 
 class TestTextFormat:

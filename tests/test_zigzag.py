@@ -223,6 +223,40 @@ class TestBasisChanges:
             assert set(mats) == {b for b in k.support()
                                  if k.dimension(*b) > 1}
 
+    def test_only_stored_blocks_are_multiplied(self, monkeypatch):
+        """A basis change keeps zero blocks zero, so apply_basis_change
+        multiplies each stored block by the matrices at its two ends and
+        no zero block at all."""
+        k = zz.synthesize(random_parts(random.Random(4), 6))
+        mats = zz.scramble_matrices(k, 3)
+        stored = [(src, (src[0] + dp, src[1] + dq))
+                  for blocks, (dp, dq) in ((k.del_blocks(), (1, 0)),
+                                           (k.delbar_blocks(), (0, 1)))
+                  for src in blocks]
+        assert len(stored) < 2 * len(k.support())
+        factors = []
+        product = Matrix.__matmul__
+
+        def counted(a, b):
+            factors.append(a.is_zero() or b.is_zero())
+            return product(a, b)
+
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
+        out = zz.apply_basis_change(k, mats)
+        monkeypatch.undo()
+        assert not any(factors)
+        assert len(factors) == sum((src in mats) + (tgt in mats)
+                                   for src, tgt in stored)
+        assert out.del_blocks().keys() == k.del_blocks().keys()
+        assert out.delbar_blocks().keys() == k.delbar_blocks().keys()
+
+    def test_wrong_size_raises_where_no_block_is_stored(self):
+        """A matrix that does not fit its bidegree is refused even where
+        no block is stored, so nothing would multiply it."""
+        k = zz.synthesize([zz.Zigzag(((0, 0),))] * 2)
+        with pytest.raises(exactla.LinAlgError, match="basis change"):
+            zz.apply_basis_change(k, {(0, 0): Matrix.identity(3)})
+
     def test_identity_change_is_identity(self):
         k = tc.diagram_b()
         mats = {b: Matrix.identity(k.dimension(*b)) for b in k.support()}
