@@ -26,13 +26,20 @@ At each support bidegree b they are the ranks of
 * the stack [del; delbar] out of b, whose kernel is the Bott-Chern
   cocycles ker del ∩ ker delbar,
 * [del | delbar] into b, whose image is the Aeppli coboundaries
-  im del + im delbar,
+  im del + im delbar.
 
-A block that is absent has rank 0 and builds no matrix; a stack or a
-pair with one absent side has the rank of the other side.  In each total
-degree k the rank of d out of k is the rank of one staircase matrix
-(below), which holds every del and delbar block out of degree k, so no
-table totalizes the complex.
+In each total degree k the rank of d out of k is the rank of one
+staircase matrix (below), which holds every del and delbar block out of
+degree k, so no table totalizes the complex.  Only the del and delbar
+ranks are always eliminated.  Each other rank lies between exact bounds
+read off ranks already counted, which hold over any field for a valid
+complex: Sylvester's inequality for del delbar, im del delbar inside
+ker del ∩ ker delbar for the stack, im del + im delbar inside
+ker del delbar for the join, and for d its block-triangular shape and
+d^2 = 0 (``_block_ranks`` and ``_d_ranks`` prove each bound).  Where the
+lower bound equals the upper one the rank is taken without building the
+matrix.  So a block that is absent has rank 0 and builds no matrix, and a
+stack or a pair with one absent side gets the rank of the other side.
 
 A table is the dimension less two ranks: that of the map S whose kernel
 is the cocycles, out of the key, and that of the map A whose image is
@@ -258,32 +265,63 @@ def _by_degree(dims):
     return out
 
 
+def _bounded(low, high, eliminate):
+    """A rank known to lie between ``low`` and ``high``: ``low`` when the
+    bounds meet, else ``eliminate()``, which builds and ranks the matrix."""
+    return low if low == high else eliminate()
+
+
 def _block_ranks(k):
     """The block ranks of ``k`` (see the module docstring), by name:
     "del", "delbar", "ddbar", "stack" and "join" per support bidegree.
     A key that is missing has rank 0.  The ranks of d are counted apart,
     by ``_d_ranks``: they are staircase ranks, which read the delbar
-    ranks here."""
+    ranks here.
+
+    The del and delbar ranks are eliminated.  The others are walked in
+    increasing (p, q) and taken from exact bounds when the bounds meet,
+    since the complex is valid; with n the dimension out of (p, q):
+
+    * del delbar out of (p, q) lies between Sylvester's lower bounds
+      rk A + rk B - (inner dimension) for its two factorizations
+      del(p, q+1) delbar(p, q) and -delbar(p+1, q) del(p, q), and the
+      least of those four ranks: a product has at most the rank of
+      either factor.
+    * [del; delbar] out of (p, q) lies between max(rk del, rk delbar) and
+      min(rk del + rk delbar, n - rk del delbar(p-1, q-1)): its kernel
+      ker del ∩ ker delbar lies in each kernel, has codimension at most
+      the sum of the ranks and holds im del delbar.
+    * [del | delbar] into (p, q) lies between the larger of its two ranks
+      and min(their sum, n - rk del delbar(p, q)): its image
+      im del + im delbar holds each image and lies in ker del delbar.
+    """
 
     def count():
         dels, delbars = k.del_blocks(), k.delbar_blocks()
-        ranks = {"del": {bid: rank(m) for bid, m in dels.items()},
-                 "delbar": {bid: rank(m) for bid, m in delbars.items()},
-                 "ddbar": {}, "stack": {}, "join": {}}
-        rk_del, rk_delbar = ranks["del"], ranks["delbar"]
+        rk_del = {bid: rank(m) for bid, m in dels.items()}
+        rk_delbar = {bid: rank(m) for bid, m in delbars.items()}
+        ddbar, stack, join = {}, {}, {}
         for bid in k.support():
             p, q = bid
-            d, db = dels.get(bid), delbars.get(bid)
-            if db is not None and (p, q + 1) in dels:
-                ranks["ddbar"][bid] = rank(_ddbar(k, bid))
-            ranks["stack"][bid] = (
-                rank(_stack(k, bid)) if d is not None and db is not None
-                else rk_del.get(bid, 0) + rk_delbar.get(bid, 0))
-            d, db = dels.get((p - 1, q)), delbars.get((p, q - 1))
-            ranks["join"][bid] = (
-                rank(d.hstack(db)) if d is not None and db is not None
-                else rk_del.get((p - 1, q), 0) + rk_delbar.get((p, q - 1), 0))
-        return ranks
+            dim = k.dimension(p, q)
+            d, db = rk_del.get(bid, 0), rk_delbar.get(bid, 0)
+            if bid in delbars and (p, q + 1) in dels:
+                up, right = rk_del[(p, q + 1)], rk_delbar.get((p + 1, q), 0)
+                ddbar[bid] = _bounded(
+                    max(0, up + db - k.dimension(p, q + 1),
+                        right + d - k.dimension(p + 1, q)),
+                    min(up, db, right, d),
+                    lambda: rank(_ddbar(k, bid)))
+            stack[bid] = _bounded(
+                max(d, db), min(d + db, dim - ddbar.get((p - 1, q - 1), 0)),
+                lambda: rank(_stack(k, bid)))
+            d, db = rk_del.get((p - 1, q), 0), rk_delbar.get((p, q - 1), 0)
+            join[bid] = _bounded(
+                max(d, db), min(d + db, dim - ddbar.get(bid, 0)),
+                lambda: rank(k.del_map(p - 1, q).hstack(
+                    k.delbar_map(p, q - 1))))
+        return {"del": rk_del, "delbar": rk_delbar, "ddbar": ddbar,
+                "stack": stack, "join": join}
 
     return _once(k, "ranks", count)
 
@@ -291,10 +329,35 @@ def _block_ranks(k):
 def _d_ranks(k):
     """rk d per total degree, the rank of the staircase that
     ``bicomplex._d_staircases`` names for it; a degree that is missing
-    has rank 0."""
-    return _once(k, "d_ranks", lambda: {
-        deg: _staircase_rank(k, *key)
-        for deg, key in _d_staircases(k).items()})
+    has rank 0.
+
+    Walked in increasing degree, rk d(k) is taken from exact bounds when
+    they meet, and is then kept in the staircase store as well, for the
+    pages:
+
+    * it is at least the sum of the del ranks out of degree k, and at
+      least that of the delbar ranks: ordered by p, d is block triangular
+      with either differential's blocks on the diagonal;
+    * it is at most dim_{k+1}, and at most dim_k - rk d(k-1), since
+      d^2 = 0 puts im d(k-1) in ker d(k).
+    """
+
+    def count():
+        dims = _total_dims(k)
+        ranks = _block_ranks(k)
+        by_del, by_delbar = (_by_degree(ranks["del"]),
+                             _by_degree(ranks["delbar"]))
+        staircases = _once(k, "staircase", dict)
+        out = {}
+        for deg, key in sorted(_d_staircases(k).items()):
+            out[deg] = _bounded(
+                max(by_del.get(deg, 0), by_delbar.get(deg, 0)),
+                min(dims[deg + 1], dims[deg] - out.get(deg - 1, 0)),
+                lambda: _staircase_rank(k, *key))
+            staircases.setdefault(key, out[deg])
+        return out
+
+    return _once(k, "d_ranks", count)
 
 
 def _dims(k, by_degree):

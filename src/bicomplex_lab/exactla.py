@@ -21,7 +21,8 @@ kernels, preimages, intersections and solves.  Both passes scale with
 stored entries: a heap of lead rows picks each pivot, and a reduction
 visits only the pivot rows a vector actually has.  A matrix that stores no
 entry skips both: ``rce``, ``rank`` and ``kernel_basis`` return their
-canonical answer at once.
+canonical answer at once.  A matrix with one row or one column that stores
+an entry has rank 1, so ``rank`` answers it without the forward pass too.
 """
 
 import re as _re_module
@@ -478,9 +479,15 @@ def rce(m):
 
 
 def rank(m):
-    """The rank of ``m``: the number of pivots of the forward pass alone."""
+    """The rank of ``m``: the number of pivots of the forward pass alone.
+
+    Neither of two cases runs the pass: a zero matrix has rank 0, and a
+    nonzero one with one row or one column has rank 1, since that one
+    row, or column, spans a line."""
     if m.is_zero():
         return 0
+    if m.rows == 1 or m.cols == 1:
+        return 1
     return len(_forward(m._data))
 
 

@@ -607,18 +607,24 @@ def decompose(k):
             embed[bid] = kernel_basis(
                 place_blocks(at, k.dimension(*bid), blocks)).basis
 
-        def rebased(m, src, tgt):
-            if src in embed:
-                m = m @ embed[src]
-            return solve(embed[tgt], m) if tgt in embed else m
+        def rebased(blocks, step):
+            # The stored blocks restricted to the residual.  An absent
+            # block stays zero, and a block that the restriction makes
+            # zero is dropped before its solve.
+            out = {}
+            for src in sorted(blocks):
+                m, tgt = blocks[src], (src[0] + step[0], src[1] + step[1])
+                if src in embed:
+                    m = m @ embed[src]
+                if not m.is_zero():
+                    out[src] = solve(embed[tgt], m) if tgt in embed else m
+            return out
 
         res = Bicomplex(
             {bid: embed[bid].cols if bid in embed else k.dimension(*bid)
              for bid in support},
-            {(p, q): rebased(k.del_map(p, q), (p, q), (p + 1, q))
-             for (p, q) in support},
-            {(p, q): rebased(k.delbar_map(p, q), (p, q), (p, q + 1))
-             for (p, q) in support})
+            rebased(k.del_blocks(), (1, 0)),
+            rebased(k.delbar_blocks(), (0, 1)))
         for (p, q) in res.support():
             if not (res.del_map(p, q + 1) @ res.delbar_map(p, q)).is_zero():
                 raise DecompositionError(

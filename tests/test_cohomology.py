@@ -41,8 +41,9 @@ from dataclasses import fields, is_dataclass
 
 import pytest
 
-from bicomplex_lab import checkers, clio, cohomology
-from bicomplex_lab.bicomplex import Bicomplex, ensure_valid, totalize
+from bicomplex_lab import checkers, clio, cohomology, exactla
+from bicomplex_lab.bicomplex import (Bicomplex, _d_staircases, _staircase,
+                                     ensure_valid, totalize)
 from bicomplex_lab.checkers import run_all_checks
 from bicomplex_lab.clio import PRESETS
 from bicomplex_lab.cohomology import (
@@ -540,6 +541,71 @@ class TestMapsFromBlockRanks:
         natural_maps(k)
         names = {key[0] for key in k._store if isinstance(key, tuple)}
         assert not names & set(cohomology._SUBSPACES)
+
+
+def bounded_rank_inputs():
+    """Random complexes (seeds 0-299 plain, 0-99 symmetric), every preset
+    and nil4-nil6."""
+    inputs = [(name, make) for name, make in sorted(PRESETS.items())]
+    inputs += [("nil4", nil4), ("nil5", nil5), ("nil6", nil6)]
+    for symmetric, seeds in ((False, 300), (True, 100)):
+        inputs += [(f"random-{seed}-{symmetric}",
+                    lambda seed=seed, symmetric=symmetric: random_bicomplex(
+                        seed, symmetric=symmetric).bicomplex)
+                   for seed in range(seeds)]
+    return inputs
+
+
+def eliminated(m):
+    """The rank of ``m`` as the number of pivots of the forward pass, with
+    no bound and no shortcut."""
+    return len(exactla._forward(m._data))
+
+
+class TestRanksFromBounds:
+    """``_block_ranks`` and ``_d_ranks`` take a rank from exact bounds
+    where the bounds meet, without building its matrix; the elimination of
+    the matrix each entry stands for is the witness."""
+
+    def test_every_rank_equals_the_elimination_of_its_matrix(self):
+        for label, make in bounded_rank_inputs():
+            k = make()
+            ranks = cohomology._block_ranks(k)
+            d_ranks = cohomology._d_ranks(k)
+            support = k.support()
+            assert set(ranks["stack"]) == set(ranks["join"]) == set(support)
+            for bid in support:
+                p, q = bid
+                assert ranks["ddbar"].get(bid, 0) == eliminated(
+                    cohomology._ddbar(k, bid)), (label, bid)
+                assert ranks["stack"][bid] == eliminated(
+                    cohomology._stack(k, bid)), (label, bid)
+                assert ranks["join"][bid] == eliminated(
+                    k.del_map(p - 1, q).hstack(k.delbar_map(p, q - 1))), \
+                    (label, bid)
+            staircases = _d_staircases(k)
+            assert set(d_ranks) == set(staircases), label
+            for deg, key in staircases.items():
+                assert d_ranks[deg] == eliminated(_staircase(k, *key)), \
+                    (label, deg)
+
+    def test_check_path_eliminations_are_pinned(self, monkeypatch):
+        """run_all_checks on random complexes 0-99 enters the forward pass
+        110 times.  It entered it 1301 times when every stack, join,
+        del delbar and d staircase was eliminated and a matrix with one
+        row or one column was too."""
+        complexes = [random_bicomplex(seed).bicomplex for seed in range(100)]
+        calls = []
+        forward = exactla._forward
+
+        def counted(columns):
+            calls.append(len(columns))
+            return forward(columns)
+
+        monkeypatch.setattr(exactla, "_forward", counted)
+        for k in complexes:
+            run_all_checks(k)
+        assert len(calls) == 110
 
 
 class TestRepresentatives:

@@ -622,6 +622,16 @@ def bucketed_matrices(draw, max_dim=5):
     return Matrix(rows, cols, columns)
 
 
+@st.composite
+def thin_matrices(draw, max_dim=6):
+    """Matrices with one row or one column, zero or not."""
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    entries = draw(st.lists(sparse_scalars, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        return Matrix.from_rows([entries], 1, n)
+    return Matrix(n, 1, [entries])
+
+
 class TestAgainstTextbookElimination:
     @settings(max_examples=80, deadline=None)
     @given(bucketed_matrices())
@@ -634,6 +644,19 @@ class TestAgainstTextbookElimination:
         # The pivots are not scaled in the forward pass, so non-unit
         # pivots such as 1/2 + 1/3 i reach the elimination factor.
         assert rank(m) == textbook_rce(m).cols
+
+    @settings(max_examples=80, deadline=None)
+    @given(thin_matrices())
+    def test_rank_of_one_row_or_column_never_eliminates(self, m):
+        """Such a matrix has rank 1 when it stores an entry, 0 otherwise,
+        and ``rank`` answers without entering the forward pass."""
+        def no_forward(work):
+            raise AssertionError("rank called _forward")
+
+        expected = textbook_rce(m).cols
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exactla, "_forward", no_forward)
+            assert rank(m) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(bucketed_matrices())
