@@ -43,7 +43,7 @@ def main(argv=None):
     for m in range(1, args.max_m + 1):
         part = staircase(m)
         plain = synthesize([part])
-        k = Bicomplex({b: plain.dimension(*b) for b in plain.support()},
+        k = Bicomplex(plain.spaces(),
                       plain.del_blocks(), plain.delbar_blocks(), n=m,
                       label=f"staircase-{m}",
                       conj=standard_conjugation([part]))

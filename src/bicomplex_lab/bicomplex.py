@@ -81,9 +81,14 @@ class Bicomplex:
     agree and so does each structure that both of them carry; the JSON
     form carries neither, so a round trip through it compares equal.
 
+    The complex owns its grading: the positive dimensions are kept in
+    (p, q) order, so :meth:`support` and :meth:`spaces` list them without
+    sorting.
+
     The private ``_store`` dict is the one cache of a complex: it holds
-    the :func:`validate` verdict, the zero matrices of absent blocks and
-    whatever the cohomology module derives from the complex.
+    the :func:`validate` verdict, the zero matrices of absent blocks, the
+    dimension of each total degree and whatever the cohomology module
+    derives from the complex.
     """
 
     __slots__ = ("label", "n", "conj", "pairings",
@@ -99,7 +104,7 @@ class Bicomplex:
                 raise ValueError(f"negative dimension at ({p},{q})")
             if dim:
                 clean[(int(p), int(q))] = dim
-        self._spaces = clean
+        self._spaces = dict(sorted(clean.items()))
         self._del = _clean_blocks(del_maps)
         self._delbar = _clean_blocks(delbar_maps)
         if n is not None and not _is_count(n):
@@ -111,8 +116,13 @@ class Bicomplex:
         self._store = {}
 
     def support(self):
-        """Bidegrees with positive dimension, sorted by (p, q)."""
-        return sorted(self._spaces)
+        """Bidegrees with positive dimension, as a list in (p, q) order."""
+        return list(self._spaces)
+
+    def spaces(self):
+        """A copy of the positive dimensions, keyed by bidegree in (p, q)
+        order."""
+        return dict(self._spaces)
 
     def dimension(self, p, q):
         return self._spaces.get((p, q), 0)
@@ -274,15 +284,16 @@ class TotalComplex:
 
 def _total_dims(k):
     """The dimension of each total degree of ``k``, over the contiguous
-    degree range of its support, zeros included."""
-    support = k.support()
-    if not support:
-        return {}
-    degrees = [p + q for p, q in support]
-    dims = dict.fromkeys(range(min(degrees), max(degrees) + 1), 0)
-    for p, q in support:
-        dims[p + q] += k.dimension(p, q)
-    return dims
+    degree range of its support, zeros included.  Counted once per
+    complex and kept in its store, so no caller may change it."""
+    store = k._store
+    if "degree_dims" not in store:
+        degrees = [p + q for p, q in k._spaces]
+        dims = store["degree_dims"] = dict.fromkeys(
+            range(min(degrees, default=0), max(degrees, default=-1) + 1), 0)
+        for (p, q), dim in k._spaces.items():
+            dims[p + q] += dim
+    return store["degree_dims"]
 
 
 def _staircase(k, r, a, b):
@@ -319,8 +330,8 @@ def _d_staircases(k):
     dims = _total_dims(k)
     if not dims:
         return {}
-    p_values = [p for p, _ in k.support()]
-    p_min, p_max = min(p_values), max(p_values)
+    support = k.support()
+    p_min, p_max = support[0][0], support[-1][0]
     return {deg: (p_max - p_min + 1, p_min, deg - p_min)
             for deg in dims if dims[deg] and dims.get(deg + 1)}
 
@@ -330,7 +341,7 @@ def totalize(k):
 
     d out of each degree is one :func:`_staircase`."""
     ensure_valid(k)
-    return TotalComplex(_total_dims(k), {
+    return TotalComplex(dict(_total_dims(k)), {
         deg: _staircase(k, *key) for deg, key in _d_staircases(k).items()})
 
 
@@ -409,7 +420,7 @@ def to_json_dict(k):
     obj = {"label": k.label}
     if k.n is not None:
         obj["n"] = k.n
-    obj["spaces"] = {f"{p},{q}": k.dimension(p, q) for (p, q) in k.support()}
+    obj["spaces"] = {f"{p},{q}": dim for (p, q), dim in k.spaces().items()}
     for name, blocks in (("del", k._del), ("delbar", k._delbar)):
         section = {}
         for (p, q) in sorted(blocks):

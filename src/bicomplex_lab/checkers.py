@@ -7,11 +7,15 @@ verdict always carries the concrete numbers that violate the statement.
 Every check takes the complex alone and reads the tables, the defect, the
 Bott-Chern to Aeppli map, the Bott-Chern representatives and the
 real-structure verdict from its store (see :mod:`.cohomology`), so the
-checks run on one complex compute each of them once between them.  The extra structures are the complex's own
-plain dicts: ``k.conj`` (the conjugation, see :class:`.Bicomplex`) gates
-the upper bound and the conjugation rows of the dualities, and
-``k.pairings`` with a declared n gates the pairing check and the product
-rows of the dualities.  Validation owns the support rule: a
+checks run on one complex compute each of them once between them.  A
+check that compares totals sums the stored table along anti-diagonals
+itself (:meth:`.CohomologyTable.totals`); the store keeps no totals.
+The extra structures are the complex's own plain dicts: ``k.conj`` (the
+conjugation, see :class:`.Bicomplex`) gates the upper bound and the
+conjugation rows of the dualities, and ``k.pairings`` with a declared n
+gates the pairing check and the product rows of the dualities; the
+pairing check, the one reader of the pairing matrices, also needs every
+block present and well shaped.  Validation owns the support rule: a
 complex with a declared n and support outside [0, n]^2 is invalid, so
 every check raises ``ValueError`` on it.
 
@@ -55,7 +59,7 @@ from dataclasses import dataclass
 from .bicomplex import check_real_structure
 from .cohomology import (_block_ranks, _natural_map, _once, _subspace,
                          aeppli, bott_chern, bott_chern_representatives,
-                         conj_dolbeault, de_rham, dolbeault, totals)
+                         conj_dolbeault, de_rham, dolbeault)
 from .exactla import Matrix, rank
 
 THEOREM_CHECK_NAMES = ("frolicher_inequality", "non_ddbar_degrees",
@@ -101,7 +105,7 @@ def _bc_to_a_injective(k):
 def frolicher_check(k):
     """Dolbeault anti-diagonal totals are at least the Betti numbers."""
     betti = de_rham(k).dims
-    hodge = totals(k, "dolbeault")
+    hodge = dolbeault(k).totals()
     gaps = {deg: hodge.get(deg, 0) - betti.get(deg, 0)
             for deg in _degrees(betti, hodge)}
     verdict = "holds" if all(g >= 0 for g in gaps.values()) else "fails"
@@ -117,8 +121,8 @@ def _defect(k):
 
     def count():
         betti = de_rham(k).dims
-        h_bc = totals(k, "bott_chern")
-        h_a = totals(k, "aeppli")
+        h_bc = bott_chern(k).totals()
+        h_a = aeppli(k).totals()
         return {deg: h_bc.get(deg, 0) + h_a.get(deg, 0)
                 - 2 * betti.get(deg, 0)
                 for deg in _degrees(betti, h_bc, h_a)}
@@ -158,9 +162,9 @@ def upper_bound_check(k):
         return skip("no conjugation structure")
     if not _real_structure(k):
         return skip("conjugation structure does not validate")
-    hodge = totals(k, "dolbeault")
-    h_a = totals(k, "aeppli")
-    h_bc = totals(k, "bott_chern")
+    hodge = dolbeault(k).totals()
+    h_a = aeppli(k).totals()
+    h_bc = bott_chern(k).totals()
     aeppli_slack = {}
     bc_slack = {}
     for deg in range(0, 2 * k.n + 1):
@@ -181,8 +185,8 @@ def upper_bound_check(k):
 
 def char_minus_check(k):
     """|h_BC - h_A| summed over degrees vanishes iff the lemma holds."""
-    h_bc = totals(k, "bott_chern")
-    h_a = totals(k, "aeppli")
+    h_bc = bott_chern(k).totals()
+    h_a = aeppli(k).totals()
     degrees = _degrees(h_bc, h_a)
     diff = {deg: h_bc.get(deg, 0) - h_a.get(deg, 0) for deg in degrees}
     total = sum(abs(v) for v in diff.values())
@@ -240,6 +244,23 @@ def ddbar_lemma_check(k):
                        witnesses=witnesses)
 
 
+def _pairing_problem(k):
+    """The first pairing block, over [0, n]^2 in (p, q) order, that is
+    missing or not dim(n-p, n-q) x dim(p, q), described; None when every
+    block is well formed."""
+    n = k.n
+    for p in range(n + 1):
+        for q in range(n + 1):
+            m = k.pairings.get((p, q))
+            if m is None:
+                return f"pairing block at ({p},{q}) is missing"
+            want = (k.dimension(n - p, n - q), k.dimension(p, q))
+            if (m.rows, m.cols) != want:
+                return (f"pairing block at ({p},{q}) is {m.rows}x{m.cols}, "
+                        f"expected {want[0]}x{want[1]}")
+    return None
+
+
 def schweitzer_pairing_check(k):
     """Top-form pairing on Bott-Chern representatives, one matrix product
     per complementary bidegree pair.
@@ -251,7 +272,9 @@ def schweitzer_pairing_check(k):
     equals the dimension on both sides.  The pairing is well defined at
     (p, q) when ``left`` kills the second-order boundaries at (n-p, n-q).
     The verdict asserts the implication: everywhere non-degenerate =>
-    lemma holds.
+    lemma holds.  Like a misshapen conjugation, a pairing block that is
+    missing or misshapen makes the check not applicable, with the first
+    such block as the reason; the complex is validated first.
     """
 
     def skip(reason):
@@ -264,8 +287,11 @@ def schweitzer_pairing_check(k):
     if k.n is None:
         return skip("no declared n")
     n = k.n
-    reps = bott_chern_representatives(k)
     dims = bott_chern(k).dims
+    problem = _pairing_problem(k)
+    if problem:
+        return skip(problem)
+    reps = bott_chern_representatives(k)
 
     def basis(bid):
         return reps[bid].basis if bid in reps else Matrix.zero(0, 0)
@@ -344,12 +370,13 @@ def duality_check(k):
 def run_all_checks(k):
     """All checks on one complex, in ``ALL_CHECK_NAMES`` order.
 
-    They share the complex's store, so the five tables, their
-    anti-diagonal totals, the Bott-Chern to Aeppli map and the
-    real-structure verdict are computed once for all of them, from block
-    and staircase ranks, and the Bott-Chern representatives only when the
-    pairing check applies.  The Frolicher pages, the other six maps, the
-    totalization and a decomposition are not computed at all.
+    They share the complex's store, so the five tables, the Bott-Chern
+    to Aeppli map and the real-structure verdict are computed once for
+    all of them, from block and staircase ranks, and the Bott-Chern
+    representatives only when the pairing check applies.  Each check
+    sums the tables it compares along anti-diagonals itself.  The
+    Frolicher pages, the other six maps, the totalization and a
+    decomposition are not computed at all.
     """
     return (frolicher_check(k), non_ddbar_degrees(k), upper_bound_check(k),
             char_minus_check(k), ddbar_lemma_check(k),

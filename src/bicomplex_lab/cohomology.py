@@ -92,9 +92,13 @@ check reads, and ker del delbar for the square splitting of the
 decomposition.  A private store in the complex's ``_store`` slot is the
 one cache of a complex.  Beside the validity verdict and the zero
 matrices of absent blocks, it computes the block ranks, the staircase
-ranks, these subspaces, the del delbar composites, every table and its
-anti-diagonal totals, the Bott-Chern representatives and every natural
-map's ranks at most once, on first use.
+ranks, these subspaces, the del delbar composites, every table, the
+Bott-Chern representatives and every natural map's ranks at most once,
+on first use.  The grading is the complex's own: tables are keyed by
+:meth:`.Bicomplex.spaces` and, for de Rham, by the degree dimensions
+that ``bicomplex._total_dims`` also keeps in the store.  Anti-diagonal
+totals are not stored: :meth:`CohomologyTable.totals` sums a table's
+few entries where a check reads them.
 ``THEORIES`` is the one list of theories and the fields of
 :class:`NaturalMapRanks` the one list of maps: the table bundles, the
 zigzag recount and the CLI's table reports take their names and order
@@ -301,9 +305,8 @@ def _block_ranks(k):
         rk_del = {bid: rank(m) for bid, m in dels.items()}
         rk_delbar = {bid: rank(m) for bid, m in delbars.items()}
         ddbar, stack, join = {}, {}, {}
-        for bid in k.support():
+        for bid, dim in k.spaces().items():
             p, q = bid
-            dim = k.dimension(p, q)
             d, db = rk_del.get(bid, 0), rk_delbar.get(bid, 0)
             if bid in delbars and (p, q + 1) in dels:
                 up, right = rk_del[(p, q + 1)], rk_delbar.get((p + 1, q), 0)
@@ -360,15 +363,6 @@ def _d_ranks(k):
     return _once(k, "d_ranks", count)
 
 
-def _dims(k, by_degree):
-    """The dimension per key of a table: per total degree of the support's
-    contiguous range when ``by_degree`` (de Rham), else per support
-    bidegree."""
-    if by_degree:
-        return _total_dims(k)
-    return {bid: k.dimension(*bid) for bid in k.support()}
-
-
 def _keyed(k, name, by_degree):
     """The block ranks ``name``, summed over anti-diagonals when
     ``by_degree``; "d" is the ranks of d, per degree already."""
@@ -385,8 +379,9 @@ def _count(k, source, target, by_degree):
     out = _keyed(k, _RANKS[source][0], by_degree)
     _, coboundaries, at = _RANKS[target]
     into = _keyed(k, coboundaries, by_degree)
+    dims = _total_dims(k) if by_degree else k.spaces()
     return {key: dim - out.get(key, 0) - into.get(at(key), 0)
-            for key, dim in _dims(k, by_degree).items()}
+            for key, dim in dims.items()}
 
 
 def _table(k, theory):
@@ -394,13 +389,6 @@ def _table(k, theory):
     return _once(k, ("table", theory), lambda: CohomologyTable(
         theory=theory,
         dims=_count(k, theory, theory, theory == "de_rham")))
-
-
-def totals(k, theory):
-    """The theory's table summed along anti-diagonals, as
-    :meth:`CohomologyTable.totals`, kept in the store so that the checks
-    sum each table once per complex."""
-    return _once(k, ("totals", theory), lambda: _table(k, theory).totals())
 
 
 def bott_chern_representatives(k):
@@ -500,8 +488,7 @@ def frolicher_pages(k):
     support = k.support()
     if not support:
         return FrolicherPages(pages={1: {}})
-    p_values = [p for p, _ in support]
-    hard_stop = max(p_values) - min(p_values) + 1
+    hard_stop = support[-1][0] - support[0][0] + 1
     betti = de_rham(k).dims
     pages = {}
 

@@ -270,7 +270,7 @@ def scramble_matrices(k, seed):
     of dimension two or more.  A line keeps its basis: its product would
     be exactly 1 and would draw nothing from the generator, so leaving it
     out changes no scrambled complex."""
-    return _scrambles({bid: k.dimension(*bid) for bid in k.support()}, seed)
+    return _scrambles(k.spaces(), seed)
 
 
 def _scrambles(spaces, seed):
@@ -289,7 +289,7 @@ def apply_basis_change(k, mats):
         if m.rows != k.dimension(*bid):
             raise LinAlgError(f"basis change at {bid} has {m.rows} rows")
     inv = {bid: inverse(m) for bid, m in mats.items()}
-    return Bicomplex({bid: k.dimension(*bid) for bid in k.support()},
+    return Bicomplex(k.spaces(),
                      _rebased(k.del_blocks(), (1, 0), mats, inv),
                      _rebased(k.delbar_blocks(), (0, 1), mats, inv),
                      n=k.n, label=k.label)

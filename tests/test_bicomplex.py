@@ -10,6 +10,7 @@ Hand-computed facts used below:
 * Flipping the sign of one square arrow breaks anticommutation only.
 """
 
+import json
 import math
 
 import pytest
@@ -187,6 +188,38 @@ class TestTotalize:
     def test_empty_complex(self):
         t = totalize(Bicomplex({}, {}, {}))
         assert t == TotalComplex({}, {})
+
+
+class TestGrading:
+    """The complex keeps its spaces in (p, q) order, whatever order the
+    caller gave them in."""
+
+    def test_reverse_insertion_order_is_sorted(self):
+        square = square_complex()
+        forward = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
+        k = Bicomplex(dict(reversed(list(forward.items()))),
+                      square.del_blocks(), square.delbar_blocks(),
+                      label="square")
+        assert k.support() == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert isinstance(k.support(), list)
+        assert k.spaces() == forward
+        assert list(k.spaces()) == list(forward)
+        assert json.dumps(to_json_dict(k)) == json.dumps(to_json_dict(square))
+
+    def test_gap_and_negative_bidegrees_sort_by_p_then_q(self):
+        k = Bicomplex({(2, 0): 1, (0, 3): 2, (-1, 5): 1, (0, 0): 1}, {}, {})
+        assert k.support() == [(-1, 5), (0, 0), (0, 3), (2, 0)]
+        assert list(k.spaces().values()) == [1, 1, 2, 1]
+
+    def test_spaces_returns_a_copy(self):
+        k = square_complex()
+        spaces = k.spaces()
+        spaces[(0, 0)] = 7
+        spaces[(5, 5)] = 1
+        del spaces[(1, 1)]
+        assert k.spaces() == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
+        assert k.dimension(0, 0) == 1 and k.dimension(5, 5) == 0
+        assert k == square_complex()
 
 
 class TestRealStructure:
