@@ -416,7 +416,12 @@ def _parse_bidegree_key(text, where, seen):
 
 
 def to_json_dict(k):
-    """Serializable plain-dict form of a complex (no conj or pairings)."""
+    """Serializable plain-dict form of a complex (no conj or pairings).
+
+    Each block is still written as dense rows of scalar strings, but only
+    its stored entries are visited: the rows start as ``"0"`` and each
+    stored entry overwrites its cell.  The dense rows stay until the JSON
+    form becomes sparse (ROADMAP item 5)."""
     obj = {"label": k.label}
     if k.n is not None:
         obj["n"] = k.n
@@ -425,9 +430,11 @@ def to_json_dict(k):
         section = {}
         for (p, q) in sorted(blocks):
             m = blocks[(p, q)]
-            section[f"{p},{q}"] = [
-                [str(m.entry(i, j)) for j in range(m.cols)]
-                for i in range(m.rows)]
+            rows = [["0"] * m.cols for _ in range(m.rows)]
+            for j, col in enumerate(m._data):
+                for i, x in col.items():
+                    rows[i][j] = str(x)
+            section[f"{p},{q}"] = rows
         obj[name] = section
     return obj
 

@@ -262,9 +262,12 @@ def _stack(k, bid):
 
 
 def _by_degree(dims):
-    """A dict keyed by bidegree, summed along anti-diagonals."""
+    """A dict keyed by bidegree, summed along anti-diagonals, each degree
+    first met in the order of ``dims``.  Tables are keyed in (p, q)
+    order, and the rank dicts summed here are read only with ``get``, so
+    nothing is sorted."""
     out = {}
-    for (p, q), d in sorted(dims.items()):
+    for (p, q), d in dims.items():
         out[p + q] = out.get(p + q, 0) + d
     return out
 

@@ -32,7 +32,6 @@ from .exactla import (
     SC_MINUS_ONE,
     SC_ONE,
     SC_ZERO,
-    inverse,
     scalar,
 )
 from . import zigzag as zz
@@ -428,7 +427,9 @@ def random_bicomplex(seed, *, kinds=PART_KINDS, symmetric=False):
 
     Draws 1 to 6 parts (dots, squares, zigzags with 2 to 5 dots) inside
     [0, 5]^2, lays them out once, and scrambles the bases with seeded
-    invertible matrices (a line keeps its basis), each inverted once.
+    invertible matrices (a line keeps its basis).  Each scramble is a
+    product of unit triangular factors, inverted by substitution with no
+    elimination.
     Returns the one complex built, with the ground-truth multiset of parts
     (canonically sorted) for round-trip testing; identical arguments give
     bit-identical results.  It is validated once: the scrambles are exact
@@ -469,8 +470,7 @@ def random_bicomplex(seed, *, kinds=PART_KINDS, symmetric=False):
                 parts.append(mirrored)
     parts = zz.sort_parts(parts)
     pattern = zz._pattern(parts)
-    scramble = zz._scrambles(pattern.spaces, rng.randint(0, 2 ** 31))
-    inv = {bid: inverse(m) for bid, m in scramble.items()}
+    scramble, inv = zz._scrambles(pattern.spaces, rng.randint(0, 2 ** 31))
     conj = (zz._conjugation(parts, pattern, scramble, inv) if symmetric
             else None)
     out = Bicomplex(

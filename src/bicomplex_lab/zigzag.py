@@ -265,20 +265,53 @@ def _unitriangular(rng, n, upper):
     return Matrix._from_sparse(n, n, cols)
 
 
+def _unitriangular_inverse(m, upper):
+    """The inverse X of a unit triangular matrix M, by substitution.
+
+    X M = I reads column by column as X e_j = e_j - sum over the stored
+    M[k][j] with k != j of M[k][j] X e_k.  Those k lie above j when M is
+    upper triangular and below it when M is lower, so walking j upwards
+    (upper) or downwards (lower) finds every X e_k already built.  No
+    pivot is searched and nothing is divided."""
+    n = m.rows
+    out = [None] * n
+    for j in range(n) if upper else range(n - 1, -1, -1):
+        col = {j: SC_ONE}
+        for k, x in m._data[j].items():
+            if k != j:
+                _add_scaled(col, -x, out[k])
+        out[j] = col
+    return Matrix._from_sparse(n, n, out)
+
+
+def _scramble_factors(spaces, seed):
+    """Per bidegree of dimension two or more, in (p, q) order, the unit
+    lower and unit upper triangular factors (L, U) of its scramble L U,
+    drawn from one generator in that order."""
+    rng = random.Random(seed)
+    return {bid: (_unitriangular(rng, n, upper=False),
+                  _unitriangular(rng, n, upper=True))
+            for bid, n in sorted(spaces.items()) if n > 1}
+
+
 def scramble_matrices(k, seed):
     """Seeded invertible matrix (triangular product) per support bidegree
     of dimension two or more.  A line keeps its basis: its product would
     be exactly 1 and would draw nothing from the generator, so leaving it
     out changes no scrambled complex."""
-    return _scrambles(k.spaces(), seed)
+    return {bid: lower @ upper for bid, (lower, upper)
+            in _scramble_factors(k.spaces(), seed).items()}
 
 
 def _scrambles(spaces, seed):
-    """:func:`scramble_matrices` from the dimensions alone."""
-    rng = random.Random(seed)
-    return {bid: _unitriangular(rng, n, upper=False)
-            @ _unitriangular(rng, n, upper=True)
-            for bid, n in sorted(spaces.items()) if n > 1}
+    """:func:`scramble_matrices` from the dimensions alone, and the
+    inverse of each scramble L U, U^-1 L^-1, from its inverted factors."""
+    mats, inv = {}, {}
+    for bid, (lower, upper) in _scramble_factors(spaces, seed).items():
+        mats[bid] = lower @ upper
+        inv[bid] = (_unitriangular_inverse(upper, upper=True)
+                    @ _unitriangular_inverse(lower, upper=False))
+    return mats, inv
 
 
 def apply_basis_change(k, mats):

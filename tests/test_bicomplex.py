@@ -28,8 +28,12 @@ from bicomplex_lab.bicomplex import (
     totalize,
     validate,
 )
+from bicomplex_lab.clio import PRESETS
 from bicomplex_lab.cohomology import bott_chern
 from bicomplex_lab.exactla import Matrix, rank, scalar
+from bicomplex_lab.models import (from_structure_equations,
+                                  parse_structure_text, random_bicomplex)
+from bicomplex_lab.zigzag import apply_basis_change
 
 
 def one_by_one(value):
@@ -304,6 +308,56 @@ class TestRealStructure:
             check_real_structure(square_complex())
 
 
+def reference_to_json_dict(k):
+    """The per-cell writer that ``to_json_dict`` replaced: every cell of
+    every stored block is read with ``Matrix.entry`` and printed."""
+    obj = {"label": k.label}
+    if k.n is not None:
+        obj["n"] = k.n
+    obj["spaces"] = {f"{p},{q}": dim for (p, q), dim in k.spaces().items()}
+    for name, blocks in (("del", k.del_blocks()),
+                         ("delbar", k.delbar_blocks())):
+        section = {}
+        for (p, q) in sorted(blocks):
+            m = blocks[(p, q)]
+            section[f"{p},{q}"] = [
+                [str(m.entry(i, j)) for j in range(m.cols)]
+                for i in range(m.rows)]
+        obj[name] = section
+    return obj
+
+
+NIL_TEXTS = {4: "n = 4\nd w3 = -1* w1^w2\nd w4 = w1^cw1\n",
+             5: "n = 5\nd w3 = -1* w1^w2\nd w4 = w1^cw1\nd w5 = w1^w3\n"}
+
+
+def nil_model(n):
+    return from_structure_equations(parse_structure_text(NIL_TEXTS[n]))
+
+
+def gaussian_rational_iwasawa():
+    """The Iwasawa preset in bases with entries 1/2, 1+i and -1/3+2 i, so
+    its blocks hold Gaussian rationals such as 1/2-1/2 i."""
+    k = PRESETS["iwasawa"]()
+    diagonal = (scalar("1/2"), scalar(1, 1))
+    mats = {}
+    for bid in k.support():
+        dim = k.dimension(*bid)
+        rows = [[scalar(0)] * dim for _ in range(dim)]
+        for i in range(dim):
+            rows[i][i] = diagonal[i % 2]
+            if i + 1 < dim:
+                rows[i][i + 1] = scalar("-1/3", 2)
+        mats[bid] = Matrix.from_rows(rows)
+    return apply_basis_change(k, mats)
+
+
+def writer_inputs():
+    inputs = [(name, make) for name, make in sorted(PRESETS.items())]
+    return inputs + [("nil4", lambda: nil_model(4)),
+                     ("nil5", lambda: nil_model(5))]
+
+
 class TestJson:
     def test_round_trip(self):
         k = square_complex()
@@ -413,6 +467,43 @@ class TestJson:
         with pytest.raises(BicomplexFormatError,
                            match="p from '-5,0' to '1,2730'"):
             from_json_dict({"spaces": {"-5,0": 1, "1,2730": 1}})
+
+    def test_writer_reads_no_dense_cell(self, monkeypatch):
+        """Only the stored entries are visited: no block is read through
+        ``Matrix.entry``."""
+
+        def no_entry(m, i, j):
+            raise AssertionError(f"to_json_dict read cell ({i}, {j})")
+
+        k = nil_model(4)
+        monkeypatch.setattr(Matrix, "entry", no_entry)
+        obj = to_json_dict(k)
+        monkeypatch.undo()
+        assert json.dumps(obj, indent=2) == json.dumps(
+            reference_to_json_dict(k), indent=2)
+
+    @pytest.mark.parametrize("name, make", writer_inputs())
+    def test_writer_matches_the_per_cell_reference(self, name, make):
+        k = make()
+        assert json.dumps(to_json_dict(k), indent=2) == json.dumps(
+            reference_to_json_dict(k), indent=2), name
+
+    def test_writer_matches_on_random_complexes(self):
+        for seed, symmetric in ([(s, False) for s in range(200)]
+                                + [(s, True) for s in range(50)]):
+            k = random_bicomplex(seed, symmetric=symmetric).bicomplex
+            assert json.dumps(to_json_dict(k), indent=2) == json.dumps(
+                reference_to_json_dict(k), indent=2), (seed, symmetric)
+
+    def test_writer_matches_on_gaussian_rational_entries(self):
+        k = gaussian_rational_iwasawa()
+        cells = {cell for name in ("del", "delbar")
+                 for rows in to_json_dict(k)[name].values()
+                 for row in rows for cell in row}
+        assert any("/" in c and "i" in c for c in cells)
+        assert json.dumps(to_json_dict(k), indent=2) == json.dumps(
+            reference_to_json_dict(k), indent=2)
+        assert from_json_dict(to_json_dict(k)) == k
 
     def test_shape_problems_surface_via_validate(self):
         k = from_json_dict({"spaces": {"0,0": 2, "1,0": 3},

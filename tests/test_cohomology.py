@@ -49,6 +49,7 @@ from bicomplex_lab.clio import PRESETS
 from bicomplex_lab.cohomology import (
     BIGRADED_THEORIES,
     THEORIES,
+    CohomologyTable,
     FrolicherPages,
     NaturalMapRanks,
     aeppli,
@@ -517,6 +518,18 @@ class TestTotalDegrees:
             t = totalize(k)
             assert t.dims == dims, label
             assert t.differentials == differentials, label
+
+    def test_totals_do_not_depend_on_key_order(self):
+        """A table built by hand in reverse (p, q) order sums to the same
+        totals as the table the package builds."""
+        for k in (iwasawa(), kodaira_surface(), nil4(),
+                  Bicomplex({(0, 3): 1, (1, 0): 2, (2, 0): 1}, {}, {})):
+            for theory in BIGRADED_THEORIES:
+                table = TABLES[theory](k)
+                backwards = CohomologyTable(
+                    theory, dict(reversed(list(table.dims.items()))))
+                assert list(backwards.dims) != list(table.dims)
+                assert backwards.totals() == table.totals(), theory
 
     def test_gap_degrees_keep_de_rham_keys(self):
         """A degree between two support degrees holds nothing, yet de Rham

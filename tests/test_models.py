@@ -23,7 +23,7 @@ from itertools import combinations
 
 import pytest
 
-from bicomplex_lab import bicomplex, models
+from bicomplex_lab import bicomplex, exactla, models
 from bicomplex_lab import zigzag as zz
 from bicomplex_lab.bicomplex import (
     Bicomplex,
@@ -284,6 +284,22 @@ class TestRandomBicomplex:
             out = random_bicomplex(seed, symmetric=symmetric).bicomplex
             assert len(built) == 1 and built[0] is out
             assert len(checked) == 1 and checked[0] is out
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_no_elimination_per_draw(self, monkeypatch, symmetric):
+        """The scrambles are inverted from their triangular factors, so a
+        draw never enters the elimination loop."""
+        forward = exactla._forward
+        calls = []
+
+        def counted(columns):
+            calls.append(len(columns))
+            return forward(columns)
+
+        monkeypatch.setattr(exactla, "_forward", counted)
+        for seed in range(100):
+            random_bicomplex(seed, symmetric=symmetric)
+        assert calls == []
 
     def test_the_returned_complex_is_validated(self, monkeypatch):
         """With a square's top arrow drawn +1 instead of -1, its two

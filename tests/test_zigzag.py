@@ -250,6 +250,34 @@ class TestBasisChanges:
         assert out.del_blocks().keys() == k.del_blocks().keys()
         assert out.delbar_blocks().keys() == k.delbar_blocks().keys()
 
+    def test_substitution_inverse_equals_elimination(self):
+        """Each unit triangular factor inverted by substitution equals its
+        inverse by elimination, and so does the scramble's U^-1 L^-1."""
+        rng = random.Random(7)
+        for draw in range(250):
+            n = 2 + draw % 5
+            lower = zz._unitriangular(rng, n, upper=False)
+            upper = zz._unitriangular(rng, n, upper=True)
+            assert (zz._unitriangular_inverse(lower, upper=False)
+                    == exactla.inverse(lower)), draw
+            assert (zz._unitriangular_inverse(upper, upper=True)
+                    == exactla.inverse(upper)), draw
+        for seed in range(40):
+            spaces = {(p, 0): 2 + (seed + p) % 5 for p in range(3)}
+            mats, inv = zz._scrambles(spaces, seed)
+            assert mats.keys() == inv.keys() == spaces.keys()
+            for bid, m in mats.items():
+                assert inv[bid] == exactla.inverse(m), (seed, bid)
+                assert m @ inv[bid] == Matrix.identity(spaces[bid])
+
+    def test_scrambles_keep_the_generator_order(self):
+        """``_scrambles`` draws the very matrices ``scramble_matrices``
+        draws for the same dimensions and seed."""
+        for seed in range(20):
+            k = zz.synthesize(random_parts(random.Random(seed), 6))
+            mats, _ = zz._scrambles(k.spaces(), seed)
+            assert mats == zz.scramble_matrices(k, seed)
+
     def test_wrong_size_raises_where_no_block_is_stored(self):
         """A matrix that does not fit its bidegree is refused even where
         no block is stored, so nothing would multiply it."""
