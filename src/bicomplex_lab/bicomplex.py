@@ -296,16 +296,25 @@ def _total_dims(k):
     return store["degree_dims"]
 
 
-def _staircase(k, r, a, b):
+def _staircase(k, r, a, b, descending=False):
     """The staircase M_r(a, b): column blocks x_i in A^{a+i, b-i} and row
     blocks A^{a+j, b-j+1} for i, j < r, with delbar out of (a+j, b-j) on
     the diagonal block (j, j) and del out of (a+j-1, b-j+1) on the block
     (j, j-1) below it, placed from the stored blocks of ``k``.
 
     Its rows are delbar x_0, del x_0 + delbar x_1, ...,
-    del x_{r-2} + delbar x_{r-1}.
+    del x_{r-2} + delbar x_{r-1}: d out of degree a + b between the
+    bidegrees with a <= p < a + r, which is the whole of d for the keys
+    that :func:`_d_staircases` names.  The row blocks run in ascending p,
+    and so do the column blocks unless ``descending`` reverses them: that
+    is the order in which ``cohomology._d_pairs`` reads d as a filtered
+    map.
     """
     col_at = [0, *accumulate(k.dimension(a + i, b - i) for i in range(r))]
+    cols = col_at[-1]
+    if descending:
+        # Block i starts after blocks i+1 .. r-1.
+        col_at = [cols - end for end in col_at[1:]]
     row_at = [0, *accumulate(k.dimension(a + j, b - j + 1)
                              for j in range(r))]
     dels, delbars = k._del, k._delbar
@@ -317,7 +326,7 @@ def _staircase(k, r, a, b):
         m = dels.get((a + j - 1, b - j + 1)) if j else None
         if m is not None:
             blocks.append((row_at[j], col_at[j - 1], m))
-    return place_blocks(row_at[-1], col_at[-1], blocks)
+    return place_blocks(row_at[-1], cols, blocks)
 
 
 def _d_staircases(k):

@@ -29,11 +29,13 @@ At each support bidegree b they are the ranks of
   im del + im delbar.
 
 In each total degree k the rank of d out of k is the rank of one
-staircase matrix (below), which holds every del and delbar block out of
-degree k, so no table totalizes the complex.  Only the del and delbar
-ranks are always eliminated.  Each other rank lies between exact bounds
-read off ranks already counted, which hold over any field for a valid
-complex: Sylvester's inequality for del delbar, im del delbar inside
+staircase matrix (:func:`.bicomplex._staircase`), which holds every del
+and delbar block out of degree k, so no table totalizes the complex.
+Where it is eliminated, it is the number of pivot pairs of
+:func:`_d_pairs`, which the Frolicher pages read too.  Only the del and
+delbar ranks are always eliminated.  Each other rank lies between exact
+bounds read off ranks already counted, which hold over any field for a
+valid complex: Sylvester's inequality for del delbar, im del delbar inside
 ker del ∩ ker delbar for the stack, im del + im delbar inside
 ker del delbar for the join, and for d its block-triangular shape and
 d^2 = 0 (``_block_ranks`` and ``_d_ranks`` prove each bound).  Where the
@@ -78,12 +80,17 @@ For a map through de Rham the bigraded end's ranks are summed over the
 anti-diagonal.  From a theory to itself B lies in Z, S A is zero and the
 rank is the table.
 
-The Frolicher pages are counted the same way, from the ranks of
-staircase matrices: del and delbar blocks placed along an anti-diagonal
-strip, the first one being delbar, a block rank.  The one builder of
-these matrices is :func:`.bicomplex._staircase`, which also builds
-``totalize``'s differentials.  The formulas and the stop rule are in
-:func:`frolicher_pages`.  So ``all_tables`` builds no subspace.
+The Frolicher pages are counted from the same passes.  Over a field a
+filtered complex splits into single generators and pairs x -> dx
+(Barannikov, *The framed Morse complex and its invariants*, Adv. Soviet
+Math. 1994), and its spectral sequence is read off the filtration gaps
+of the pairs, as in persistence (Edelsbrunner and Harer, *Computational
+Topology*, AMS 2010): a pair whose dx lies g columns to the right of x
+lives on pages 1..g at both of its ends.  One forward elimination of d
+per degree, its columns in descending p and its rows in ascending p,
+finds those pairs (:func:`_d_pairs`), and :func:`frolicher_pages` takes
+each page from Dolbeault less the pairs of smaller gap.  So
+``all_tables`` builds no subspace.
 
 Subspaces are built only where subspaces are read (``_SUBSPACES``): the
 Bott-Chern cocycles (the kernel of the stack [del; delbar]) and
@@ -91,14 +98,14 @@ im del delbar for the Bott-Chern representatives, which the pairing
 check reads, and ker del delbar for the square splitting of the
 decomposition.  A private store in the complex's ``_store`` slot is the
 one cache of a complex.  Beside the validity verdict and the zero
-matrices of absent blocks, it computes the block ranks, the staircase
-ranks, these subspaces, the del delbar composites, every table, the
-Bott-Chern representatives and every natural map's ranks at most once,
-on first use.  The grading is the complex's own: tables are keyed by
-:meth:`.Bicomplex.spaces` and, for de Rham, by the degree dimensions
-that ``bicomplex._total_dims`` also keeps in the store.  Anti-diagonal
-totals are not stored: :meth:`CohomologyTable.totals` sums a table's
-few entries where a check reads them.
+matrices of absent blocks, it computes the block ranks, the ranks and
+pivot pairs of d, these subspaces, the del delbar composites, every
+table, the Bott-Chern representatives and every natural map's ranks at
+most once, on first use.  The grading is the complex's own: tables are
+keyed by :meth:`.Bicomplex.spaces` and, for de Rham, by the degree
+dimensions that ``bicomplex._total_dims`` also keeps in the store.
+Anti-diagonal totals are not stored: :meth:`CohomologyTable.totals`
+sums a table's few entries where a check reads them.
 ``THEORIES`` is the one list of theories and the fields of
 :class:`NaturalMapRanks` the one list of maps: the table bundles, the
 zigzag recount and the CLI's table reports take their names and order
@@ -114,6 +121,7 @@ subspace unless the complex carries pairings.
 
 from dataclasses import dataclass, fields, make_dataclass
 
+from . import exactla
 from .bicomplex import _d_staircases, _staircase, _total_dims, ensure_valid
 from .exactla import (
     LinAlgError,
@@ -282,8 +290,7 @@ def _block_ranks(k):
     """The block ranks of ``k`` (see the module docstring), by name:
     "del", "delbar", "ddbar", "stack" and "join" per support bidegree.
     A key that is missing has rank 0.  The ranks of d are counted apart,
-    by ``_d_ranks``: they are staircase ranks, which read the delbar
-    ranks here.
+    by ``_d_ranks``, which reads the del and delbar ranks here.
 
     The del and delbar ranks are eliminated.  The others are walked in
     increasing (p, q) and taken from exact bounds when the bounds meet,
@@ -333,13 +340,11 @@ def _block_ranks(k):
 
 
 def _d_ranks(k):
-    """rk d per total degree, the rank of the staircase that
-    ``bicomplex._d_staircases`` names for it; a degree that is missing
-    has rank 0.
+    """rk d per total degree where ``bicomplex._d_staircases`` names a
+    staircase for d; a degree that is missing has rank 0.
 
     Walked in increasing degree, rk d(k) is taken from exact bounds when
-    they meet, and is then kept in the staircase store as well, for the
-    pages:
+    they meet, and is otherwise the number of pairs of :func:`_d_pairs`:
 
     * it is at least the sum of the del ranks out of degree k, and at
       least that of the delbar ranks: ordered by p, d is block triangular
@@ -353,17 +358,76 @@ def _d_ranks(k):
         ranks = _block_ranks(k)
         by_del, by_delbar = (_by_degree(ranks["del"]),
                              _by_degree(ranks["delbar"]))
-        staircases = _once(k, "staircase", dict)
         out = {}
-        for deg, key in sorted(_d_staircases(k).items()):
+        for deg in _d_staircases(k):
             out[deg] = _bounded(
                 max(by_del.get(deg, 0), by_delbar.get(deg, 0)),
                 min(dims[deg + 1], dims[deg] - out.get(deg - 1, 0)),
-                lambda: _staircase_rank(k, *key))
-            staircases.setdefault(key, out[deg])
+                lambda: sum(_d_pairs(k, deg).values()))
         return out
 
     return _once(k, "d_ranks", count)
+
+
+def _d_pairs(k, deg):
+    """The pivot pairs of d out of total degree ``deg``, filtered by p, as
+    {(p, gap): count}, the counts summing to rk d: a pair leaves
+    A^{p, deg-p} and enters A^{p+gap, deg+1-p-gap} (see
+    :func:`frolicher_pages` for what the gaps mean).
+
+    One forward pass of ``exactla._forward`` runs over the staircase of
+    d with its rows in ascending p and its column blocks in descending p
+    (``_staircase(..., descending=True)``): a column is reduced only by
+    the columns before it, which lie in the same or a higher p, so each
+    pivot column is a vector x of exact filtration p whose dx leads, at
+    its least p, in the pivot row.  None is run where the staircase
+    reduces without one:
+
+    * an empty first column block leaves the first row block zero, and
+      an empty last row block leaves the last column block zero, since
+      its del lands one p further, where the support or an earlier step
+      left nothing: such blocks are dropped, and a staircase left with
+      one bidegree is its delbar, whose stored rank counts its pairs,
+      all of gap 0;
+    * a zero matrix has no pair, and one with a single row or column one
+      pair, at the lead of its first nonzero column.
+
+    Counted at most once per complex and kept in the store.
+    """
+
+    def count():
+        r, a, b = _d_staircases(k)[deg]
+        while r > 1:
+            if not k.dimension(a, b):
+                a, b = a + 1, b - 1
+            elif k.dimension(a + r - 1, b - r + 2):
+                break
+            r -= 1
+        if r == 1:
+            rk = _block_ranks(k)["delbar"].get((a, b), 0)
+            return {(a, 0): rk} if rk else {}
+        m = _staircase(k, r, a, b, descending=True)
+        if m.is_zero():
+            return {}
+        columns = m._data
+        if m.rows == 1 or m.cols == 1:
+            j = next(j for j, c in enumerate(columns) if c)
+            pivots = [(min(columns[j]), j, None)]
+        else:
+            pivots = exactla._forward(columns)
+        # The p of each row and column, in the staircase's order.
+        spaces, row_p, col_p = k.spaces(), [], []
+        for i in range(r):
+            row_p += [a + i] * spaces.get((a + i, b - i + 1), 0)
+            col_p = [a + i] * spaces.get((a + i, b - i), 0) + col_p
+        out = {}
+        for row, j, _ in pivots:
+            p = col_p[j]
+            key = p, row_p[row] - p
+            out[key] = out.get(key, 0) + 1
+        return out
+
+    return _once(k, ("d_pairs", deg), count)
 
 
 def _keyed(k, name, by_degree):
@@ -439,75 +503,52 @@ def de_rham(k):
     return _table(k, "de_rham")
 
 
-def _staircase_rank(k, r, a, b):
-    """rk M_r(a, b), the staircase of :func:`.bicomplex._staircase`,
-    counted at most once per complex and kept in the store with every
-    smaller staircase it reduces to."""
-    ranks = _once(k, "staircase", dict)
-    key = (r, a, b)
-    if key not in ranks:
-        if r == 0:
-            ranks[key] = 0
-        elif r == 1:
-            ranks[key] = _block_ranks(k)["delbar"].get((a, b), 0)
-        elif not k.dimension(a, b):
-            # x_0 is empty, so its row is zero: the rest is
-            # M_{r-1}(a+1, b-1).
-            ranks[key] = _staircase_rank(k, r - 1, a + 1, b - 1)
-        elif not k.dimension(a + r - 1, b - r + 2):
-            # The last row is empty, so x_{r-1}, which only meets it, is
-            # a zero column: the rest is M_{r-1}(a, b).
-            ranks[key] = _staircase_rank(k, r - 1, a, b)
-        else:
-            ranks[key] = rank(_staircase(k, r, a, b))
-    return ranks[key]
-
-
 def frolicher_pages(k):
     """Spectral-sequence pages for the filtration by horizontal degree.
 
-    Page r is counted from the ranks of the staircase matrices M_r(a, b)
-    of :func:`.bicomplex._staircase`: for x_i in A^{a+i, b-i}, i < r,
-    the rows of M_r(a, b) are delbar x_0, del x_0 + delbar x_1, ...,
-    del x_{r-2} + delbar x_{r-1}.  M_0 = 0 and M_1(a, b) is delbar out of
-    (a, b), a block rank of the store.  Writing R_r for rk M_r, at (p, q):
+    Over a field a filtered complex splits into single generators and
+    pairs x -> dx (Barannikov, *The framed Morse complex and its
+    invariants*, Adv. Soviet Math. 1994), and its spectral sequence is
+    read off the filtration gaps of the pairs, as in persistence
+    (Edelsbrunner and Harer, *Computational Topology*, AMS 2010).  A
+    pair whose x has exact filtration p and whose dx has p + gap is
+    killed by d_gap: it lives on pages 1..gap at both of its ends, and a
+    gap-0 pair is a pair of delbar, on no page at all.  The pairs of d
+    per degree are those of :func:`_d_pairs`.  So page 1 is the
+    Dolbeault table, and page r at (p, q) is page 1 less the pairs with
+    1 <= gap < r that leave or enter (p, q).  ``r_stab`` is 1 + the
+    largest gap, and pages past it are omitted, since they repeat it.
 
-    * Z_r, the x_0 of the kernel of M_r(p, q), has dimension
-      dim A^{p,q} - R_r(p, q) + R_{r-1}(p+1, q-1), since the kernel
-      vectors with x_0 = 0 are the kernel of M_{r-1}(p+1, q-1);
-    * B_r, the image of the last row of M_r(p-r+1, q+r-2) on the kernel
-      of the rows above it, has dimension
-      R_r(p-r+1, q+r-2) - R_{r-1}(p-r+1, q+r-2);
-    * the page is dim Z_r - dim B_r, so page 1 is the Dolbeault table.
-
-    Each rank is counted once per complex (``_staircase_rank``).  Pages
-    weakly decrease pointwise and the limit sums along anti-diagonals to
-    the Betti numbers, so the first page whose anti-diagonal totals equal
-    de Rham is the limit, ``r_stab``, and the loop stops there.  Page
-    p-width + 1 is the limit of any valid bounded complex; a complex that
-    has not reached de Rham by then raises LinAlgError instead of
-    looping.  Pages past ``r_stab`` are omitted, since they repeat it.
+    A degree where rk d is the sum of the delbar ranks has only gap-0
+    pairs and runs no pass; so where the Dolbeault totals equal de Rham
+    no pass runs, and the pages stop at page 1.  The limit sums along
+    anti-diagonals to the Betti numbers; a last page whose sums differ
+    raises LinAlgError, naming page p-width + 1, by which any valid
+    bounded complex has reached its limit.
     """
-    support = k.support()
-    if not support:
-        return FrolicherPages(pages={1: {}})
-    hard_stop = support[-1][0] - support[0][0] + 1
     betti = de_rham(k).dims
-    pages = {}
-
-    def rk(r, a, b):
-        return _staircase_rank(k, r, a, b)
-
-    for r in range(1, hard_stop + 1):
-        pages[r] = page = {
-            (p, q): k.dimension(p, q) - rk(r, p, q) + rk(r - 1, p + 1, q - 1)
-            - rk(r, p - r + 1, q + r - 2) + rk(r - 1, p - r + 1, q + r - 2)
-            for (p, q) in support}
-        sums = _by_degree(page)
-        if all(sums.get(deg, 0) == d for deg, d in betti.items()):
-            return FrolicherPages(pages=pages)
-    raise LinAlgError(f"Frolicher pages did not reach de Rham by page "
-                      f"{hard_stop}, the p-width + 1")
+    by_delbar = _by_degree(_block_ranks(k)["delbar"])
+    gaps = {}
+    for deg, rk in _d_ranks(k).items():
+        if rk > by_delbar.get(deg, 0):
+            for (p, gap), n in _d_pairs(k, deg).items():
+                if gap:
+                    gaps.setdefault(gap, []).append(
+                        ((p, deg - p), (p + gap, deg + 1 - p - gap), n))
+    page = dict(dolbeault(k).dims)
+    pages = {1: page}
+    for r in range(2, max(gaps, default=0) + 2):
+        pages[r] = page = dict(page)
+        for source, target, n in gaps.get(r - 1, ()):
+            page[source] -= n
+            page[target] -= n
+    sums = _by_degree(page)
+    if any(sums.get(deg, 0) != d for deg, d in betti.items()):
+        support = k.support()
+        raise LinAlgError(f"Frolicher pages did not reach de Rham by page "
+                          f"{support[-1][0] - support[0][0] + 1}, the "
+                          f"p-width + 1")
+    return FrolicherPages(pages=pages)
 
 
 def _map_ranks(k, source, target):

@@ -385,9 +385,13 @@ def place_blocks(rows, cols, blocks):
 def _forward(columns):
     """Forward elimination of the sparse columns ``columns``.
 
-    The module's one elimination loop.  Returns ``(pivot_row, column)``
-    pairs by increasing pivot row, each column leading at its own pivot
-    row, so their number is the rank.  Pivots are not scaled, and a column
+    The module's one elimination loop.  Returns ``(pivot_row, index,
+    column)`` triples by increasing pivot row, ``index`` being the pivot
+    column's position in ``columns`` and ``column`` its reduced copy,
+    which leads at the pivot row, so their number is the rank.  A column
+    is reduced only by the columns before it, so for columns in
+    filtration order the pivots are the persistence pairs
+    (``cohomology._d_pairs``).  Pivots are not scaled, and a column
     is not cleared in the pivot rows below its own.  ``columns`` is left
     as it is: the pass copies a column before it eliminates it, so a
     column that is only ever a pivot comes back as given.
@@ -413,7 +417,7 @@ def _forward(columns):
         bucket = buckets.pop(r)
         j = min(bucket)
         col = work[j]
-        out.append((r, col))
+        out.append((r, j, col))
         if len(bucket) == 1:
             continue
         ninv = -col[r].inverse()
@@ -447,7 +451,7 @@ def _echelon(columns):
     rows the column stores.
     """
     done = {}
-    for r, col in reversed(_forward(columns)):
+    for r, _, col in reversed(_forward(columns)):
         piv = col[r]
         col = (dict(col) if piv.re == 1 and not piv.im
                else _scale(col, piv.inverse()))

@@ -9,8 +9,8 @@ cross-checks against a different derivation build their own subspaces
 (``reference_total``, which never calls ``totalize``): each table must
 equal dim cocycles - dim coboundaries over them, each natural map the
 elimination rule dim((Z + B) / B) of ``reference_natural_maps``, and the
-Frolicher pages, counted from staircase ranks, the
-preimage/intersection chase of ``reference_frolicher_pages``.
+Frolicher pages, counted from the filtration gaps of the pivot pairs of
+d, the preimage/intersection chase of ``reference_frolicher_pages``.
 
 Hand-derived frozen values used below:
 
@@ -849,39 +849,74 @@ class TestFrolicherPages:
             assert frolicher_pages(k) == reference_frolicher_pages(k), \
                 k.label
 
-    @pytest.mark.parametrize("make, r_stab, staircases",
-                             [(nil4, 2, 18), (iwasawa, 2, 10)],
-                             ids=["nil4", "iwasawa"])
-    def test_staircase_ranks_are_pinned(self, monkeypatch, make, r_stab,
-                                        staircases):
-        """With the tables in the store, the pages rank only staircases
-        M_r with r >= 2, each one once: M_1 is a stored block rank, and
-        an empty first column or last row reduces M_r to a smaller
-        staircase.  The ranks of d in de Rham are staircase ranks too,
-        and on each input two of them are page staircases, which the
-        pages find in the store.  The subspace chase took 59 preimages
-        and 31 intersections on nil4, and 29 and 13 on iwasawa."""
-        k = make()
-        for theory in THEORIES:
-            cohomology._table(k, theory)
-        built, ranked = [], []
+    @pytest.mark.parametrize("inputs, passes", [
+        (lambda: [nil4()], 0), (lambda: [iwasawa()], 0),
+        (lambda: [nil5()], 0),
+        (lambda: [random_bicomplex(seed).bicomplex for seed in range(100)],
+         19)], ids=["nil4", "iwasawa", "nil5", "random-0-99"])
+    def test_page_passes_are_pinned(self, monkeypatch, inputs, passes):
+        """With the five tables in the store, the pages enter the forward
+        pass only for a degree where rk d exceeds the sum of the delbar
+        ranks and de Rham took rk d from its bounds: elsewhere they read
+        the pairs that de Rham's passes stored, or need none.  A second
+        read enters it 0 times.  The staircase pages entered it 18 times
+        on nil4, 8 on iwasawa (10 staircases built), 46 on nil5 and 84 on
+        random complexes 0-99."""
+        ks = inputs()
+        for k in ks:
+            for theory in THEORIES:
+                cohomology._table(k, theory)
+        calls = []
+        forward = exactla._forward
 
-        def counted_staircase(k, r, a, b, _original=cohomology._staircase):
-            built.append((r, a, b))
-            return _original(k, r, a, b)
+        def counted(columns):
+            calls.append(len(columns))
+            return forward(columns)
 
-        def counted_rank(m, _original=cohomology.rank):
-            ranked.append(m)
-            return _original(m)
+        monkeypatch.setattr(exactla, "_forward", counted)
+        for k in ks:
+            frolicher_pages(k)
+        assert len(calls) == passes
+        for k in ks:
+            frolicher_pages(k)
+        assert len(calls) == passes
 
-        monkeypatch.setattr(cohomology, "_staircase", counted_staircase)
-        monkeypatch.setattr(cohomology, "rank", counted_rank)
+    def test_a_gap_of_two_needs_page_three(self):
+        """(0,1) ->del (1,1) <-delbar (1,0) ->del (2,0): x = (0,1) - (1,0)
+        has exact filtration 0 and dx = -(2,0) has 2, so the two ends
+        live on pages 1 and 2 and d_2 kills them."""
+        k = build({(0, 1): 1, (1, 0): 1, (1, 1): 1, (2, 0): 1},
+                  del_entries={(0, 1): [[1]], (1, 0): [[1]]},
+                  delbar_entries={(1, 0): [[1]]})
+        assert cohomology._d_pairs(k, 1) == {(1, 0): 1, (0, 2): 1}
         pages = frolicher_pages(k)
-        assert pages.r_stab == r_stab
-        assert len(built) == len(set(built)) == len(ranked) == staircases
-        assert min(r for r, _, _ in built) == 2
-        frolicher_pages(k)
-        assert len(built) == staircases
+        assert pages == reference_frolicher_pages(k)
+        assert pages.r_stab == 3
+        assert nonzero(pages.pages[2]) == {(0, 1): 1, (2, 0): 1}
+        assert nonzero(pages.e_infinity) == {}
+
+    def test_pairs_against_the_whole_staircase_and_delbar(self):
+        """Per degree the pairs number rk d, the whole staircase
+        eliminated; the gap-0 pairs at each p number the delbar rank
+        there, so page 1 is Dolbeault by a second route; every gap lies
+        in [0, p-width - 1]; and r_stab is 1 + the largest gap."""
+        for label, make in bounded_rank_inputs():
+            k = make()
+            delbar = cohomology._block_ranks(k)["delbar"]
+            support = k.support()
+            width = support[-1][0] - support[0][0] + 1
+            largest = 0
+            for deg, key in _d_staircases(k).items():
+                pairs = cohomology._d_pairs(k, deg)
+                assert sum(pairs.values()) == eliminated(
+                    _staircase(k, *key)), (label, deg)
+                assert {p: n for (p, gap), n in pairs.items() if not gap} \
+                    == {p: n for (p, q), n in delbar.items()
+                        if p + q == deg and n}, (label, deg)
+                assert all(0 <= gap < width for _, gap in pairs), \
+                    (label, deg)
+                largest = max([largest, *(gap for _, gap in pairs)])
+            assert frolicher_pages(k).r_stab == 1 + largest, label
 
     def test_pages_build_no_subspace(self, monkeypatch):
         """The pages and all_tables count from ranks alone: every subspace
