@@ -9,16 +9,17 @@ inequalities, defect formulas, upper bounds, dualities, pairing
 criteria).
 """
 
-from .bicomplex import (Bicomplex, Violation, check_real_structure,
-                        ensure_valid, totalize, validate)
+from .bicomplex import (Bicomplex, Violation, check_pairing_structure,
+                        check_real_structure, ensure_valid, totalize,
+                        validate)
 from .checkers import (ALL_CHECK_NAMES, THEOREM_CHECK_NAMES, CheckReport,
                        char_minus_check, ddbar_lemma_check, duality_check,
                        frolicher_check, non_ddbar_degrees, run_all_checks,
                        schweitzer_pairing_check, upper_bound_check)
 from .cohomology import (AllTables, CohomologyTable, FrolicherPages,
                          NaturalMapRanks, aeppli, all_tables, bott_chern,
-                         bott_chern_representatives, conj_dolbeault, de_rham,
-                         dolbeault, frolicher_pages, natural_maps)
+                         conj_dolbeault, de_rham, dolbeault, frolicher_pages,
+                         natural_maps)
 from .exactla import ExactScalar, Matrix, Subspace
 from .models import (from_structure_equations, iwasawa, kodaira_surface,
                      parse_structure_text, random_bicomplex, torus)
@@ -35,7 +36,7 @@ __all__ = [
     "ExactScalar", "FrolicherPages", "Matrix", "NaturalMapRanks",
     "Square", "Subspace",
     "THEOREM_CHECK_NAMES", "Violation", "Zigzag", "aeppli", "all_tables",
-    "bott_chern", "bott_chern_representatives", "char_minus_check",
+    "bott_chern", "char_minus_check", "check_pairing_structure",
     "check_real_structure", "conj_dolbeault",
     "count_cohomology_from_zigzags", "ddbar_lemma_check",
     "de_rham", "decompose", "dolbeault", "duality_check", "ensure_valid",

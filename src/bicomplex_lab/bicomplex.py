@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .exactla import SC_ONE, ExactScalar, Matrix, place_blocks
+from .exactla import SC_ONE, ExactScalar, Matrix, place_blocks, rank
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class Bicomplex:
       e_i f_j of basis vector i at (p, q) and basis vector j at
       (n-p, n-q).  For the pairing on cohomology classes to be well
       defined the functional must vanish on boundaries at (n, n), which
-      builders guarantee and the pairing checker re-verifies.
+      builders guarantee and :func:`check_pairing_structure` verifies.
 
     Complexes are equal when their spaces, blocks, ``n`` and ``label``
     agree and so does each structure that both of them carry; the JSON
@@ -402,6 +402,58 @@ def check_real_structure(k):
         if k._delbar.get((p, q)) != lift @ (d @ c).conjugate_entries():
             return False
     return True
+
+
+def check_pairing_structure(k):
+    """None iff the carried pairing is a Stokes duality, else the first
+    failure, naming its block or bidegree.
+
+    Three rules, each over [0, n]^2 in (p, q) order, are checked in turn:
+    every block P(p, q) is present and dim(n-p, n-q) x dim(p, q); every
+    block is invertible, by inspection when it has exactly one nonzero
+    entry in each row and each column (every model's pairing is a signed
+    permutation), else by being square of full rank; and the top
+    functional kills boundaries.  By the graded Leibniz rule the last is
+    P(p+1, q) del(p, q) = -(-1)^(p+q) del(n-p-1, n-q)^T P(p, q), and
+    likewise for delbar, each checked by products.  Then
+    ker del ∩ ker delbar annihilates im del + im delbar at the partner
+    bidegree and im del delbar annihilates ker del delbar, so Bott-Chern
+    at (p, q) is dual to Aeppli at (n-p, n-q).  The complex must be
+    valid; raises ValueError when it carries no pairing or no declared n.
+    """
+    if k.pairings is None or k.n is None:
+        raise ValueError("complex carries no pairing with a declared n")
+    n, pair = k.n, k.pairings
+    grid = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    for p, q in grid:
+        m = pair.get((p, q))
+        if m is None:
+            return f"pairing block at ({p},{q}) is missing"
+        want = (k.dimension(n - p, n - q), k.dimension(p, q))
+        if (m.rows, m.cols) != want:
+            return (f"pairing block at ({p},{q}) is {m.rows}x{m.cols}, "
+                    f"expected {want[0]}x{want[1]}")
+    for p, q in grid:
+        m = pair[(p, q)]
+        unit = (all(len(col) == 1 for col in m._data)
+                and sorted(i for col in m._data for i in col)
+                == list(range(m.rows)))
+        if not (unit or m.rows == m.cols == rank(m)):
+            return f"pairing block at ({p},{q}) is singular"
+    for p, q in grid:
+        for name, blocks, block, dp, dq in (
+                ("del", k._del, k.del_map, 1, 0),
+                ("delbar", k._delbar, k.delbar_map, 0, 1)):
+            partner = (n - p - dp, n - q - dq)
+            if p + dp > n or q + dq > n or not (
+                    (p, q) in blocks or partner in blocks):
+                continue
+            left = pair[(p + dp, q + dq)] @ block(p, q)
+            right = block(*partner).transpose() @ pair[(p, q)]
+            if left != (right.negate() if (p + q) % 2 == 0 else right):
+                return (f"pairing fails the Stokes identity for {name} "
+                        f"at ({p},{q})")
+    return None
 
 
 _BIDEGREE_KEY = re.compile(r"^\s*(-?\d+)\s*,\s*(-?\d+)\s*$", re.ASCII)

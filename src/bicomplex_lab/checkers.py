@@ -5,19 +5,20 @@ verdict of ``"holds"``, ``"fails"``, or ``"notApplicable"`` plus exact
 integer witnesses, so reports are reproducible and diffable.  A ``fails``
 verdict always carries the concrete numbers that violate the statement.
 Every check takes the complex alone and reads the tables, the defect, the
-Bott-Chern to Aeppli map, the Bott-Chern representatives and the
-real-structure verdict from its store (see :mod:`.cohomology`), so the
-checks run on one complex compute each of them once between them.  A
-check that compares totals sums the stored table along anti-diagonals
-itself (:meth:`.CohomologyTable.totals`); the store keeps no totals.
-The extra structures are the complex's own plain dicts: ``k.conj`` (the
-conjugation, see :class:`.Bicomplex`) gates the upper bound and the
-conjugation rows of the dualities, and ``k.pairings`` with a declared n
-gates the pairing check and the product rows of the dualities; the
-pairing check, the one reader of the pairing matrices, also needs every
-block present and well shaped.  Validation owns the support rule: a
-complex with a declared n and support outside [0, n]^2 is invalid, so
-every check raises ``ValueError`` on it.
+Bott-Chern to Aeppli map, the real-structure verdict and the pairing
+certificate from its store (see :mod:`.cohomology`), so the checks run
+on one complex compute each of them once between them, and build no
+subspace.  A check that compares totals sums the stored table along
+anti-diagonals itself (:meth:`.CohomologyTable.totals`); the store
+keeps no totals.  The extra structures are the complex's own plain
+dicts: ``k.conj`` (the conjugation, see :class:`.Bicomplex`) gates the
+upper bound and the conjugation rows of the dualities, and
+``k.pairings`` with a declared n gates the pairing check and the
+product rows of the dualities; the pairing check, the one reader of the
+pairing matrices, also needs the pairing certified as a Stokes duality
+(:func:`.bicomplex.check_pairing_structure`).  Validation owns the
+support rule: a complex with a declared n and support outside [0, n]^2
+is invalid, so every check raises ``ValueError`` on it.
 
 The checks, roughly in logical order:
 
@@ -44,11 +45,13 @@ The checks, roughly in logical order:
   everywhere.  So ``check`` and ``corpus`` do not certify a
   decomposition of each complex; ``decompose``, ``render``, the
   acceptance tests and the benchmark's reference checks do.
-* ``schweitzer_pairing_check`` - non-degeneracy of the top-form pairing
-  on Bott-Chern representatives implies the lemma.  The pairing is the
-  complex's matrix per complementary bidegree pair, so each pair costs
-  one Gram product and one rank; well-definedness is re-verified, not
-  assumed.  It is the only check that reads representatives.
+* ``schweitzer_pairing_check`` - the top-form pairing on Bott-Chern
+  cohomology is non-degenerate exactly when the lemma holds.  The
+  pairing is certified as a Stokes duality first (invertible blocks,
+  both differentials moved across it by products); an uncertified one
+  is not applicable.  On a certified pairing each Gram rank is the rank
+  of the Bott-Chern to Aeppli map at the complementary bidegree, so the
+  check adds no elimination to the map the store already counts.
 * ``duality_check`` - Betti/Serre/Bott-Chern-vs-Aeppli dualities and
   conjugation symmetries, gated on the structures that make them
   meaningful.
@@ -56,11 +59,9 @@ The checks, roughly in logical order:
 
 from dataclasses import dataclass
 
-from .bicomplex import check_real_structure
-from .cohomology import (_block_ranks, _natural_map, _once, _subspace,
-                         aeppli, bott_chern, bott_chern_representatives,
-                         conj_dolbeault, de_rham, dolbeault)
-from .exactla import Matrix, rank
+from .bicomplex import check_pairing_structure, check_real_structure
+from .cohomology import (_block_ranks, _natural_map, _once, aeppli,
+                         bott_chern, conj_dolbeault, de_rham, dolbeault)
 
 THEOREM_CHECK_NAMES = ("frolicher_inequality", "non_ddbar_degrees",
                        "hodge_upper_bounds")
@@ -244,37 +245,27 @@ def ddbar_lemma_check(k):
                        witnesses=witnesses)
 
 
-def _pairing_problem(k):
-    """The first pairing block, over [0, n]^2 in (p, q) order, that is
-    missing or not dim(n-p, n-q) x dim(p, q), described; None when every
-    block is well formed."""
-    n = k.n
-    for p in range(n + 1):
-        for q in range(n + 1):
-            m = k.pairings.get((p, q))
-            if m is None:
-                return f"pairing block at ({p},{q}) is missing"
-            want = (k.dimension(n - p, n - q), k.dimension(p, q))
-            if (m.rows, m.cols) != want:
-                return (f"pairing block at ({p},{q}) is {m.rows}x{m.cols}, "
-                        f"expected {want[0]}x{want[1]}")
-    return None
-
-
 def schweitzer_pairing_check(k):
-    """Top-form pairing on Bott-Chern representatives, one matrix product
-    per complementary bidegree pair.
+    """The pairing on Bott-Chern cohomology is non-degenerate exactly
+    when the lemma holds.
 
-    With ``L`` and ``R`` the representatives at (p, q) and (n-p, n-q) and
-    ``P`` the pairing matrix at (p, q), the pairings of the representatives
-    with the basis at (n-p, n-q) are the rows of ``left = (P L)^T``.  The
-    Gram matrix is ``left R``; the pair is non-degenerate when its rank
-    equals the dimension on both sides.  The pairing is well defined at
-    (p, q) when ``left`` kills the second-order boundaries at (n-p, n-q).
-    The verdict asserts the implication: everywhere non-degenerate =>
-    lemma holds.  Like a misshapen conjugation, a pairing block that is
-    missing or misshapen makes the check not applicable, with the first
-    such block as the reason; the complex is validated first.
+    The pairing is first certified as a Stokes duality by
+    :func:`.bicomplex.check_pairing_structure`: every block invertible,
+    and both differentials moved across it with the Leibniz sign.  A
+    pairing it refuses (a block missing, misshapen or singular, or a
+    Stokes identity broken) makes the check not applicable, with the
+    first failure as the reason; the complex is validated first.
+
+    On a certified pairing Bott-Chern at (p, q) is dual to Aeppli at
+    (n-p, n-q), and the Gram form on BC(p, q) x BC(n-p, n-q) is that
+    duality composed with the map from Bott-Chern to Aeppli at
+    (n-p, n-q).  So the Gram rank at (p, q) is the rank of that map at
+    the complementary bidegree, which the store counts from block ranks
+    (:func:`.cohomology._natural_map`); no representative is built.  The
+    pair is non-degenerate when its rank equals the dimension on both
+    sides.  Stokes makes the pairing kill im del delbar on Bott-Chern
+    cocycles, so ``IllDefined`` is always empty.  The verdict asserts
+    the two-way statement: ``holds`` iff ``NonDegenerate == LemmaHolds``.
     """
 
     def skip(reason):
@@ -286,39 +277,29 @@ def schweitzer_pairing_check(k):
         return skip("no product structure")
     if k.n is None:
         return skip("no declared n")
-    n = k.n
-    dims = bott_chern(k).dims
-    problem = _pairing_problem(k)
+    problem = _once(k, "pairing_structure",
+                    lambda: check_pairing_structure(k))
     if problem:
         return skip(problem)
-    reps = bott_chern_representatives(k)
-
-    def basis(bid):
-        return reps[bid].basis if bid in reps else Matrix.zero(0, 0)
-
+    n = k.n
+    dims = bott_chern(k).dims
+    to_aeppli = _natural_map(k, "bott_chern", "aeppli")
     gram_rank = {}
     degenerate = []
-    ill_defined = []
     for p in range(n + 1):
         for q in range(n + 1):
-            bid = (p, q)
-            comp = (n - p, n - q)
-            left = (k.pairings[bid] @ basis(bid)).transpose()
-            if not (left @ _subspace(k, "im_ddbar", comp).basis).is_zero():
-                ill_defined.append(str(bid))
-            r = rank(left @ basis(comp))
-            gram_rank[str(bid)] = r
+            bid, comp = (p, q), (n - p, n - q)
+            r = gram_rank[str(bid)] = to_aeppli.get(comp, 0)
             if not (r == dims.get(bid, 0) == dims.get(comp, 0)):
                 degenerate.append(str(bid))
     non_degenerate = not degenerate
     lemma = _bc_to_a_injective(k)
-    implication = (not non_degenerate) or lemma
-    verdict = "holds" if implication and not ill_defined else "fails"
     return CheckReport(
-        check_name="schweitzer_pairing", verdict=verdict,
+        check_name="schweitzer_pairing",
+        verdict="holds" if non_degenerate == lemma else "fails",
         witnesses={"GramRank": gram_rank,
                    "BottChern": {str(b): v for b, v in sorted(dims.items())},
-                   "Degenerate": degenerate, "IllDefined": ill_defined,
+                   "Degenerate": degenerate, "IllDefined": [],
                    "NonDegenerate": non_degenerate, "LemmaHolds": lemma})
 
 
@@ -371,12 +352,12 @@ def run_all_checks(k):
     """All checks on one complex, in ``ALL_CHECK_NAMES`` order.
 
     They share the complex's store, so the five tables, the Bott-Chern
-    to Aeppli map and the real-structure verdict are computed once for
-    all of them, from block and staircase ranks, and the Bott-Chern
-    representatives only when the pairing check applies.  Each check
-    sums the tables it compares along anti-diagonals itself.  The
-    Frolicher pages, the other six maps, the totalization and a
-    decomposition are not computed at all.
+    to Aeppli map, the real-structure verdict and the pairing
+    certificate are computed once for all of them, the tables and the
+    map from block and staircase ranks.  Each check sums the tables it
+    compares along anti-diagonals itself.  The Frolicher pages, the
+    other six maps, the totalization, a subspace and a decomposition are
+    not computed at all.
     """
     return (frolicher_check(k), non_ddbar_degrees(k), upper_bound_check(k),
             char_minus_check(k), ddbar_lemma_check(k),

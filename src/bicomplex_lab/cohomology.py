@@ -12,11 +12,9 @@ module computes, with exact arithmetic throughout:
 
 together with the pages of the Frolicher spectral sequence, the one of
 the filtration by horizontal degree (first page = Dolbeault, converging
-to de Rham), and the ranks of the seven maps
-induced by the identity between these theories.  A table holds only the
-dimensions, dim cocycles - dim coboundaries;
-:func:`bott_chern_representatives` gives, on demand, a canonical subspace
-of Bott-Chern cocycles that projects to a basis of each quotient.
+to de Rham), and the ranks of the seven maps induced by the identity
+between these theories.  A table holds only the dimensions,
+dim cocycles - dim coboundaries; no representative of a class is built.
 
 Every table and every map rank is counted from the ranks of single
 blocks, which the store computes once per complex (``_block_ranks``).
@@ -92,15 +90,12 @@ finds those pairs (:func:`_d_pairs`), and :func:`frolicher_pages` takes
 each page from Dolbeault less the pairs of smaller gap.  So
 ``all_tables`` builds no subspace.
 
-Subspaces are built only where subspaces are read (``_SUBSPACES``): the
-Bott-Chern cocycles (the kernel of the stack [del; delbar]) and
-im del delbar for the Bott-Chern representatives, which the pairing
-check reads, and ker del delbar for the square splitting of the
-decomposition.  A private store in the complex's ``_store`` slot is the
-one cache of a complex.  Beside the validity verdict and the zero
-matrices of absent blocks, it computes the block ranks, the ranks and
-pivot pairs of d, these subspaces, the del delbar composites, every
-table, the Bott-Chern representatives and every natural map's ranks at
+One subspace is built, where it is read (``_SUBSPACES``): ker del delbar
+for the square splitting of the decomposition.  A private store in the
+complex's ``_store`` slot is the one cache of a complex.  Beside the
+validity verdict and the zero matrices of absent blocks, it computes the
+block ranks, the ranks and pivot pairs of d, that subspace, the
+del delbar composites, every table and every natural map's ranks at
 most once, on first use.  The grading is the complex's own: tables are
 keyed by :meth:`.Bicomplex.spaces` and, for de Rham, by the degree
 dimensions that ``bicomplex._total_dims`` also keeps in the store.
@@ -116,22 +111,14 @@ change it.  ``all_tables`` and ``natural_maps`` are plain bundles built
 from the store, so a caller that reads one table or one map should ask
 for it alone: the checks read the five tables and the Bott-Chern to
 Aeppli map, never the pages or the other six maps, and build no
-subspace unless the complex carries pairings.
+subspace.
 """
 
 from dataclasses import dataclass, fields, make_dataclass
 
 from . import exactla
 from .bicomplex import _d_staircases, _staircase, _total_dims, ensure_valid
-from .exactla import (
-    LinAlgError,
-    Subspace,
-    complete_basis,
-    image_basis,
-    kernel_basis,
-    place_blocks,
-    rank,
-)
+from .exactla import LinAlgError, kernel_basis, place_blocks, rank
 
 BIGRADED_THEORIES = ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
 THEORIES = ("de_rham",) + BIGRADED_THEORIES
@@ -202,13 +189,9 @@ AllTables = make_dataclass(
 
 
 # The subspaces the store builds where subspaces are read (see the module
-# docstring), at (p, q): ker del delbar out of it for decompose, and the
-# Bott-Chern cocycles ker del ∩ ker delbar (one kernel of [del; delbar])
-# and im del delbar into it for the Bott-Chern representatives.
+# docstring), at (p, q): ker del delbar out of it for decompose.
 _SUBSPACES = {
     "ker_ddbar": lambda k, p, q: kernel_basis(_ddbar(k, (p, q))),
-    "bc_cocycles": lambda k, p, q: kernel_basis(_stack(k, (p, q))),
-    "im_ddbar": lambda k, p, q: image_basis(_ddbar(k, (p - 1, q - 1))),
 }
 
 # Each theory's cocycles and coboundaries as block ranks: the name of the
@@ -456,26 +439,6 @@ def _table(k, theory):
     return _once(k, ("table", theory), lambda: CohomologyTable(
         theory=theory,
         dims=_count(k, theory, theory, theory == "de_rham")))
-
-
-def bott_chern_representatives(k):
-    """Per support bidegree, a subspace of Bott-Chern cocycles that
-    projects to a basis of the Bott-Chern cohomology there: the columns
-    of the cocycles' reduced echelon basis that complete im del delbar,
-    so it is canonical.
-
-    Kept in the store; no table computes it, so only a caller that reads
-    it pays for it.  Raises ValueError for an invalid complex.
-    """
-    def build():
-        reps = {}
-        for bid in k.support():
-            cocycles = _subspace(k, "bc_cocycles", bid)
-            basis = complete_basis(_subspace(k, "im_ddbar", bid), cocycles)
-            reps[bid] = Subspace(cocycles.ambient_dim, basis)
-        return reps
-
-    return _once(k, "reps", build)
 
 
 def dolbeault(k):

@@ -15,9 +15,9 @@ asserted, in one of three ways:
 * hand-built staircases: roles (source/sink) read off the dot sequence
   directly; all five dimension tables follow by the counting rules
   pinned in test_zigzag.
-* deliberately bogus product structures: the expected violation is
-  computed by evaluating the bilinear form on the (unique, hand-known)
-  representatives.
+* deliberately bogus product structures: the expected refusal of the
+  pairing certificate is read off the block shapes, or off the one
+  Stokes identity a hand-made change breaks.
 
 Verdicts of checks whose statement is a theorem for valid inputs
 ("fails" unreachable) are exercised on seeded corpora instead.
@@ -29,7 +29,7 @@ from collections import Counter
 
 import pytest
 
-from bicomplex_lab import checkers, clio, cohomology, models
+from bicomplex_lab import bicomplex, checkers, clio, cohomology, models
 from bicomplex_lab.bicomplex import Bicomplex
 from bicomplex_lab.checkers import (ALL_CHECK_NAMES, THEOREM_CHECK_NAMES,
                                     CheckReport, char_minus_check,
@@ -499,32 +499,95 @@ class TestSchweitzerPairing:
         assert listed == expected.split()
 
     def test_ill_defined_product_fails(self):
-        # Bott-Chern representatives at (1,1) reduce to the lone dot,
-        # but the square's corner is a second-order boundary there; the
-        # all-ones pairing does not kill their product, so
-        # well-definedness fails exactly at (1,1).
+        # The all-ones pairing does not kill the second-order boundary at
+        # (1,1), the square's corner, so it is ill defined there.  The
+        # certificate refuses it earlier: dim(2,1) = 0 and dim(0,1) = 1,
+        # so the block at (0,1) is 0x1, which no inverse has.
         parts = [Square((0, 0)), Zigzag(((1, 1),)), Zigzag(((2, 2),))]
         base = synthesize(parts)
         k = with_structure(base, n=2, pairings=all_ones_pairing(base, 2))
         rep = schweitzer_pairing_check(k)
-        assert rep.verdict == "fails"
-        assert rep.witnesses["IllDefined"] == ["(1, 1)"]
+        assert rep.verdict == "notApplicable"
+        assert rep.witnesses == {
+            "Reason": "pairing block at (0,1) is singular"}
 
     def test_nondegenerate_with_false_lemma_fails(self):
         # Two dominoes plus two dots give complement-symmetric
         # Bott-Chern dimensions (one class at each corner bidegree)
-        # while the lemma fails; the all-ones pairing is well-defined
-        # here (no second-order boundaries) and non-degenerate, so the
-        # implication itself is violated -> "fails" with full witnesses.
+        # while the lemma fails, and the all-ones pairing is
+        # non-degenerate on them, against the implication.  It is no
+        # duality: (0,0) holds three dots and (1,1) one, so the block at
+        # (0,0) is 1x3, not invertible, and the certificate refuses it.
         parts = [VERT_DOMINO, HORIZ_DOMINO, Zigzag(((1, 1),)),
                  Zigzag(((0, 0),))]
         base = synthesize(parts)
         k = with_structure(base, n=1, pairings=all_ones_pairing(base, 1))
         rep = schweitzer_pairing_check(k)
-        assert rep.verdict == "fails"
-        assert rep.witnesses["IllDefined"] == []
+        assert rep.verdict == "notApplicable"
+        assert rep.witnesses == {
+            "Reason": "pairing block at (0,0) is singular"}
+
+    def test_negated_entry_breaks_stokes_at_the_first_bidegree(self):
+        # The block at (2,1) enters the del identity at (1,1) and the
+        # delbar one at (2,0) on the left, and both at (2,1) on the
+        # right; (1,1) comes first in (p, q) order.  The block stays a
+        # signed permutation, so it is still invertible.
+        k = iwasawa()
+        pairings = dict(k.pairings)
+        m = pairings[(2, 1)]
+        columns = [dict(col) for col in m._data]
+        (row, x), = columns[0].items()
+        columns[0][row] = -x
+        pairings[(2, 1)] = Matrix._from_sparse(m.rows, m.cols, columns)
+        rep = schweitzer_pairing_check(with_structure(
+            k, n=k.n, conj=k.conj, pairings=pairings))
+        assert rep.verdict == "notApplicable"
+        assert rep.witnesses == {
+            "Reason": "pairing fails the Stokes identity for del at (1,1)"}
+
+    def test_invertible_block_that_is_no_signed_permutation(self,
+                                                            monkeypatch):
+        """torus(2) with its (1,1) block replaced by a unitriangular one:
+        certified through the rank of that block alone, still a perfect
+        pairing (the differentials vanish), and its Gram ranks are those
+        of the representatives oracle."""
+        from test_cohomology import reference_gram_ranks
+        k = torus(2)
+        pairings = dict(k.pairings)
+        block = pairings[(1, 1)]
+        assert block.rows == block.cols == 4
+        pairings[(1, 1)] = Matrix.from_rows(
+            [[SC1 if j >= i else ExactScalar(0) for j in range(4)]
+             for i in range(4)])
+        k = with_structure(k, n=k.n, conj=k.conj, pairings=pairings)
+        ranks = []
+        rank = bicomplex.rank
+
+        def counted(m):
+            ranks.append((m.rows, m.cols))
+            return rank(m)
+
+        monkeypatch.setattr(bicomplex, "rank", counted)
+        rep = schweitzer_pairing_check(k)
+        assert ranks == [(4, 4)]
+        assert rep.verdict == "holds"
         assert rep.witnesses["NonDegenerate"] is True
-        assert rep.witnesses["LemmaHolds"] is False
+        assert rep.witnesses["GramRank"] == rep.witnesses["BottChern"] \
+            == reference_gram_ranks(k)[0]
+
+    @pytest.mark.parametrize("make, lemma", [
+        (lambda: torus(1), True), (lambda: torus(2), True),
+        (lambda: torus(3), True), (iwasawa, False),
+        (kodaira_surface, False),
+        (lambda: TestSchweitzerPairing.DEGENERATE["nil4"][0](), False)],
+        ids=["torus1", "torus2", "torus3", "iwasawa", "kodaira", "nil4"])
+    def test_verdict_is_two_way(self, make, lemma):
+        """On a certified pairing the check asserts the equivalence:
+        non-degenerate exactly when the lemma holds."""
+        rep = schweitzer_pairing_check(make())
+        assert rep.verdict == "holds"
+        assert rep.witnesses["NonDegenerate"] is lemma
+        assert rep.witnesses["LemmaHolds"] is lemma
 
     def test_not_applicable_without_product(self):
         rep = schweitzer_pairing_check(synthesize([VERT_DOMINO]))
@@ -553,10 +616,12 @@ class TestSchweitzerPairing:
     @pytest.mark.parametrize("block, reason", [
         (None, "pairing block at (1,1) is missing"),
         (Matrix.zero(2, 2), "pairing block at (1,1) is 2x2, expected 9x9"),
+        (Matrix.zero(9, 9), "pairing block at (1,1) is singular"),
     ])
     def test_malformed_block_is_not_applicable(self, block, reason):
-        """A missing or misshapen block is reported like a misshapen
-        conjugation: not applicable, naming the block, never an error."""
+        """A missing, misshapen or singular block is reported like a
+        misshapen conjugation: not applicable, naming the block, never an
+        error."""
         k = self._iwasawa_with_pairing_at_1_1(block)
         rep = schweitzer_pairing_check(k)
         assert rep.verdict == "notApplicable"
@@ -740,7 +805,7 @@ class TestEdgeShapes:
 
 class TestChecksReadOnlyWhatTheyNeed:
     """The checks read the five tables, the Bott-Chern to Aeppli map and
-    the Bott-Chern representatives from the complex's store, so neither
+    the pairing certificate from the complex's store, so neither
     run_all_checks nor a check alone computes the Frolicher pages or the
     other six natural maps."""
 
@@ -778,41 +843,41 @@ class TestChecksReadOnlyWhatTheyNeed:
             assert maps == [("bott_chern", "aeppli")], label
 
     @staticmethod
-    def _count_representatives(monkeypatch):
-        """Count ``complete_basis`` calls and the calls for the Bott-Chern
-        representatives."""
-        calls = {"complete_basis": 0, "representatives": 0}
-        complete = cohomology.complete_basis
-        reps = checkers.bott_chern_representatives
-
-        def counted_complete(*args):
-            calls["complete_basis"] += 1
-            return complete(*args)
-
-        def counted_reps(k):
-            calls["representatives"] += 1
-            return reps(k)
-
-        monkeypatch.setattr(cohomology, "complete_basis", counted_complete)
-        monkeypatch.setattr(checkers, "bott_chern_representatives",
-                            counted_reps)
+    def _count_pairing_work(monkeypatch):
+        """Count the pairing certificates decided and the calls of
+        ``complete_basis``, ``kernel_basis`` and ``image_basis`` in every
+        module of the package."""
+        calls = Counter()
+        modules = [module for name, module in sys.modules.items()
+                   if name.startswith("bicomplex_lab")]
+        for name in ("check_pairing_structure", "complete_basis",
+                     "kernel_basis", "image_basis"):
+            for module in modules:
+                original = getattr(module, name, None)
+                if original is not None:
+                    def counted(*args, _name=name, _original=original):
+                        calls[_name] += 1
+                        return _original(*args)
+                    monkeypatch.setattr(module, name, counted)
         return calls
 
     def test_plain_complex_computes_no_representatives(self, monkeypatch):
-        calls = self._count_representatives(monkeypatch)
+        calls = self._count_pairing_work(monkeypatch)
         k = random_bicomplex(3).bicomplex
         run_all_checks(k)
-        assert calls == {"complete_basis": 0, "representatives": 0}
-        assert "reps" not in k._store
+        assert calls == Counter()
+        assert "pairing_structure" not in k._store
 
-    def test_pairing_reads_only_bott_chern_representatives(self,
-                                                           monkeypatch):
-        calls = self._count_representatives(monkeypatch)
+    def test_pairing_takes_no_subspace(self, monkeypatch):
+        """The pairing check takes no ``complete_basis``, no kernel and no
+        image (it took one of each per support bidegree for the
+        Bott-Chern representatives), and decides the certificate once."""
+        calls = self._count_pairing_work(monkeypatch)
         k = iwasawa()
         run_all_checks(k)
-        assert calls == {"complete_basis": len(k.support()),
-                         "representatives": 1}
-        assert "reps" in k._store
+        schweitzer_pairing_check(k)
+        assert calls == Counter({"check_pairing_structure": 1})
+        assert k._store["pairing_structure"] is None
 
     def test_checks_build_no_subspace(self, monkeypatch):
         """The tables and the Bott-Chern to Aeppli map are counted from

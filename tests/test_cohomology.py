@@ -10,7 +10,10 @@ cross-checks against a different derivation build their own subspaces
 equal dim cocycles - dim coboundaries over them, each natural map the
 elimination rule dim((Z + B) / B) of ``reference_natural_maps``, and the
 Frolicher pages, counted from the filtration gaps of the pivot pairs of
-d, the preimage/intersection chase of ``reference_frolicher_pages``.
+d, the preimage/intersection chase of ``reference_frolicher_pages``, and
+the pairing check's Gram ranks, read off the Bott-Chern to Aeppli map,
+the Gram matrices of the Bott-Chern representatives of
+``reference_representatives`` (``reference_gram_ranks``).
 
 Hand-derived frozen values used below:
 
@@ -55,7 +58,6 @@ from bicomplex_lab.cohomology import (
     aeppli,
     all_tables,
     bott_chern,
-    bott_chern_representatives,
     conj_dolbeault,
     de_rham,
     dolbeault,
@@ -66,6 +68,7 @@ from bicomplex_lab.exactla import (
     LinAlgError,
     Matrix,
     Subspace,
+    complete_basis,
     image_basis,
     kernel_basis,
     place_blocks,
@@ -394,6 +397,52 @@ def reference_pairs(k, theory, subspace):
 
 
 # --------------------------------------------------------------------------
+# Reference Bott-Chern representatives and Gram ranks: the construction the
+# pairing check ran before it read its Gram ranks off the Bott-Chern to
+# Aeppli map.
+# --------------------------------------------------------------------------
+
+def reference_representatives(k, subspace=None):
+    """Per support bidegree, the columns of the reference Bott-Chern
+    cocycles' reduced echelon basis that complete the reference
+    im del delbar: a canonical subspace of cocycles projecting to a basis
+    of the Bott-Chern cohomology there."""
+    subspace = subspace or reference_subspaces(k)
+    reps = {}
+    for bid in k.support():
+        cocycles = subspace("bc_cocycles", bid)
+        basis = complete_basis(subspace("im_ddbar", bid), cocycles)
+        reps[bid] = Subspace(cocycles.ambient_dim, basis)
+    return reps
+
+
+def reference_gram_ranks(k):
+    """Per (p, q) in [0, n]^2, keyed as the check keys it, the rank of the
+    Gram matrix (P L)^T R, with L and R the reference representatives at
+    (p, q) and (n-p, n-q) and P the pairing block at (p, q); and the
+    bidegrees where (P L)^T does not kill im del delbar at (n-p, n-q),
+    which a Stokes pairing leaves empty."""
+    n = k.n
+    subspace = reference_subspaces(k)
+    reps = reference_representatives(k, subspace)
+
+    def basis(bid):
+        return reps[bid].basis if bid in reps else Matrix.zero(0, 0)
+
+    ranks, ill_defined = {}, []
+    for p in range(n + 1):
+        for q in range(n + 1):
+            bid, comp = (p, q), (n - p, n - q)
+            left = (k.pairings[bid] @ basis(bid)).transpose()
+            exact = (subspace("im_ddbar", comp).basis if comp in reps
+                     else Matrix.zero(0, 0))
+            if not (left @ exact).is_zero():
+                ill_defined.append(bid)
+            ranks[str(bid)] = rank(left @ basis(comp))
+    return ranks, ill_defined
+
+
+# --------------------------------------------------------------------------
 # Reference natural maps: the elimination rule, on reference subspaces.
 # --------------------------------------------------------------------------
 
@@ -621,16 +670,22 @@ class TestRanksFromBounds:
         assert len(calls) == 110
 
 
+def nakamura():
+    """The n = 3 model of Nakamura type; its pairing is certified."""
+    return from_structure_equations(parse_structure_text(
+        "n = 3\nd w2 = -1* w1^w2\nd w3 = w1^w3\n"))
+
+
 class TestRepresentatives:
-    """The Bott-Chern representatives, the only ones the package builds,
-    against reference subspaces of the test's own."""
+    """The reference Bott-Chern representatives, which the package no
+    longer builds, against the reference subspaces they come from."""
 
     @pytest.mark.parametrize("theory", ["bott_chern"])
     def test_representatives_are_cocycles_spanning_the_quotient(self, theory):
         for k in EXAMPLES:
             table = TABLES[theory](k)
             subspace = reference_subspaces(k)
-            table_reps = bott_chern_representatives(k)
+            table_reps = reference_representatives(k, subspace)
             assert table_reps.keys() == table.dims.keys()
             for bid, reps in table_reps.items():
                 cocycles, coboundaries = (
@@ -643,7 +698,7 @@ class TestRepresentatives:
     def test_representatives_are_canonical(self, theory):
         for k in EXAMPLES:
             subspace = reference_subspaces(k)
-            for bid, rep in bott_chern_representatives(k).items():
+            for bid, rep in reference_representatives(k, subspace).items():
                 cocycles = subspace(REFERENCE_PAIRS[theory][0], bid)
                 assert rep == Subspace.from_columns(rep.ambient_dim, rep.basis)
                 assert all(column in cocycles.basis.columns()
@@ -652,12 +707,31 @@ class TestRepresentatives:
     def test_representatives_meet_boundaries_trivially(self):
         k = iwasawa()
         table = bott_chern(k)
-        table_reps = bott_chern_representatives(k)
+        table_reps = reference_representatives(k)
         assert table_reps.keys() == table.dims.keys()
         for (p, q), reps in table_reps.items():
             exact = image_basis(k.del_map(p - 1, q)
                                 @ k.delbar_map(p - 1, q - 1))
             assert subspace_intersect(reps, exact).dim == 0
+
+
+class TestGramRanks:
+    """The pairing check reads each Gram rank off the Bott-Chern to Aeppli
+    map at the complementary bidegree; the Gram matrix of the reference
+    representatives is the independent witness."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: torus(1), lambda: torus(2), lambda: torus(3),
+        lambda: torus(4), iwasawa, kodaira_surface, nil4, nil5, nakamura],
+        ids=["torus1", "torus2", "torus3", "torus4", "iwasawa", "kodaira",
+             "nil4", "nil5", "nakamura"])
+    def test_gram_ranks_equal_the_representatives_oracle(self, make):
+        k = make()
+        rep = checkers.schweitzer_pairing_check(k)
+        assert rep.verdict == "holds"
+        ranks, ill_defined = reference_gram_ranks(k)
+        assert rep.witnesses["GramRank"] == ranks
+        assert ill_defined == rep.witnesses["IllDefined"] == []
 
 
 # --------------------------------------------------------------------------
@@ -1086,24 +1160,27 @@ class TestStore:
                                       lambda: random_bicomplex(6)[0]],
                              ids=["iwasawa", "random-seed-6"])
     def test_each_block_is_reduced_once(self, monkeypatch, make):
-        """all_tables takes no kernel and no image.  run_all_checks then
-        takes them only for the Bott-Chern representatives, which the
-        pairing check reads: one kernel of [del; delbar] and one image of
-        del delbar per support bidegree where the complex carries
-        pairings, none otherwise, and no matrix twice."""
+        """all_tables and run_all_checks take no kernel and no image, on a
+        complex that carries pairings too: the pairing check reads its
+        Gram ranks off the Bott-Chern to Aeppli map (there were one
+        kernel of [del; delbar] and one image of del delbar per support
+        bidegree for the Bott-Chern representatives)."""
         k = make()
-        calls = {"kernel_basis": [], "image_basis": []}
-        for name, seen in calls.items():
-            def counted(m, _original=getattr(cohomology, name), _seen=seen):
-                _seen.append(m)  # kept alive, so no id is reused
-                return _original(m)
-            monkeypatch.setattr(cohomology, name, counted)
+        calls = Counter()
+        modules = [module for name, module in sys.modules.items()
+                   if name.startswith("bicomplex_lab")]
+        for name in ("kernel_basis", "image_basis"):
+            for module in modules:
+                original = getattr(module, name, None)
+                if original is not None:
+                    def counted(m, _name=name, _original=original):
+                        calls[_name] += 1
+                        return _original(m)
+                    monkeypatch.setattr(module, name, counted)
         all_tables(k)
-        assert calls == {"kernel_basis": [], "image_basis": []}
+        assert calls == Counter()
         run_all_checks(k)
-        expected = len(k.support()) if k.pairings is not None else 0
-        for name, seen in calls.items():
-            assert len({id(m) for m in seen}) == len(seen) == expected, name
+        assert calls == Counter()
 
     def test_ddbar_is_built_once_per_bidegree(self, monkeypatch):
         """ker ddbar at (p, q), im ddbar at (p + 1, q + 1) and the square
