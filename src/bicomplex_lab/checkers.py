@@ -13,10 +13,10 @@ anti-diagonals itself (:meth:`.CohomologyTable.totals`); the store
 keeps no totals.  The extra structures are the complex's own plain
 dicts: ``k.conj`` (the conjugation, see :class:`.Bicomplex`) gates the
 upper bound and the conjugation rows of the dualities, and
-``k.pairings`` with a declared n gates the pairing check and the
-product rows of the dualities; the pairing check, the one reader of the
-pairing matrices, also needs the pairing certified as a Stokes duality
-(:func:`.bicomplex.check_pairing_structure`).  Validation owns the
+``k.pairings`` with a declared n, certified as a Stokes duality
+(:func:`.bicomplex.check_pairing_structure`), gates the pairing check
+and the product rows of the dualities, so one run never judges a
+pairing both a duality and none.  Validation owns the
 support rule: a complex with a declared n and support outside [0, n]^2
 is invalid, so every check raises ``ValueError`` on it.
 
@@ -54,7 +54,8 @@ The checks, roughly in logical order:
   check adds no elimination to the map the store already counts.
 * ``duality_check`` - Betti/Serre/Bott-Chern-vs-Aeppli dualities and
   conjugation symmetries, gated on the structures that make them
-  meaningful.
+  meaningful: the product rows on a certified pairing, the conjugation
+  rows on a validated conjugation.
 """
 
 from dataclasses import dataclass
@@ -95,6 +96,19 @@ def _real_structure(k):
     """Whether the carried conjugation validates, decided once per
     complex (the caller has checked that there is one)."""
     return _once(k, "real_structure", lambda: check_real_structure(k))
+
+
+def _pairing_refusal(k):
+    """None when ``k`` carries a pairing certified as a Stokes duality,
+    else why it cannot be used: no pairing, no declared n, or the first
+    failure of :func:`.bicomplex.check_pairing_structure`, which is
+    decided once per complex.  The pairing check and the product rows of
+    the dualities both read it, so they never disagree on a pairing."""
+    if k.pairings is None:
+        return "no product structure"
+    if k.n is None:
+        return "no declared n"
+    return _once(k, "pairing_structure", lambda: check_pairing_structure(k))
 
 
 def _bc_to_a_injective(k):
@@ -268,19 +282,11 @@ def schweitzer_pairing_check(k):
     the two-way statement: ``holds`` iff ``NonDegenerate == LemmaHolds``.
     """
 
-    def skip(reason):
+    refusal = _pairing_refusal(k)
+    if refusal:
         return CheckReport(check_name="schweitzer_pairing",
                            verdict="notApplicable",
-                           witnesses={"Reason": reason})
-
-    if k.pairings is None:
-        return skip("no product structure")
-    if k.n is None:
-        return skip("no declared n")
-    problem = _once(k, "pairing_structure",
-                    lambda: check_pairing_structure(k))
-    if problem:
-        return skip(problem)
+                           witnesses={"Reason": refusal})
     n = k.n
     dims = bott_chern(k).dims
     to_aeppli = _natural_map(k, "bott_chern", "aeppli")
@@ -305,8 +311,11 @@ def schweitzer_pairing_check(k):
 
 def duality_check(k):
     """Betti, Serre, and Bott-Chern/Aeppli dualities plus conjugation
-    symmetries, each gated on the structure that makes it meaningful."""
-    has_product = k.pairings is not None and k.n is not None
+    symmetries, each gated on the structure that makes it meaningful:
+    the product rows on a pairing certified as a Stokes duality (the
+    gate of :func:`schweitzer_pairing_check`), the conjugation rows on a
+    validated conjugation."""
+    has_product = _pairing_refusal(k) is None
     conj_valid = k.conj is not None and _real_structure(k)
     if not has_product and not conj_valid:
         return CheckReport(check_name="dualities", verdict="notApplicable",

@@ -32,7 +32,6 @@ import os
 import re
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -490,6 +489,9 @@ def run_corpus(config):
     # more than there are jobs or CPUs.
     workers = min(_thread_cap(), len(jobs), _usable_cpus())
     if workers > 1:
+        # Imported here, not at module level: the process pool costs about
+        # 17 ms of a 70 ms cold CLI start, and only this branch needs it.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # One chunk per worker: a job takes a few milliseconds, about
             # what handing one job to a worker costs.

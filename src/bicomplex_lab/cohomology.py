@@ -90,13 +90,12 @@ finds those pairs (:func:`_d_pairs`), and :func:`frolicher_pages` takes
 each page from Dolbeault less the pairs of smaller gap.  So
 ``all_tables`` builds no subspace.
 
-One subspace is built, where it is read (``_SUBSPACES``): ker del delbar
-for the square splitting of the decomposition.  A private store in the
-complex's ``_store`` slot is the one cache of a complex.  Beside the
-validity verdict and the zero matrices of absent blocks, it computes the
-block ranks, the ranks and pivot pairs of d, that subspace, the
+A private store in the complex's ``_store`` slot is the one cache of a
+complex.  Beside the validity verdict and the zero matrices of absent
+blocks, it computes the block ranks, the ranks and pivot pairs of d, the
 del delbar composites, every table and every natural map's ranks at
-most once, on first use.  The grading is the complex's own: tables are
+most once, on first use.  It holds no subspace: the decomposition takes
+the one kernel it needs, ker del delbar, itself.  The grading is the complex's own: tables are
 keyed by :meth:`.Bicomplex.spaces` and, for de Rham, by the degree
 dimensions that ``bicomplex._total_dims`` also keeps in the store.
 Anti-diagonal totals are not stored: :meth:`CohomologyTable.totals`
@@ -118,7 +117,7 @@ from dataclasses import dataclass, fields, make_dataclass
 
 from . import exactla
 from .bicomplex import _d_staircases, _staircase, _total_dims, ensure_valid
-from .exactla import LinAlgError, kernel_basis, place_blocks, rank
+from .exactla import LinAlgError, place_blocks, rank
 
 BIGRADED_THEORIES = ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
 THEORIES = ("de_rham",) + BIGRADED_THEORIES
@@ -188,12 +187,6 @@ AllTables = make_dataclass(
                           "natural-map ranks."})
 
 
-# The subspaces the store builds where subspaces are read (see the module
-# docstring), at (p, q): ker del delbar out of it for decompose.
-_SUBSPACES = {
-    "ker_ddbar": lambda k, p, q: kernel_basis(_ddbar(k, (p, q))),
-}
-
 # Each theory's cocycles and coboundaries as block ranks: the name of the
 # map S whose kernel out of a key is the cocycles, the name of the map A
 # whose image is the coboundaries, and the key A leaves from, given the
@@ -238,11 +231,6 @@ def _ddbar(k, bid):
     p, q = bid
     return _once(k, ("ddbar", bid),
                  lambda: k.del_map(p, q + 1) @ k.delbar_map(p, q))
-
-
-def _subspace(k, name, bid):
-    """One of the ``_SUBSPACES`` of ``k`` at bidegree ``bid``."""
-    return _once(k, (name, bid), lambda: _SUBSPACES[name](k, *bid))
 
 
 def _stack(k, bid):

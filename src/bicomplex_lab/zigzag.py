@@ -17,10 +17,11 @@ module
 
 Decomposition strategy: all squares are split off at once, in input
 coordinates.  At each anchor the square vectors complement the kernel of
-the composed differential (read from the cohomology module's per-complex
-store; their count is its rank), and one kernel per touched bidegree, of
-the functionals that read the square corners back, cuts out the residual
-complement.  The residual is a plain Bicomplex on which both two-step
+the composed differential (their count is its rank), and one kernel per
+touched bidegree, of the functionals that read the square corners back,
+cuts out the residual complement.  Reading the pivot rows of its reduced
+echelon basis restricts the stored blocks to it, with no elimination.
+The residual is a plain Bicomplex on which both two-step
 composites vanish.  Its spaces in total degrees k and k + 1, joined by
 both differentials, form one alternating type-A quiver representation
 (strip k), whose bars of two or more nodes are exactly the zigzags that
@@ -49,8 +50,7 @@ from dataclasses import dataclass, make_dataclass, replace
 from typing import ClassVar, NamedTuple
 
 from .bicomplex import Bicomplex, ensure_valid
-from .cohomology import (BIGRADED_THEORIES, THEORIES, CohomologyTable,
-                         _ddbar, _subspace)
+from .cohomology import BIGRADED_THEORIES, THEORIES, CohomologyTable, _ddbar
 from .exactla import (
     LinAlgError,
     Matrix,
@@ -330,8 +330,10 @@ def apply_basis_change(k, mats):
 
 def _rebased(blocks, step, mats, inv):
     """Stored blocks (target ``step`` from the source key) in the bases
-    ``mats`` with inverses ``inv``.  A basis change keeps zero blocks zero
-    and nonzero ones nonzero, so absent blocks need no product."""
+    ``mats`` with left inverses ``inv``.  A basis change keeps zero blocks
+    zero and nonzero ones nonzero, so absent blocks need no product.  A
+    restriction to a subcomplex (``mats`` an embedding, ``inv`` a reader
+    of its coordinates) may make a block zero; ``Bicomplex`` drops it."""
     out = {}
     for src in sorted(blocks):
         m, tgt = blocks[src], (src[0] + step[0], src[1] + step[1])
@@ -580,15 +582,18 @@ def decompose(k):
 
     Phase one splits off every square in one pass, in input coordinates:
     at each anchor the anchor vectors are the canonical complement of
-    ker(del delbar), taken from the complex's cohomology store, and the
-    residual is the common kernel of the functionals reading the square
-    corners back, wrapped as a Bicomplex.  Phase two finds the zigzags of
-    the residual with one zigzag-persistence sweep per anti-diagonal
-    strip (``_strip_zigzags``), whose final chains are their adapted
-    basis; the lone dots at each residual bidegree complete its sink-role
-    vectors inside ker del ∩ ker delbar.  Each square anchor and each
-    zigzag type yields one block per bidegree it touches (anchors, their
-    del, delbar and delbar-del images; the chain vectors at each dot), and
+    ker(del delbar), and the residual is the common kernel of the
+    functionals reading the square corners back.  ``_rebased`` restricts
+    the stored blocks to the residual by reading the pivot rows of its
+    reduced echelon basis, and the result is wrapped as a Bicomplex; the
+    left inverse ``lam`` of each anchor block is phase one's only
+    ``solve``.  Phase two finds the zigzags of the residual with one
+    zigzag-persistence sweep per anti-diagonal strip (``_strip_zigzags``),
+    whose final chains are their adapted basis; the lone dots at each
+    residual bidegree complete its sink-role vectors inside
+    ker del ∩ ker delbar.  Each square anchor and each zigzag type yields
+    one block per bidegree it touches (anchors, their del, delbar and
+    delbar-del images; the chain vectors at each dot), and
     ``basis_change`` stacks these blocks side by side in canonical part
     order.
 
@@ -612,10 +617,10 @@ def decompose(k):
     reads = {}
     try:
         for (p, q) in support:
-            ker = _subspace(k, "ker_ddbar", (p, q))
+            composed = _ddbar(k, (p, q))
+            ker = kernel_basis(composed)
             if ker.dim == k.dimension(p, q):
                 continue
-            composed = _ddbar(k, (p, q))
             anchors = complete_basis(ker, Subspace.full(k.dimension(p, q)))
             lam = solve((composed @ anchors).transpose(),
                         Matrix.identity(anchors.cols)).transpose()
@@ -630,34 +635,28 @@ def decompose(k):
                 (p, q): anchors, (p + 1, q): e10,
                 (p, q + 1): k.delbar_map(p, q) @ anchors,
                 (p + 1, q + 1): k.delbar_map(p + 1, q) @ e10}))
-        embed = {}
+        embed, read = {}, {}
         for bid, functionals in reads.items():
             blocks = []
             at = 0
             for f in functionals:
                 blocks.append((at, 0, f))
                 at += f.rows
-            embed[bid] = kernel_basis(
-                place_blocks(at, k.dimension(*bid), blocks)).basis
-
-        def rebased(blocks, step):
-            # The stored blocks restricted to the residual.  An absent
-            # block stays zero, and a block that the restriction makes
-            # zero is dropped before its solve.
-            out = {}
-            for src in sorted(blocks):
-                m, tgt = blocks[src], (src[0] + step[0], src[1] + step[1])
-                if src in embed:
-                    m = m @ embed[src]
-                if not m.is_zero():
-                    out[src] = solve(embed[tgt], m) if tgt in embed else m
-            return out
-
+            dim = k.dimension(*bid)
+            residual = kernel_basis(place_blocks(at, dim, blocks))
+            embed[bid] = residual.basis
+            # The residual basis E is reduced column echelon, so reading
+            # its pivot rows is a left inverse R (R E = I): it gives the
+            # coordinates of each restricted column, which lies in span E.
+            columns = [{} for _ in range(dim)]
+            for j, row in enumerate(residual._pivots()):
+                columns[row][j] = SC_ONE
+            read[bid] = Matrix._from_sparse(residual.dim, dim, columns)
         res = Bicomplex(
             {bid: embed[bid].cols if bid in embed else k.dimension(*bid)
              for bid in support},
-            rebased(k.del_blocks(), (1, 0)),
-            rebased(k.delbar_blocks(), (0, 1)))
+            _rebased(k.del_blocks(), (1, 0), embed, read),
+            _rebased(k.delbar_blocks(), (0, 1), embed, read))
         for (p, q) in res.support():
             if not (res.del_map(p, q + 1) @ res.delbar_map(p, q)).is_zero():
                 raise DecompositionError(

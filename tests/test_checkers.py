@@ -37,8 +37,9 @@ from bicomplex_lab.checkers import (ALL_CHECK_NAMES, THEOREM_CHECK_NAMES,
                                     frolicher_check, non_ddbar_degrees,
                                     run_all_checks, schweitzer_pairing_check,
                                     upper_bound_check)
-from bicomplex_lab.cohomology import aeppli, bott_chern, dolbeault
-from bicomplex_lab.exactla import ExactScalar, Matrix
+from bicomplex_lab.cohomology import (CohomologyTable, aeppli, bott_chern,
+                                     dolbeault)
+from bicomplex_lab.exactla import ExactScalar, Matrix, Subspace
 from bicomplex_lab.models import (iwasawa, kodaira_surface,
                                   random_bicomplex, torus)
 from bicomplex_lab.zigzag import (Square, Zigzag, apply_basis_change,
@@ -92,6 +93,19 @@ def corpus():
         k, _ = random_bicomplex(seed, kinds=("square", "dot"))
         rows.append((f"soup-{seed}", k, run_all_checks(k)))
     return rows
+
+
+def off_by_one(monkeypatch, theory, key):
+    """Make the checkers read ``theory``'s table with the entry at
+    ``key`` one larger; the stored table is left as it is."""
+    table = getattr(checkers, theory)
+
+    def patched(k):
+        dims = dict(table(k).dims)
+        dims[key] += 1
+        return CohomologyTable(theory=theory, dims=dims)
+
+    monkeypatch.setattr(checkers, theory, patched)
 
 
 def by_name(reports, name):
@@ -621,17 +635,23 @@ class TestSchweitzerPairing:
     def test_malformed_block_is_not_applicable(self, block, reason):
         """A missing, misshapen or singular block is reported like a
         misshapen conjugation: not applicable, naming the block, never an
-        error."""
+        error.  The dualities then leave out their product rows and keep
+        the conjugation rows; every other check reads as on iwasawa."""
         k = self._iwasawa_with_pairing_at_1_1(block)
         rep = schweitzer_pairing_check(k)
         assert rep.verdict == "notApplicable"
         assert rep.witnesses == {"Reason": reason}
         reports = run_all_checks(k)
         assert by_name(reports, "schweitzer_pairing") == rep
+        assert by_name(reports, "dualities") == CheckReport(
+            check_name="dualities", verdict="holds",
+            witnesses={"ProductRows": False, "ConjugationRows": True,
+                       "Mismatches": []})
+        pairing_checks = ("schweitzer_pairing", "dualities")
         others = [r for r in run_all_checks(iwasawa())
-                  if r.check_name != "schweitzer_pairing"]
+                  if r.check_name not in pairing_checks]
         assert [r for r in reports
-                if r.check_name != "schweitzer_pairing"] == others
+                if r.check_name not in pairing_checks] == others
 
     def test_first_malformed_block_in_p_q_order_is_named(self):
         k = iwasawa()
@@ -667,15 +687,34 @@ class TestDualities:
         h_bc = {deg: total for deg, total in bott_chern(k).totals().items()}
         assert h_a[1] == h_bc[5] == 6
 
-    def test_broken_duality_fails_with_witness(self):
-        # A lone vertical domino has a Bott-Chern class at (0,1) but no
-        # Aeppli class at the complementary (1,0), and vice versa.
-        base = synthesize([VERT_DOMINO])
-        k = with_structure(base, n=1, pairings=all_ones_pairing(base, 1))
+    def test_broken_duality_fails_with_witness(self, monkeypatch):
+        # On a certified pairing Bott-Chern is dual to Aeppli, so one
+        # Bott-Chern entry patched off by one is the only mismatch.
+        k = iwasawa()
+        k = with_structure(k, n=k.n, pairings=k.pairings)
+        off_by_one(monkeypatch, "bott_chern", (0, 1))
         rep = duality_check(k)
         assert rep.verdict == "fails"
-        assert rep.witnesses["Mismatches"] == [
-            "bc-aeppli (0, 1) vs (1, 0)", "bc-aeppli (1, 1) vs (0, 0)"]
+        assert rep.witnesses == {
+            "ProductRows": True, "ConjugationRows": False,
+            "Mismatches": ["bc-aeppli (0, 1) vs (3, 2)"]}
+
+    def test_uncertified_pairing_gives_no_product_rows(self):
+        # A lone vertical domino has a Bott-Chern class at (0,1) but no
+        # Aeppli class at the complementary (1,0), and a lone dot at
+        # (0, 0) with n = 1 has nothing at degree 2 or at (1, 1) to
+        # answer it.  Neither pairing is a duality (a block is singular
+        # or missing), so no row is compared, as the pairing check is
+        # not applicable.
+        base = synthesize([VERT_DOMINO])
+        for k in (with_structure(base, n=1,
+                                 pairings=all_ones_pairing(base, 1)),
+                  Bicomplex({(0, 0): 1}, n=1, pairings={})):
+            assert schweitzer_pairing_check(k).verdict == "notApplicable"
+            rep = duality_check(k)
+            assert rep.verdict == "notApplicable"
+            assert rep.witnesses == {
+                "Reason": "no usable product or conjugation structure"}
 
     def test_conjugation_only_rows(self):
         k = symmetric_complex([STAIRCASE5], n=2)
@@ -686,17 +725,20 @@ class TestDualities:
         assert rep.witnesses["ConjugationRows"] is True
         assert rep.witnesses["Mismatches"] == []
 
-    def test_betti_and_serre_mismatches_fail(self):
-        # A lone dot at (0, 0) with n = 1: nothing at degree 2 or at
-        # (1, 1) answers it.
-        k = Bicomplex({(0, 0): 1}, n=1,
-                      pairings={})
+    def test_betti_and_serre_mismatches_fail(self, monkeypatch):
+        # torus(1)'s pairing is certified; b_0 and h^{0,0} patched off by
+        # one have no partner at degree 2 or at (1, 1), each both ways.
+        k = torus(1)
+        k = with_structure(k, n=k.n, pairings=k.pairings)
+        off_by_one(monkeypatch, "de_rham", 0)
+        off_by_one(monkeypatch, "dolbeault", (0, 0))
         rep = duality_check(k)
         assert rep.verdict == "fails"
-        assert rep.witnesses["ProductRows"] is True
-        assert rep.witnesses["ConjugationRows"] is False
-        assert "betti 0 vs 2" in rep.witnesses["Mismatches"]
-        assert "serre (0, 0) vs (1, 1)" in rep.witnesses["Mismatches"]
+        assert rep.witnesses == {
+            "ProductRows": True, "ConjugationRows": False,
+            "Mismatches": ["betti 0 vs 2", "betti 2 vs 0",
+                           "serre (0, 0) vs (1, 1)",
+                           "serre (1, 1) vs (0, 0)"]}
 
     def test_not_applicable_without_structures(self):
         rep = duality_check(synthesize([VERT_DOMINO]))
@@ -904,8 +946,8 @@ class TestChecksReadOnlyWhatTheyNeed:
             k = random_bicomplex(seed).bicomplex
             run_all_checks(k)
             assert calls == Counter(), seed
-            names = {key[0] for key in k._store if isinstance(key, tuple)}
-            assert not names & set(cohomology._SUBSPACES), seed
+            assert not any(isinstance(v, Subspace)
+                           for v in k._store.values()), seed
             assert "total" not in k._store, seed
 
     def test_degree_dimensions_are_counted_once(self):

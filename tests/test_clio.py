@@ -11,6 +11,7 @@ inputs; the theorem-failure exit (3) is unreachable with valid inputs
 check runner.
 """
 
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -632,7 +633,8 @@ class TestCorpusCommand:
         config = RunConfig(command="corpus", n_corpus=n_corpus)
         monkeypatch.setenv("BICOMPLEX_LAB_THREADS", "1")
         serial = run_corpus(config)
-        monkeypatch.setattr(clio, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
         monkeypatch.setattr(clio.os, "cpu_count", lambda: 192)
         monkeypatch.setattr(clio.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)

@@ -478,24 +478,29 @@ class TestDecompose:
                     h.update((" ".join(map(str, row)) + "\n").encode())
         assert h.hexdigest() == BASIS_DIGEST
 
-    def test_reads_ker_del_delbar_from_the_store(self, monkeypatch):
-        """decompose reads ker(del delbar) from the store: its builder runs
-        once per bidegree in total, whatever the tables read before (they
-        are counted from ranks and build no kernel), and on a fresh
-        complex decompose fills the store itself."""
-        make = cohomology._SUBSPACES["ker_ddbar"]
-        calls = Counter()
-
-        def counted(k, p, q):
-            calls[(p, q)] += 1
-            return make(k, p, q)
-
-        monkeypatch.setitem(cohomology._SUBSPACES, "ker_ddbar", counted)
+    def test_takes_one_ker_del_delbar_per_support_bidegree(self,
+                                                           monkeypatch):
+        """decompose takes ker(del delbar) itself, once per support
+        bidegree and call, from the stored composite; the tables build
+        no kernel, the store keeps none, so a second decompose of the
+        same complex takes each kernel again."""
         k = models.iwasawa()
         read_tables(k)
+        composites = {id(cohomology._ddbar(k, bid)): bid
+                      for bid in k.support()}
+        calls = Counter()
+        kernel_basis = zz.kernel_basis
+
+        def counted(m):
+            if id(m) in composites:
+                calls[composites[id(m)]] += 1
+            return kernel_basis(m)
+
+        monkeypatch.setattr(zz, "kernel_basis", counted)
         zz.decompose(k)
         assert calls == Counter(dict.fromkeys(k.support(), 1))
-        zz.decompose(models.iwasawa())
+        assert not any(isinstance(v, Subspace) for v in k._store.values())
+        zz.decompose(k)
         assert calls == Counter(dict.fromkeys(k.support(), 2))
 
     def test_invalid_input_rejected(self):
@@ -671,6 +676,25 @@ class TestStripSweep:
         for k in complexes:
             zz.decompose(k)
         assert len(zero_sides) == 106 and not any(zero_sides)
+
+    def test_every_solve_has_an_identity_right_hand_side(self,
+                                                         monkeypatch):
+        """Every solve decompose makes is a lam, so its right-hand side
+        is the identity: on iwasawa, nil4 and random complexes 0-99."""
+        sides = []
+        solve = zz.solve
+
+        def recorded(a, b):
+            sides.append(b)
+            return solve(a, b)
+
+        monkeypatch.setattr(zz, "solve", recorded)
+        for k in [models.iwasawa(), tc.nil4(),
+                  *(models.random_bicomplex(seed).bicomplex
+                    for seed in range(100))]:
+            zz.decompose(k)
+        assert sides
+        assert all(b == Matrix.identity(b.rows) for b in sides)
 
     def test_zero_arrows_end_runs(self, monkeypatch):
         """torus4 has zero differentials: every run is one node, so the
