@@ -645,17 +645,18 @@ class TestStripSweep:
         assert found > 300
 
     def test_nil4_echelon_count_is_pinned(self, monkeypatch):
-        """After the tables, decompose on nil4 runs 143 eliminations.  It
-        ran 139 while the tables left ker(del delbar) in the store; they
-        are counted from block ranks now, so phase one takes those four
-        kernels itself.  Before that: 252 while a Hom-space phase picked
+        """After the tables, decompose on nil4 runs 125 eliminations.  It
+        ran 143 while phase one solved for each restricted block's
+        coordinates in the residual, which reading the residual basis's
+        pivot rows gives without elimination; 139 while the tables left
+        ker(del delbar) in the store; 252 while a Hom-space phase picked
         the adapted basis, 276 before zero matrices skipped the
         elimination; the window ranks needed 512."""
         k = tc.nil4()
         read_tables(k)
         calls = _count_echelons(monkeypatch)
         zz.decompose(k)
-        assert calls["echelon"] == 143
+        assert calls["echelon"] == 125
 
     def test_residual_solves_only_nonzero_blocks(self, monkeypatch):
         """Phase one restricts only the stored del and delbar blocks to
