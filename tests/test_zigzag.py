@@ -658,12 +658,14 @@ class TestStripSweep:
         zz.decompose(k)
         assert calls["echelon"] == 125
 
-    def test_residual_solves_only_nonzero_blocks(self, monkeypatch):
-        """Phase one restricts only the stored del and delbar blocks to
-        the residual and solves only the restrictions that are nonzero:
-        106 solves on random complexes 0-99, none with a zero right-hand
-        side.  Rebasing every support bidegree took 422, 316 of them
-        with a zero right-hand side."""
+    def test_phase_one_solves_only_for_lam(self, monkeypatch):
+        """Phase one's only solve is lam, the left inverse of del delbar
+        on the anchors, one per bidegree that anchors squares: 75 solves
+        on random complexes 0-99.  Restricting the blocks to the residual
+        reads pivot rows and solves nothing.  While each nonzero
+        restricted block was solved for, they took 106 solves, and 422
+        with 316 zero right-hand sides while every support bidegree's
+        blocks were."""
         complexes = [models.random_bicomplex(seed).bicomplex
                      for seed in range(100)]
         zero_sides = []
@@ -676,7 +678,7 @@ class TestStripSweep:
         monkeypatch.setattr(zz, "solve", counted)
         for k in complexes:
             zz.decompose(k)
-        assert len(zero_sides) == 106 and not any(zero_sides)
+        assert len(zero_sides) == 75 and not any(zero_sides)
 
     def test_every_solve_has_an_identity_right_hand_side(self,
                                                          monkeypatch):
