@@ -93,14 +93,14 @@ each page from Dolbeault less the pairs of smaller gap.  So
 A private store in the complex's ``_store`` slot is the one cache of a
 complex.  Beside the validity verdict and the zero matrices of absent
 blocks, it computes the block ranks, the ranks and pivot pairs of d, the
-del delbar composites, every table and every natural map's ranks at
-most once, on first use.  It holds no subspace: the decomposition takes
-the one kernel it needs, ker del delbar, itself.  The grading is the complex's own: tables are
-keyed by :meth:`.Bicomplex.spaces` and, for de Rham, by the degree
-dimensions that ``bicomplex._total_dims`` also keeps in the store.
-Anti-diagonal totals are not stored: :meth:`CohomologyTable.totals`
-sums a table's few entries where a check reads them.
-``THEORIES`` is the one list of theories and the fields of
+del delbar composites, every table and every natural map's ranks at most
+once, on first use.  It holds no subspace: decompose takes the one
+kernel it needs, ker del delbar, itself.  The grading is the complex's
+own: tables are keyed by :meth:`.Bicomplex.spaces` and, for de Rham, by
+the degree dimensions that ``bicomplex._total_dims`` also keeps in the
+store.  Anti-diagonal totals are not stored:
+:meth:`CohomologyTable.totals` sums a table's few entries where a check
+reads them.  ``THEORIES`` is the one list of theories and the fields of
 :class:`NaturalMapRanks` the one list of maps: the table bundles, the
 zigzag recount and the CLI's table reports take their names and order
 from them.
