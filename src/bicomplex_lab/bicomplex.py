@@ -86,9 +86,11 @@ class Bicomplex:
     sorting.
 
     The private ``_store`` dict is the one cache of a complex: it holds
-    the :func:`validate` verdict, the zero matrices of absent blocks, the
-    dimension of each total degree and whatever the cohomology module
-    derives from the complex.
+    the :func:`validate` verdict, the dimension of each total degree and
+    what the cohomology module and the checks derive from the complex
+    (counts, tables and verdicts, never a matrix).  Only :func:`validate`
+    and :func:`_once` write it; an absent block is a fresh zero matrix
+    on each call.
     """
 
     __slots__ = ("label", "n", "conj", "pairings",
@@ -133,21 +135,17 @@ class Bicomplex:
 
     def del_map(self, p, q):
         """Matrix of the horizontal differential out of (p, q)."""
-        return self._block(self._del, "del", p, q, p + 1, q)
+        return self._block(self._del, p, q, p + 1, q)
 
     def delbar_map(self, p, q):
         """Matrix of the vertical differential out of (p, q)."""
-        return self._block(self._delbar, "delbar", p, q, p, q + 1)
+        return self._block(self._delbar, p, q, p, q + 1)
 
-    def _block(self, blocks, name, p, q, tp, tq):
-        """The stored block, else the zero map kept in the store."""
+    def _block(self, blocks, p, q, tp, tq):
+        """The stored block, else a fresh zero map."""
         m = blocks.get((p, q))
         if m is None:
-            key = (name, (p, q))
-            m = self._store.get(key)
-            if m is None:
-                m = self._store[key] = Matrix.zero(self.dimension(tp, tq),
-                                                   self.dimension(p, q))
+            m = Matrix.zero(self.dimension(tp, tq), self.dimension(p, q))
         return m
 
     def del_blocks(self):
@@ -261,6 +259,20 @@ def ensure_valid(k):
                          + "; ".join(v.message for v in bad))
 
 
+def _once(k, key, make):
+    """``make()``, kept in ``k._store`` under ``key``; the store holds no
+    reference back to ``k``.  Until the store records that ``k``
+    validated, a miss first runs :func:`ensure_valid`, so an invalid
+    complex gets no derived value.  With :func:`validate` it is the one
+    writer of the store."""
+    store = k._store
+    if key not in store:
+        if store.get("violations") != ():
+            ensure_valid(k)
+        store[key] = make()
+    return store[key]
+
+
 @dataclass(frozen=True)
 class TotalComplex:
     """Totalization: degree k is the direct sum of the (p, q) with p+q = k.
@@ -286,14 +298,16 @@ def _total_dims(k):
     """The dimension of each total degree of ``k``, over the contiguous
     degree range of its support, zeros included.  Counted once per
     complex and kept in its store, so no caller may change it."""
-    store = k._store
-    if "degree_dims" not in store:
+
+    def count():
         degrees = [p + q for p, q in k._spaces]
-        dims = store["degree_dims"] = dict.fromkeys(
+        dims = dict.fromkeys(
             range(min(degrees, default=0), max(degrees, default=-1) + 1), 0)
         for (p, q), dim in k._spaces.items():
             dims[p + q] += dim
-    return store["degree_dims"]
+        return dims
+
+    return _once(k, "degree_dims", count)
 
 
 def _staircase(k, r, a, b, descending=False):
@@ -467,13 +481,27 @@ def _parse_bidegree_key(text, where, seen):
     if not m:
         raise BicomplexFormatError(
             f"{where}: bad bidegree key {text!r}, expected \"p,q\"")
-    bid = int(m.group(1)), int(m.group(2))
+    try:
+        bid = int(m.group(1)), int(m.group(2))
+    except ValueError:  # more digits than Python converts to an int
+        raise BicomplexFormatError(f"{where}: bidegree key {text!r} holds "
+                                   f"an integer too long to convert") from None
     if bid in seen:
         raise BicomplexFormatError(
             f"{where}: keys {seen[bid]!r} and {text!r} both name the "
             f"bidegree ({bid[0]},{bid[1]})")
     seen[bid] = text
     return bid
+
+
+def _json_text(value, where):
+    """``value`` as JSON text; an integer too long to convert to text is a
+    format error naming ``where``."""
+    try:
+        return json.dumps(value)
+    except ValueError:
+        raise BicomplexFormatError(f"{where}: integer too long to convert "
+                                   f"to text") from None
 
 
 def to_json_dict(k):
@@ -513,9 +541,11 @@ def from_json_dict(obj, *, default_label=""):
     if not isinstance(label, str):
         raise BicomplexFormatError("label must be a string")
     n = obj.get("n")
-    if n is not None and not _is_count(n):
-        raise BicomplexFormatError(
-            f"n must be a non-negative integer, got {json.dumps(n)}")
+    if n is not None:
+        shown = _json_text(n, "n")
+        if not _is_count(n):
+            raise BicomplexFormatError(
+                f"n must be a non-negative integer, got {shown}")
     spaces_raw = obj.get("spaces", {})
     if not isinstance(spaces_raw, dict):
         raise BicomplexFormatError("spaces must be an object")
@@ -526,13 +556,13 @@ def from_json_dict(obj, *, default_label=""):
         if not _is_count(dim):
             raise BicomplexFormatError(
                 f"spaces[{key!r}]: dimension must be a non-negative integer, "
-                f"got {json.dumps(dim)}")
+                f"got {_json_text(dim, f'spaces[{key!r}]')}")
         spaces[bid] = dim
     total = sum(spaces.values())
     if total > MAX_TOTAL_DIM:
         raise BicomplexFormatError(
-            f"spaces: total dimension {total} exceeds the maximum "
-            f"{MAX_TOTAL_DIM}")
+            f"spaces: total dimension {_json_text(total, 'spaces')} exceeds "
+            f"the maximum {MAX_TOTAL_DIM}")
     # Totalization, de Rham and the grids visit every cell of the support's
     # bounding box, so its area is capped like the dimension.
     support = [bid for bid, dim in spaces.items() if dim]
@@ -545,8 +575,9 @@ def from_json_dict(obj, *, default_label=""):
             raise BicomplexFormatError(
                 f"spaces: the support spans p from {spellings[p_lo]!r} to "
                 f"{spellings[p_hi]!r} and q from {spellings[q_lo]!r} to "
-                f"{spellings[q_hi]!r}, a bounding box of {area} bidegrees, "
-                f"more than the maximum {MAX_TOTAL_DIM}")
+                f"{spellings[q_hi]!r}, a bounding box of "
+                f"{_json_text(area, 'spaces')} bidegrees, more than the "
+                f"maximum {MAX_TOTAL_DIM}")
     sections = {}
     parsed_cells = {}  # literal -> ExactScalar, each parsed once per call
     for name in ("del", "delbar"):

@@ -6,11 +6,11 @@ integer witnesses, so reports are reproducible and diffable.  A ``fails``
 verdict always carries the concrete numbers that violate the statement.
 Every check takes the complex alone and reads the tables, the defect, the
 Bott-Chern to Aeppli map, the real-structure verdict and the pairing
-certificate from its store (see :mod:`.cohomology`), so the checks run
-on one complex compute each of them once between them, and build no
-subspace.  A check that compares totals sums the stored table along
-anti-diagonals itself (:meth:`.CohomologyTable.totals`); the store
-keeps no totals.  The extra structures are the complex's own plain
+certificate from its store, which :func:`.bicomplex._once` fills, so
+the checks run on one complex compute each of them once between them,
+and build no subspace.  A check that compares totals sums the stored
+table along anti-diagonals itself (:meth:`.CohomologyTable.totals`);
+the store keeps no totals.  The extra structures are the complex's own plain
 dicts: ``k.conj`` (the conjugation, see :class:`.Bicomplex`) gates the
 upper bound and the conjugation rows of the dualities, and
 ``k.pairings`` with a declared n, certified as a Stokes duality
@@ -60,9 +60,9 @@ The checks, roughly in logical order:
 
 from dataclasses import dataclass
 
-from .bicomplex import check_pairing_structure, check_real_structure
-from .cohomology import (_block_ranks, _natural_map, _once, aeppli,
-                         bott_chern, conj_dolbeault, de_rham, dolbeault)
+from .bicomplex import _once, check_pairing_structure, check_real_structure
+from .cohomology import (_block_ranks, _natural_map, aeppli, bott_chern,
+                         conj_dolbeault, de_rham, dolbeault)
 
 THEOREM_CHECK_NAMES = ("frolicher_inequality", "non_ddbar_degrees",
                        "hodge_upper_bounds")

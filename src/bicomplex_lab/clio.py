@@ -126,11 +126,11 @@ def parse_bicomplex_file(path):
 
     Raises :class:`InputError` with file/line context on unreadable
     files, text that is not UTF-8, parse errors (a key repeated in one
-    JSON object and JSON nested too deeply among them), a label (the JSON
-    ``label``, else the file stem) holding a control character, and
-    unknown extensions.  Validation is the caller's concern (the
-    ``validate`` command reports violations, every other command aborts
-    on them).
+    JSON object, JSON nested too deeply and an integer with more digits
+    than Python converts among them), a label (the JSON ``label``, else
+    the file stem) holding a control character, and unknown extensions.
+    Validation is the caller's concern (the ``validate`` command reports
+    violations, every other command aborts on them).
     """
     path = Path(path)
     name = _escaped(path)
@@ -153,6 +153,9 @@ def parse_bicomplex_file(path):
         except _RepeatedKey as exc:
             raise InputError(f"{name}: repeated key {exc.args[0]!r} in a "
                              f"JSON object") from exc
+        except ValueError as exc:  # more digits than Python converts
+            raise InputError(f"{name}: invalid JSON: an integer too long "
+                             f"to convert") from exc
         try:
             k = from_json_dict(obj, default_label=path.stem)
         except BicomplexFormatError as exc:
@@ -303,7 +306,7 @@ def emit_tables(k, fmt):
 def _diagram_data(d, hide_squares):
     """Nodes and edges of a decomposition diagram.
 
-    Nodes are (x, y, p, q, role, label); same-bidegree nodes get small
+    Nodes are (x, y, role, label); same-bidegree nodes get small
     deterministic offsets so nothing overlaps.  Edges are (i, j, kind)
     with the arrow running from node i to node j; kind is "del" for
     horizontal and "delbar" for vertical arrows.
@@ -317,7 +320,7 @@ def _diagram_data(d, hide_squares):
         occupancy[(p, q)] = slot + 1
         x = p + 0.22 * (slot % 3)
         y = q + 0.22 * (slot // 3)
-        nodes.append((x, y, p, q, role, text))
+        nodes.append((x, y, role, text))
         return len(nodes) - 1
 
     for part in d.parts:
@@ -362,7 +365,7 @@ def render_diagram(d, fmt, *, hide_squares=True, label=""):
                 .replace('"', '\\"'))
         lines = [f'digraph "{name}" {{',
                  "  layout=neato;"]
-        for i, (x, y, _p, _q, role, text) in enumerate(nodes):
+        for i, (x, y, role, text) in enumerate(nodes):
             lines.append(f'  n{i} [label="{text}", pos="{x:.2f},{y:.2f}!", '
                          f'{_DOT_STYLE[role]}];')
         for a, b, kind in edges:
@@ -377,7 +380,7 @@ def render_diagram(d, fmt, *, hide_squares=True, label=""):
                  "square": "rectangle, draw, dotted"}
         lines = [f"% {label or 'decomposition'}",
                  "\\begin{tikzpicture}[x=1.6cm, y=1.6cm]"]
-        for i, (x, y, _p, _q, role, text) in enumerate(nodes):
+        for i, (x, y, role, text) in enumerate(nodes):
             lines.append(f"  \\node ({f'n{i}'}) at ({x:.2f},{y:.2f}) "
                          f"[{style[role]}, inner sep=2pt, "
                          f"label=below:{{\\tiny {text}}}] {{}};")
@@ -422,7 +425,7 @@ def render_diagram(d, fmt, *, hide_squares=True, label=""):
                          f'{_EDGE_LABEL[kind]}</text>')
         fill = {"source": "white", "sink": "black", "lone": "gray",
                 "square": "none"}
-        for x, y, _p, _q, role, text in nodes:
+        for x, y, role, text in nodes:
             lines.append(f'  <circle cx="{cx(x):.1f}" cy="{cy(y):.1f}" '
                          f'r="6" fill="{fill[role]}" stroke="black"/>')
             lines.append(f'  <text x="{cx(x) + 8:.1f}" '

@@ -90,20 +90,21 @@ finds those pairs (:func:`_d_pairs`), and :func:`frolicher_pages` takes
 each page from Dolbeault less the pairs of smaller gap.  So
 ``all_tables`` builds no subspace.
 
-A private store in the complex's ``_store`` slot is the one cache of a
-complex.  Beside the validity verdict and the zero matrices of absent
-blocks, it computes the block ranks, the ranks and pivot pairs of d, the
-del delbar composites, every table and every natural map's ranks at most
-once, on first use.  It holds no subspace: decompose takes the one
-kernel it needs, ker del delbar, itself.  The grading is the complex's
-own: tables are keyed by :meth:`.Bicomplex.spaces` and, for de Rham, by
-the degree dimensions that ``bicomplex._total_dims`` also keeps in the
-store.  Anti-diagonal totals are not stored:
-:meth:`CohomologyTable.totals` sums a table's few entries where a check
-reads them.  ``THEORIES`` is the one list of theories and the fields of
-:class:`NaturalMapRanks` the one list of maps: the table bundles, the
-zigzag recount and the CLI's table reports take their names and order
-from them.
+The complex's private ``_store`` is the one cache of a complex, and
+:func:`.bicomplex._once` the one memo that fills it.  Beside the
+validity verdict, it keeps the block ranks, the ranks and pivot pairs of
+d, every table and every natural map's ranks, each computed at most
+once, on first use.  It holds no matrix and no subspace:
+``_block_ranks`` forms a del delbar composite only to eliminate it, and
+decompose forms the composites and takes their kernels itself.  The
+grading is the complex's own: tables are keyed by
+:meth:`.Bicomplex.spaces` and, for de Rham, by the degree dimensions
+that ``bicomplex._total_dims`` also keeps in the store.  Anti-diagonal
+totals are not stored: :meth:`CohomologyTable.totals` sums a table's few
+entries where a check reads them.  ``THEORIES`` is the one list of
+theories and the fields of :class:`NaturalMapRanks` the one list of
+maps: the table bundles, the zigzag recount and the CLI's table reports
+take their names and order from them.
 
 Every caller gets the stored table or rank dict itself, so none may
 change it.  ``all_tables`` and ``natural_maps`` are plain bundles built
@@ -116,7 +117,7 @@ subspace.
 from dataclasses import dataclass, fields, make_dataclass
 
 from . import exactla
-from .bicomplex import _d_staircases, _staircase, _total_dims, ensure_valid
+from .bicomplex import _d_staircases, _once, _staircase, _total_dims
 from .exactla import LinAlgError, place_blocks, rank
 
 BIGRADED_THEORIES = ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
@@ -214,25 +215,6 @@ _OVERLAPS = {
 }
 
 
-def _once(k, key, make):
-    """``make()``, kept in ``k._store``, which holds no reference back to
-    ``k``.  Until the store records that ``k`` validated, a miss first
-    runs the validity check, so an invalid complex gets no derived value."""
-    store = k._store
-    if key not in store:
-        if store.get("violations") != ():
-            ensure_valid(k)
-        store[key] = make()
-    return store[key]
-
-
-def _ddbar(k, bid):
-    """The composite del delbar out of bidegree ``bid`` of ``k``."""
-    p, q = bid
-    return _once(k, ("ddbar", bid),
-                 lambda: k.del_map(p, q + 1) @ k.delbar_map(p, q))
-
-
 def _stack(k, bid):
     """The stack [del; delbar] out of ``bid``; its kernel is the
     Bott-Chern cocycles there."""
@@ -295,7 +277,7 @@ def _block_ranks(k):
                     max(0, up + db - k.dimension(p, q + 1),
                         right + d - k.dimension(p + 1, q)),
                     min(up, db, right, d),
-                    lambda: rank(_ddbar(k, bid)))
+                    lambda: rank(dels[(p, q + 1)] @ delbars[bid]))
             stack[bid] = _bounded(
                 max(d, db), min(d + db, dim - ddbar.get((p - 1, q - 1), 0)),
                 lambda: rank(_stack(k, bid)))

@@ -50,7 +50,7 @@ from dataclasses import dataclass, make_dataclass, replace
 from typing import ClassVar, NamedTuple
 
 from .bicomplex import Bicomplex, ensure_valid
-from .cohomology import BIGRADED_THEORIES, THEORIES, CohomologyTable, _ddbar
+from .cohomology import BIGRADED_THEORIES, THEORIES, CohomologyTable
 from .exactla import (
     LinAlgError,
     Matrix,
@@ -617,7 +617,7 @@ def decompose(k):
     reads = {}
     try:
         for (p, q) in support:
-            composed = _ddbar(k, (p, q))
+            composed = k.del_map(p, q + 1) @ k.delbar_map(p, q)
             ker = kernel_basis(composed)
             if ker.dim == k.dimension(p, q):
                 continue

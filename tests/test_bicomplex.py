@@ -433,6 +433,22 @@ class TestJson:
             from_json_dict(obj)
         assert key in str(info.value)
 
+    @pytest.mark.parametrize("obj, says", [
+        ({"spaces": {"0,0": 10 ** 5000}}, "spaces: integer too long"),
+        ({"spaces": {"0,0": 1, "1,0": -10 ** 5000}},
+         "spaces['1,0']: integer too long"),
+        ({"n": 10 ** 5000, "spaces": {}}, "n: integer too long"),
+        ({"n": -10 ** 5000, "spaces": {}}, "n: integer too long"),
+        ({"spaces": {f"{'9' * 5000},0": 1}}, "spaces: bidegree key '99"),
+        ({"spaces": {"0,0": 1, f"{'9' * 3000},{'9' * 3000}": 1}},
+         "spaces: integer too long"),
+    ], ids=["dimension", "negative-dimension", "n", "negative-n", "key",
+            "bounding-box"])
+    def test_integers_too_long_to_print_are_format_errors(self, obj, says):
+        with pytest.raises(BicomplexFormatError) as info:
+            from_json_dict(obj)
+        assert str(info.value).startswith(says)
+
     def test_blocks_are_read_as_sparse_columns(self):
         k = from_json_dict({"spaces": {"0,0": 3, "1,0": 2},
                             "del": {"0,0": [["0", "1", "0/2"],

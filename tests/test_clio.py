@@ -215,6 +215,22 @@ class TestStrictReader:
         assert rc == EXIT_INPUT
         assert "nested too deeply" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text, says", [
+        ('{"spaces": {"%s,0": 1}}' % ("9" * 5000),
+         "spaces: bidegree key '99"),
+        ('{"n": %s, "spaces": {"0,0": 1}}' % ("9" * 5000),
+         "invalid JSON: an integer too long to convert"),
+        ('{"spaces": {"0,0": %s}}' % ("9" * 5000),
+         "invalid JSON: an integer too long to convert"),
+    ], ids=["key", "n", "dimension"])
+    def test_integer_too_long_to_convert(self, tmp_path, capsys, text, says):
+        """A JSON integer with more digits than Python converts is an
+        input error naming the file, never a traceback."""
+        rc, err = self._validate(tmp_path, "digits.json", text, capsys)
+        assert rc == EXIT_INPUT
+        assert err.startswith(f"error: {tmp_path / 'digits.json'}: {says}")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("label", ["a\n\\input{/etc/passwd}", "a\rb",
                                        "tab\there", "del\x7f", "c1\x85"])
     def test_control_character_in_label(self, tmp_path, capsys, label):

@@ -46,7 +46,7 @@ import pytest
 
 from bicomplex_lab import checkers, clio, cohomology, exactla
 from bicomplex_lab.bicomplex import (Bicomplex, _d_staircases, _staircase,
-                                     ensure_valid, totalize)
+                                     totalize)
 from bicomplex_lab.checkers import run_all_checks
 from bicomplex_lab.clio import PRESETS
 from bicomplex_lab.cohomology import (
@@ -638,7 +638,7 @@ class TestRanksFromBounds:
             for bid in support:
                 p, q = bid
                 assert ranks["ddbar"].get(bid, 0) == eliminated(
-                    cohomology._ddbar(k, bid)), (label, bid)
+                    k.del_map(p, q + 1) @ k.delbar_map(p, q)), (label, bid)
                 assert ranks["stack"][bid] == eliminated(
                     cohomology._stack(k, bid)), (label, bid)
                 assert ranks["join"][bid] == eliminated(
@@ -1181,25 +1181,17 @@ class TestStore:
         run_all_checks(k)
         assert calls == Counter()
 
-    def test_ddbar_is_built_once_per_bidegree(self, monkeypatch):
-        """ker ddbar at (p, q), im ddbar at (p + 1, q + 1) and the square
-        splitting in decompose all read one del delbar product out of
-        (p, q), built once."""
-        k = iwasawa()
-        ensure_valid(k)  # validation multiplies the blocks on its own
-        composites = {(id(k.del_map(p, q + 1)), id(k.delbar_map(p, q))):
-                      (p, q) for (p, q) in k.support()}
-        built = Counter()
-        matmul = Matrix.__matmul__
-
-        def counted(left, right):
-            bid = composites.get((id(left), id(right)))
-            if bid is not None:
-                built[bid] += 1
-            return matmul(left, right)
-
-        monkeypatch.setattr(Matrix, "__matmul__", counted)
-        all_tables(k)
-        assert any(part.kind == "square" for part in decompose(k).parts)
-        run_all_checks(k)
-        assert built == Counter(k.support())
+    def test_store_holds_no_matrix(self):
+        """The tables, the checks and decompose leave no matrix in the
+        store: an absent block is a fresh zero map, and the del delbar
+        composites are formed where they are eliminated or split."""
+        inputs = [iwasawa(), nil4()]
+        for symmetric, seeds in ((False, 100), (True, 20)):
+            inputs += [random_bicomplex(seed, symmetric=symmetric).bicomplex
+                       for seed in range(seeds)]
+        for k in inputs:
+            all_tables(k)
+            run_all_checks(k)
+            decompose(k)
+            assert not any(isinstance(v, Matrix)
+                           for v in k._store.values()), k.label
